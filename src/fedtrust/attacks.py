@@ -5,6 +5,10 @@ are fully deterministic), ascends the sign of the per-sample loss gradient,
 and after every step projects onto the intersection of the epsilon ball and
 the valid feature box. Samples whose prediction has already flipped are
 frozen early; their final iterate still satisfies both containment bounds.
+
+Each step runs one forward pass, on the new iterate: its predictions decide
+which rows freeze, and its pre-activations give the next step's input
+gradient. The rows still under attack are kept in compacted working arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .nn import ModelParams, input_gradient_batch, predict_batch
+from .nn import (
+    ModelParams,
+    check_labels,
+    forward_layers,
+    input_gradient_from,
+    predicted_classes,
+    unpack_layers,
+)
 
 
 @dataclass(frozen=True)
@@ -55,18 +66,33 @@ def pgd_batch(
         raise InputError("labels must align with input rows")
     if spec.epsilon == 0.0:
         return x0.copy()
+    check_labels(model.architecture, y)
+    layers = unpack_layers(model)
+    activation = model.architecture.output_activation
+    x_adv = x0.copy()
+    # Working arrays hold only the rows still under attack; rows[i] is the
+    # input row of working row i.
+    rows = np.arange(x0.shape[0])
+    x = x0
     lower = np.maximum(x0 - spec.epsilon, spec.clip_min)
     upper = np.minimum(x0 + spec.epsilon, spec.clip_max)
-    x_adv = x0.copy()
-    active = np.arange(x0.shape[0])
-    for _ in range(spec.steps):
-        if active.size == 0:
+    _, pre_acts, probs = forward_layers(layers, activation, x)
+    for step in range(spec.steps):
+        if rows.size == 0:
             break
-        grad = input_gradient_batch(model, x_adv[active], y[active])
-        stepped = x_adv[active] + spec.step_size * np.sign(grad)
-        x_adv[active] = np.clip(stepped, lower[active], upper[active])
-        still = predict_batch(model, x_adv[active]) == y[active]
-        active = active[still]
+        grad = input_gradient_from(layers, activation, pre_acts, probs, y)
+        x = np.clip(x + spec.step_size * np.sign(grad), lower, upper)
+        if step == spec.steps - 1:
+            break
+        _, pre_acts, probs = forward_layers(layers, activation, x)
+        still = predicted_classes(activation, probs) == y
+        if not still.all():
+            x_adv[rows[~still]] = x[~still]
+            rows, x, lower, upper, y, probs = (
+                rows[still], x[still], lower[still], upper[still], y[still], probs[still]
+            )
+            pre_acts = [z[still] for z in pre_acts]
+    x_adv[rows] = x
     return x_adv
 
 

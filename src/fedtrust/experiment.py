@@ -6,6 +6,7 @@ Each fold is an independent repetition with seeds derived from
     <output_dir>/fold_<f>/round_<t>/...   training checkpoints
     <output_dir>/fold_<f>/scores.csv      per-round scores, all schemes
     <output_dir>/fold_<f>/scores_total.csv accumulated scores (rounds 2..T)
+    <output_dir>/fold_<f>/valuation_meta.json utility counts, requests per scheme
 
 A failing fold is recorded in <output_dir>/failures.json and does not stop
 the remaining folds. Fold parallelism is capped by the FEDTRUST_THREADS
@@ -113,6 +114,10 @@ def run_fold(
                 "coalition_evaluations": cache.evaluations,
                 "cache_hits": cache.hits,
                 "distinct_coalitions": len(cache),
+                "metric_undefined_fallbacks": cache.undefined,
+                "requested_coalitions": {
+                    s.value: len(cache.requested.get(s.value, ())) for s in cfg.schemes
+                },
                 "schemes": [s.value for s in cfg.schemes],
             },
             fh,
@@ -165,7 +170,10 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
 
 
 def analyze_run_dir(run_dir) -> AnalysisReport:
-    """Rebuild the report from persisted scores only."""
+    """Rebuild the report from persisted scores only.
+
+    Every fold must cover the same rounds, clients, schemes and metrics.
+    """
     run_dir = Path(run_dir)
     score_files = sorted(run_dir.glob("fold_*/scores.csv"))
     if not score_files and (run_dir / "scores.csv").exists():
@@ -173,7 +181,15 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
     if not score_files:
         raise DataError(f"no scores.csv found under {run_dir}")
     tables = [read_scores_csv(p) for p in score_files]
-    last_round = max(tables[0].rounds())
+    first = tables[0]
+    for path, table in zip(score_files[1:], tables[1:]):
+        for axis in ("rounds", "clients", "schemes", "metrics"):
+            mine, theirs = getattr(table, axis)(), getattr(first, axis)()
+            if mine != theirs:
+                raise DataError(
+                    f"{path}: {axis} {mine} differ from {score_files[0]}: {theirs}"
+                )
+    last_round = max(first.rounds())
     report = build_report(tables, last_round)
     write_report(report, run_dir)
     return report

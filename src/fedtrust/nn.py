@@ -118,8 +118,12 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def _unpack(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (no copies) of the per-layer weight matrices and bias vectors."""
+def unpack_layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views (no copies) of the per-layer weight matrices and bias vectors.
+
+    Callers that make many passes over one model (PGD) unpack once and hand
+    the layers to :func:`forward_layers` and :func:`input_gradient_from`.
+    """
     sizes = params.architecture.layer_sizes
     layers = []
     offset = 0
@@ -143,16 +147,17 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(chunks))
 
 
-def _forward(
-    params: ModelParams, x: np.ndarray
+def forward_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: OutputActivation,
+    x: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Forward pass on a (n, d) batch.
+    """Forward pass of a (n, d) batch through unpacked layers.
 
     Returns the post-activation of every layer (activations[0] is the input),
     the pre-activations of every layer, and the output probabilities: (n, C)
     rows for softmax, an (n,) positive-class column for sigmoid.
     """
-    layers = _unpack(params)
     activations = [x]
     pre_acts = []
     a = x
@@ -163,13 +168,26 @@ def _forward(
             a = np.maximum(z, 0.0)
             activations.append(a)
     z_out = pre_acts[-1]
-    if params.architecture.output_activation is OutputActivation.SOFTMAX:
+    if activation is OutputActivation.SOFTMAX:
         shifted = z_out - z_out.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
     else:
         probs = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
     return activations, pre_acts, probs
+
+
+def _forward(
+    params: ModelParams, x: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    return forward_layers(unpack_layers(params), params.architecture.output_activation, x)
+
+
+def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.ndarray:
+    """Class index per row of output probabilities; argmax ties go low."""
+    if activation is OutputActivation.SIGMOID:
+        return (probs > 0.5).astype(np.int64)
+    return np.argmax(probs, axis=1).astype(np.int64)
 
 
 def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -191,9 +209,7 @@ def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
             f"{params.architecture.input_dim}"
         )
     _, _, probs = _forward(params, inputs)
-    if params.architecture.output_activation is OutputActivation.SIGMOID:
-        return (probs > 0.5).astype(np.int64)
-    return np.argmax(probs, axis=1).astype(np.int64)
+    return predicted_classes(params.architecture.output_activation, probs)
 
 
 def predict(params: ModelParams, x: Sequence[float]) -> int:
@@ -201,30 +217,38 @@ def predict(params: ModelParams, x: Sequence[float]) -> int:
     return int(predict_batch(params, x[None, :])[0])
 
 
-def _output_delta(
-    params: ModelParams, probs: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy losses plus d(loss_i)/d(z_out).
-
-    Log arguments are clamped at LOG_CLAMP; samples whose clamp is active get
-    a zero delta because the computed loss is locally constant there.
-    """
-    c = params.architecture.class_count
+def check_labels(arch: Architecture, labels: np.ndarray) -> None:
+    """Reject class labels the architecture cannot output."""
+    c = arch.class_count
     if labels.size and labels.max() >= c:
         raise InputError(f"label out of range for {c} classes")
-    if params.architecture.output_activation is OutputActivation.SOFTMAX:
-        p_true = probs[np.arange(len(labels)), labels]
-        losses = -np.log(np.maximum(p_true, LOG_CLAMP))
+
+
+def _true_class_prob(
+    activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    if activation is OutputActivation.SOFTMAX:
+        return probs[np.arange(len(labels)), labels]
+    return np.where(labels == 1, probs, 1.0 - probs)
+
+
+def _output_delta(
+    activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """d(loss_i)/d(z_out) of each sample's cross-entropy loss.
+
+    Log arguments are clamped at LOG_CLAMP; samples whose clamp is active get
+    a zero delta because the computed loss is locally constant there. Labels
+    must already have passed :func:`check_labels`.
+    """
+    p_true = _true_class_prob(activation, probs, labels)
+    if activation is OutputActivation.SOFTMAX:
         delta = probs.copy()
         delta[np.arange(len(labels)), labels] -= 1.0
-        delta[p_true < LOG_CLAMP] = 0.0
     else:
-        p = probs
-        p_active = np.where(labels == 1, p, 1.0 - p)
-        losses = -np.log(np.maximum(p_active, LOG_CLAMP))
-        delta = (p - labels)[:, None]
-        delta[p_active < LOG_CLAMP] = 0.0
-    return losses, delta
+        delta = (probs - labels)[:, None]
+    delta[p_true < LOG_CLAMP] = 0.0
+    return delta
 
 
 def _backward_params(
@@ -233,7 +257,7 @@ def _backward_params(
     pre_acts: list[np.ndarray],
     delta: np.ndarray,
 ) -> np.ndarray:
-    layers = _unpack(params)
+    layers = unpack_layers(params)
     grads: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
@@ -251,8 +275,12 @@ def loss_and_param_grads(
     """Mean cross-entropy over the batch and its gradient w.r.t. ``values``."""
     if len(batch) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
+    check_labels(params.architecture, batch.labels)
     activations, pre_acts, probs = _forward(params, batch.inputs)
-    losses, delta = _output_delta(params, probs, batch.labels)
+    activation = params.architecture.output_activation
+    p_true = _true_class_prob(activation, probs, batch.labels)
+    losses = -np.log(np.maximum(p_true, LOG_CLAMP))
+    delta = _output_delta(activation, probs, batch.labels)
     grad = _backward_params(params, activations, pre_acts, delta / len(batch))
     return float(losses.mean()), grad
 
@@ -268,9 +296,25 @@ def input_gradient_batch(
             f"inputs shape {inputs.shape} does not match feature dim "
             f"{params.architecture.input_dim}"
         )
-    _, pre_acts, probs = _forward(params, inputs)
-    _, delta = _output_delta(params, probs, labels)
-    layers = _unpack(params)
+    check_labels(params.architecture, labels)
+    layers = unpack_layers(params)
+    activation = params.architecture.output_activation
+    _, pre_acts, probs = forward_layers(layers, activation, inputs)
+    return input_gradient_from(layers, activation, pre_acts, probs, labels)
+
+
+def input_gradient_from(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: OutputActivation,
+    pre_acts: list[np.ndarray],
+    probs: np.ndarray,
+    labels: np.ndarray,
+) -> np.ndarray:
+    """Row-wise input gradient from the outputs of :func:`forward_layers`.
+
+    Labels must already have passed :func:`check_labels`.
+    """
+    delta = _output_delta(activation, probs, labels)
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         delta = delta @ w.T
@@ -299,7 +343,11 @@ def sgd_step(
     params: ModelParams, gradient: np.ndarray, learning_rate: float
 ) -> ModelParams:
     g = _check_gradient(params, gradient)
-    return ModelParams(params.architecture, params.values - learning_rate * g)
+    # Divergence surfaces as the NumericError ModelParams raises on
+    # non-finite values, not as a numpy overflow warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_values = params.values - learning_rate * g
+    return ModelParams(params.architecture, new_values)
 
 
 @dataclass(frozen=True)
@@ -330,11 +378,12 @@ def adam_step(
     if state.m.shape != params.values.shape:
         raise InputError("optimizer state is not aligned with the parameters")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_values = params.values - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in sgd_step
+        m = beta1 * state.m + (1.0 - beta1) * g
+        v = beta2 * state.v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_values = params.values - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return ModelParams(params.architecture, new_values), AdamState(m, v, t)
 
 

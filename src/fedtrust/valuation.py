@@ -13,9 +13,11 @@ Three schemes over a shared coalition-utility function:
 
 The utility of a coalition is the metric value of the model obtained by
 FedAvg-aggregating only that coalition's updates onto the previous global
-model; the empty coalition is the previous global model itself. Utilities
-are memoized per (round, coalition, metric), so evaluation counts are the
-honest cost measure of a scheme.
+model; the empty coalition is the previous global model itself. A
+:class:`CoalitionCache` aggregates each (round, coalition) once and shares
+its clean test predictions across the four metrics; utilities are memoized
+per (round, coalition, metric) and computed only when a scheme asks, so
+evaluation counts are the honest cost measure of a scheme.
 """
 
 from __future__ import annotations
@@ -23,18 +25,20 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
-from .metrics import EvalContext, Metric, evaluate
+from .metrics import EvalContext, Metric, evaluate, predictions
+from .nn import ModelParams
 from .seeding import rng_from
 
 logger = logging.getLogger(__name__)
@@ -80,23 +84,78 @@ class ValuationConfig:
 
 
 class CoalitionCache:
-    """Memo map (round, coalition, metric) -> utility, with miss counting."""
+    """Memo of coalition utilities for one fold, with the counts of its cost.
+
+    Each (round, coalition) is aggregated and run forward on the clean test
+    inputs once; the aggregate and its predictions are kept for the latest
+    round only and shared by every metric. A (round, coalition, metric)
+    utility is computed on its first request: ``evaluations`` counts the
+    utilities computed, ``hits`` the requests answered from the memo and
+    ``undefined`` the computed utilities that fell back to the empty
+    coalition. Requests made inside ``requests_for(scheme)`` are recorded in
+    ``requested[scheme]``.
+    """
 
     def __init__(self) -> None:
         self._store: dict[tuple[int, Coalition, str], float] = {}
+        self._round = 0
+        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
+        self._scope: set[tuple[int, Coalition, str]] | None = None
+        self.requested: dict[str, set[tuple[int, Coalition, str]]] = {}
         self.evaluations = 0
         self.hits = 0
+        self.undefined = 0
 
-    def get_or_compute(
-        self, key: tuple[int, Coalition, str], compute: Callable[[], float]
+    @contextmanager
+    def requests_for(self, scheme: str) -> Iterator[None]:
+        self._scope = self.requested.setdefault(scheme, set())
+        try:
+            yield
+        finally:
+            self._scope = None
+
+    def utility(
+        self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
     ) -> float:
+        if self._scope is not None:
+            self._scope.add((record.round, ids, metric.value))
+        return self._value(record, ids, metric, ctx)
+
+    def _value(
+        self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
+    ) -> float:
+        key = (record.round, ids, metric.value)
         if key in self._store:
             self.hits += 1
             return self._store[key]
-        value = compute()
+        model, clean = self._aggregate(record, ids, ctx)
+        try:
+            value = evaluate(model, metric, ctx, clean)
+        except MetricUndefinedError as exc:
+            # Substituting the empty-coalition utility rather than dropping
+            # the coalition keeps the marginals around it unbiased.
+            logger.warning(
+                "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
+                record.round,
+                ids,
+                metric.value,
+                exc,
+            )
+            self.undefined += 1
+            value = self._value(record, (), metric, ctx) if ids else 0.0
         self.evaluations += 1
         self._store[key] = value
         return value
+
+    def _aggregate(
+        self, record: RoundRecord, ids: Coalition, ctx: EvalContext
+    ) -> tuple[ModelParams, np.ndarray]:
+        if record.round != self._round:
+            self._round, self._aggregates = record.round, {}
+        if ids not in self._aggregates:
+            model = fedavg(record.global_before, [record.update_for(k) for k in ids])
+            self._aggregates[ids] = (model, predictions(model, ctx.test.features))
+        return self._aggregates[ids]
 
     def __len__(self) -> int:
         return len(self._store)
@@ -112,34 +171,15 @@ def coalition_utility(
     """Metric value of the coalition's aggregate on the round's base model.
 
     Metric-undefined coalitions fall back to the empty-coalition utility
-    (with a logged warning) rather than being dropped, which would bias the
-    marginals around them.
+    (with a logged warning). Without a ``cache`` nothing is memoized.
     """
     ids: Coalition = tuple(sorted(set(subset)))
     unknown = set(ids) - set(record.client_ids)
     if unknown:
         raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
-    metric = Metric(metric)
-
-    def compute() -> float:
-        model = fedavg(record.global_before, [record.update_for(k) for k in ids])
-        try:
-            return evaluate(model, metric, ctx)
-        except MetricUndefinedError as exc:
-            logger.warning(
-                "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
-                record.round,
-                ids,
-                metric.value,
-                exc,
-            )
-            if not ids:
-                return 0.0
-            return coalition_utility(record, (), metric, ctx, cache)
-
     if cache is None:
-        return compute()
-    return cache.get_or_compute((record.round, ids, metric.value), compute)
+        cache = CoalitionCache()
+    return cache.utility(record, ids, Metric(metric), ctx)
 
 
 def _utility_fn(
@@ -413,12 +453,14 @@ def score_rounds(
         for metric in metrics:
             for scheme in schemes:
                 scheme = Scheme(scheme)
-                if scheme is Scheme.EXACT:
-                    scores = exact_shapley_round(record, metric, ctx, cache)
-                elif scheme is Scheme.GTG:
-                    scores = gtg_shapley_round(record, prev, metric, ctx, vcfg, cache)
-                else:
-                    scores = loo_round(record, metric, ctx, cache)
+                scope = nullcontext() if cache is None else cache.requests_for(scheme.value)
+                with scope:
+                    if scheme is Scheme.EXACT:
+                        scores = exact_shapley_round(record, metric, ctx, cache)
+                    elif scheme is Scheme.GTG:
+                        scores = gtg_shapley_round(record, prev, metric, ctx, vcfg, cache)
+                    else:
+                        scores = loo_round(record, metric, ctx, cache)
                 table.add_round_scores(scheme, metric, record.round, scores)
     return table
 

@@ -153,7 +153,7 @@ def _min_hidden_margin(params, x):
 
     margin = np.inf
     a = x
-    for w, b in nn._unpack(params)[:-1]:
+    for w, b in nn.unpack_layers(params)[:-1]:
         z = a @ w + b
         margin = min(margin, float(np.abs(z).min()))
         a = np.maximum(z, 0.0)

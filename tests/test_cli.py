@@ -57,6 +57,19 @@ class TestRun:
         for name in ("report.json", "report.csv", "heatmap.csv"):
             assert (out_dir / name).exists()
 
+    def test_valuation_meta_counts_requests_per_scheme(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir)
+        assert main(["run", str(config)]) == 0
+        meta = json.loads((out_dir / "fold_0" / "valuation_meta.json").read_text())
+        # 2 clients, 2 rounds, 4 metrics: exact Shapley asks for all 4
+        # coalitions, LOO for the full one and both singletons
+        assert meta["requested_coalitions"]["exact_shapley"] == 2 * 4 * 4
+        assert meta["requested_coalitions"]["loo"] == 2 * 4 * 3
+        assert meta["requested_coalitions"]["gtg"] <= 2 * 4 * 4
+        assert meta["distinct_coalitions"] == meta["coalition_evaluations"] == 2 * 4 * 4
+        assert meta["metric_undefined_fallbacks"] >= 0
+
     def test_rerun_byte_identical_scores(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -125,6 +138,27 @@ class TestAnalyze:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["analyze", str(empty)]) == 3
+
+    @pytest.mark.parametrize(
+        "axis, keep",
+        [
+            ("rounds", lambda row: row[3] != "2"),
+            ("clients", lambda row: row[2] != "1"),
+            ("schemes", lambda row: row[0] != "loo"),
+            ("metrics", lambda row: row[1] != "res"),
+        ],
+    )
+    def test_folds_that_disagree_are_data_error(self, tmp_path, capsys, axis, keep):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, "experiment.folds = 2\n")
+        assert main(["run", str(config)]) == 0
+        doctored = out_dir / "fold_1" / "scores.csv"
+        header, *rows = doctored.read_text().splitlines()
+        kept = [row for row in rows if keep(row.split(","))]
+        assert 0 < len(kept) < len(rows)
+        doctored.write_text("\n".join([header, *kept]) + "\n")
+        assert main(["analyze", str(out_dir)]) == 3
+        assert f"{axis} " in capsys.readouterr().err
 
 
 class TestGenerateData:

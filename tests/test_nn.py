@@ -74,7 +74,7 @@ def random_case(rng, softmax=True):
 
 def _kink_margin(params, x):
     margin = np.inf
-    layers = nn._unpack(params)
+    layers = nn.unpack_layers(params)
     a = x
     for i, (w, b) in enumerate(layers[:-1]):
         z = a @ w + b

@@ -303,6 +303,17 @@ class TestRoundWrappers:
             loo = loo_round(record, metric, ctx)
             assert all(abs(v) < 1e-12 for v in loo.values())
 
+    def test_gtg_requests_fewer_coalitions_than_exact_under_shared_cache(self):
+        records, ctx = trained_records(rounds=3)
+        cache = CoalitionCache()
+        score_rounds(records, list(Scheme), list(Metric), ctx, ValuationConfig(), cache)
+        requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
+        assert requested["exact_shapley"] == 3 * 16 * 4
+        assert requested["loo"] == 3 * 5 * 4
+        assert requested["gtg"] < requested["exact_shapley"]
+        # the shared cache computes each requested utility once
+        assert cache.evaluations == len(cache) == requested["exact_shapley"]
+
     def test_cache_soundness(self):
         records, ctx = trained_records(rounds=2)
         vcfg = ValuationConfig()

@@ -8,7 +8,13 @@ frozen early; their final iterate still satisfies both containment bounds.
 
 Each step runs one forward pass, on the new iterate: its predictions decide
 which rows freeze, and its pre-activations give the next step's input
-gradient. The rows still under attack are kept in compacted working arrays.
+gradient. The step and the projection run in place on the working iterate.
+The log clamp of the loss is applied on step 0 only: from step 1 on every
+row still under attack is classified correctly, so the clamp cannot fire.
+A row that flips is written out on that step and marked inactive; inactive
+rows leave the working arrays only once they are at least half of them.
+Every iterate equals that of the plain loop (an input-gradient pass, a
+clipped step and a prediction pass per step), bit for bit.
 """
 
 from __future__ import annotations
@@ -70,28 +76,49 @@ def pgd_batch(
     layers = unpack_layers(model)
     activation = model.architecture.output_activation
     x_adv = x0.copy()
-    # Working arrays hold only the rows still under attack; rows[i] is the
-    # input row of working row i.
+    # Working arrays: rows[i] is the input row of working row i. A row that
+    # flips is written to x_adv and marked inactive at once, but it stays
+    # in the working arrays (stepping on, unread) until inactive rows are
+    # at least half of them, since dropping rows costs a copy of each array.
     rows = np.arange(x0.shape[0])
-    x = x0
+    x = x0.copy()
     lower = np.maximum(x0 - spec.epsilon, spec.clip_min)
     upper = np.minimum(x0 + spec.epsilon, spec.clip_max)
+    active = np.ones(rows.size, dtype=bool)
+    inactive = 0
     _, pre_acts, probs = forward_layers(layers, activation, x)
     for step in range(spec.steps):
-        if rows.size == 0:
-            break
-        grad = input_gradient_from(layers, activation, pre_acts, probs, y)
-        x = np.clip(x + spec.step_size * np.sign(grad), lower, upper)
+        # After step 0 every active row is classified correctly, so its true
+        # class has probability >= 1/C and the log clamp cannot fire.
+        grad = input_gradient_from(layers, activation, pre_acts, probs, y, clamp=step == 0)
+        np.sign(grad, out=grad)
+        grad *= spec.step_size
+        x += grad
+        # np.clip(x, lower, upper) without the cost of its Python wrapper
+        np.maximum(x, lower, out=x)
+        np.minimum(x, upper, out=x)
         if step == spec.steps - 1:
             break
         _, pre_acts, probs = forward_layers(layers, activation, x)
-        still = predicted_classes(activation, probs) == y
-        if not still.all():
-            x_adv[rows[~still]] = x[~still]
+        flipped = predicted_classes(activation, probs) != y
+        if inactive:
+            flipped &= active
+        if not flipped.any():
+            continue
+        x_adv[rows[flipped]] = x[flipped]
+        active &= ~flipped
+        inactive += np.count_nonzero(flipped)
+        if inactive == rows.size:
+            return x_adv
+        if 2 * inactive >= rows.size:
             rows, x, lower, upper, y, probs = (
-                rows[still], x[still], lower[still], upper[still], y[still], probs[still]
+                rows[active], x[active], lower[active], upper[active], y[active], probs[active]
             )
-            pre_acts = [z[still] for z in pre_acts]
+            pre_acts = [z[active] for z in pre_acts]
+            active = np.ones(rows.size, dtype=bool)
+            inactive = 0
+    if inactive:
+        rows, x = rows[active], x[active]
     x_adv[rows] = x
     return x_adv
 

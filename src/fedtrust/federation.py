@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -74,9 +75,15 @@ class RoundRecord:
             raise ConfigError("duplicate client ids in round record")
         object.__setattr__(self, "updates", tuple(self.updates))
 
-    @property
+    # Valuation reads these on every utility request; the record is
+    # immutable, so each is built once on first access.
+    @cached_property
     def client_ids(self) -> tuple[int, ...]:
         return tuple(u.client_id for u in self.updates)
+
+    @cached_property
+    def client_id_set(self) -> frozenset[int]:
+        return frozenset(self.client_ids)
 
     def update_for(self, client_id: int) -> ClientUpdate:
         for u in self.updates:

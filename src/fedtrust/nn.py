@@ -161,19 +161,29 @@ def forward_layers(
     activations = [x]
     pre_acts = []
     a = x
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_acts.append(z)
-        if i < len(layers) - 1:
+        if i < last:
             a = np.maximum(z, 0.0)
             activations.append(a)
+    # The probabilities are built in one fresh buffer, in place; the
+    # operations and their order are those of the textbook formulas.
     z_out = pre_acts[-1]
     if activation is OutputActivation.SOFTMAX:
-        shifted = z_out - z_out.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = z_out - z_out.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
     else:
-        probs = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
+        probs = np.negative(z_out[:, 0])
+        # exp overflows to inf for logits below about -709; 1 / (1 + inf)
+        # is then the correct probability 0.0.
+        with np.errstate(over="ignore"):
+            np.exp(probs, out=probs)
+        probs += 1.0
+        np.divide(1.0, probs, out=probs)
     return activations, pre_acts, probs
 
 
@@ -233,21 +243,27 @@ def _true_class_prob(
 
 
 def _output_delta(
-    activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
+    activation: OutputActivation,
+    probs: np.ndarray,
+    labels: np.ndarray,
+    clamp: bool = True,
 ) -> np.ndarray:
     """d(loss_i)/d(z_out) of each sample's cross-entropy loss.
 
     Log arguments are clamped at LOG_CLAMP; samples whose clamp is active get
-    a zero delta because the computed loss is locally constant there. Labels
-    must already have passed :func:`check_labels`.
+    a zero delta because the computed loss is locally constant there.
+    ``clamp=False`` leaves the clamp out, for a caller whose rows are all
+    classified correctly (their true class has probability at least 1/C, so
+    it cannot fire) or that applies it from true-class probabilities it
+    already has. Labels must already have passed :func:`check_labels`.
     """
-    p_true = _true_class_prob(activation, probs, labels)
     if activation is OutputActivation.SOFTMAX:
         delta = probs.copy()
         delta[np.arange(len(labels)), labels] -= 1.0
     else:
         delta = (probs - labels)[:, None]
-    delta[p_true < LOG_CLAMP] = 0.0
+    if clamp:
+        delta[_true_class_prob(activation, probs, labels) < LOG_CLAMP] = 0.0
     return delta
 
 
@@ -265,8 +281,20 @@ def _backward_params(
         gb = delta.sum(axis=0)
         grads[i] = np.concatenate([gw.ravel(), gb])
         if i > 0:
-            delta = (delta @ w.T) * (pre_acts[i - 1] > 0.0)
+            delta = _back_through(delta, w)
+            delta *= pre_acts[i - 1] > 0.0
     return np.concatenate(grads)
+
+
+def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``delta @ w.T``: a delta at a layer's output moved to its input.
+
+    Over a one-unit layer there is no sum to round, so the broadcast product
+    gives the bits of the matmul at a fraction of its call cost.
+    """
+    if w.shape[1] == 1:
+        return delta * w[:, 0]
+    return delta @ w.T
 
 
 def loss_and_param_grads(
@@ -280,7 +308,8 @@ def loss_and_param_grads(
     activation = params.architecture.output_activation
     p_true = _true_class_prob(activation, probs, batch.labels)
     losses = -np.log(np.maximum(p_true, LOG_CLAMP))
-    delta = _output_delta(activation, probs, batch.labels)
+    delta = _output_delta(activation, probs, batch.labels, clamp=False)
+    delta[p_true < LOG_CLAMP] = 0.0
     grad = _backward_params(params, activations, pre_acts, delta / len(batch))
     return float(losses.mean()), grad
 
@@ -309,17 +338,18 @@ def input_gradient_from(
     pre_acts: list[np.ndarray],
     probs: np.ndarray,
     labels: np.ndarray,
+    clamp: bool = True,
 ) -> np.ndarray:
     """Row-wise input gradient from the outputs of :func:`forward_layers`.
 
-    Labels must already have passed :func:`check_labels`.
+    Labels must already have passed :func:`check_labels`; ``clamp`` is
+    passed on to :func:`_output_delta`.
     """
-    delta = _output_delta(activation, probs, labels)
+    delta = _output_delta(activation, probs, labels, clamp)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        delta = delta @ w.T
+        delta = _back_through(delta, layers[i][0])
         if i > 0:
-            delta = delta * (pre_acts[i - 1] > 0.0)
+            delta *= pre_acts[i - 1] > 0.0
     return delta
 
 

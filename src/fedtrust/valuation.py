@@ -49,6 +49,7 @@ _PERMUTATION_SCAN_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
 UtilityFn = Callable[[Coalition], float]
+PermutationFn = Callable[[Sequence[int], int, int, "ValuationConfig"], Sequence[Coalition]]
 
 
 class Scheme(str, Enum):
@@ -93,15 +94,17 @@ class CoalitionCache:
     utilities computed, ``hits`` the requests answered from the memo and
     ``undefined`` the computed utilities that fell back to the empty
     coalition. Requests made inside ``requests_for(scheme)`` are recorded in
-    ``requested[scheme]``.
+    ``requested[scheme]``. The latest GTG permutation sample is kept too, so
+    a round's four metrics share one draw.
     """
 
     def __init__(self) -> None:
-        self._store: dict[tuple[int, Coalition, str], float] = {}
+        self._store: dict[tuple[int, Coalition, Metric], float] = {}
         self._round = 0
         self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
-        self._scope: set[tuple[int, Coalition, str]] | None = None
-        self.requested: dict[str, set[tuple[int, Coalition, str]]] = {}
+        self._scope: set[tuple[int, Coalition, Metric]] | None = None
+        self._permutations: tuple[tuple, list[Coalition]] | None = None
+        self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
         self.hits = 0
         self.undefined = 0
@@ -118,13 +121,13 @@ class CoalitionCache:
         self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
     ) -> float:
         if self._scope is not None:
-            self._scope.add((record.round, ids, metric.value))
+            self._scope.add((record.round, ids, metric))
         return self._value(record, ids, metric, ctx)
 
     def _value(
         self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
     ) -> float:
-        key = (record.round, ids, metric.value)
+        key = (record.round, ids, metric)
         if key in self._store:
             self.hits += 1
             return self._store[key]
@@ -157,6 +160,15 @@ class CoalitionCache:
             self._aggregates[ids] = (model, predictions(model, ctx.test.features))
         return self._aggregates[ids]
 
+    def permutations(
+        self, clients: Sequence[int], budget: int, round_idx: int, vcfg: ValuationConfig
+    ) -> list[Coalition]:
+        """:func:`gtg_permutations`, drawn once while its arguments repeat."""
+        key = (tuple(clients), budget, round_idx, vcfg)
+        if self._permutations is None or self._permutations[0] != key:
+            self._permutations = (key, gtg_permutations(clients, budget, round_idx, vcfg))
+        return self._permutations[1]
+
     def __len__(self) -> int:
         return len(self._store)
 
@@ -174,8 +186,8 @@ def coalition_utility(
     (with a logged warning). Without a ``cache`` nothing is memoized.
     """
     ids: Coalition = tuple(sorted(set(subset)))
-    unknown = set(ids) - set(record.client_ids)
-    if unknown:
+    if not record.client_id_set.issuperset(ids):
+        unknown = set(ids) - record.client_id_set
         raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
     if cache is None:
         cache = CoalitionCache()
@@ -281,8 +293,13 @@ def gtg_shapley_values(
     u: UtilityFn,
     round_idx: int,
     vcfg: ValuationConfig,
+    permutations: PermutationFn | None = None,
 ) -> dict[int, float]:
-    """GTG-approximate Shapley values for one round's utility game."""
+    """GTG-approximate Shapley values for one round's utility game.
+
+    ``permutations`` draws the sample in place of :func:`gtg_permutations`;
+    it must return the same permutations (a memo of it, say).
+    """
     clients = tuple(sorted(clients))
     v_empty = u(())
     v_full = u(clients)
@@ -290,7 +307,8 @@ def gtg_shapley_values(
         return {c: 0.0 for c in clients}
     budget = permutation_budget(len(clients), vcfg.eps2)
     sums = {c: 0.0 for c in clients}
-    for perm in gtg_permutations(clients, budget, round_idx, vcfg):
+    draw = gtg_permutations if permutations is None else permutations
+    for perm in draw(clients, budget, round_idx, vcfg):
         prefix: Coalition = ()
         v_prefix = v_empty
         truncated = False
@@ -351,7 +369,11 @@ def gtg_shapley_round(
         if not np.array_equal(prev_record.global_after.values, record.global_before.values):
             raise InputError("round records are not chained")
     return gtg_shapley_values(
-        record.client_ids, _utility_fn(record, metric, ctx, cache), record.round, vcfg
+        record.client_ids,
+        _utility_fn(record, metric, ctx, cache),
+        record.round,
+        vcfg,
+        None if cache is None else cache.permutations,
     )
 
 

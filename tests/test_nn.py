@@ -136,6 +136,14 @@ class TestPredict:
         assert predict(params, [0.9, 0.1]) == 1  # sigmoid(0.8) > 0.5
         assert predict(params, [0.1, 0.9]) == 0  # sigmoid(-0.8) < 0.5
 
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        # a logit of -1000 overflows exp(-z); the filter in pyproject.toml
+        # turns the RuntimeWarning into an error
+        params = ModelParams(
+            Architecture((2, 1), OutputActivation.SIGMOID), np.array([-1000.0, 0.0, 0.0])
+        )
+        assert predict_batch(params, np.array([[1.0, 0.0]])).tolist() == [0]
+
     def test_dimension_mismatch(self):
         params = init_params(Architecture((3, 2)), 0)
         with pytest.raises(InputError):

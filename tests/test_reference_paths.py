@@ -2,7 +2,8 @@
 
 The reference functions below are the plain loops the evaluation path
 replaced: PGD with an input-gradient pass and a separate prediction pass on
-every iterate, a noise matrix built on every ``rel`` call, and a per-metric
+every iterate (both written out here with plain matmuls, so the oracle
+shares no pass with ``fedtrust.nn``), a noise matrix built on every ``rel`` call, and a per-metric
 evaluation that aggregates the coalition and predicts the clean test set for
 each metric on its own. Every comparison is exact.
 """
@@ -19,17 +20,61 @@ from fedtrust.errors import MetricUndefinedError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate, rel
 from fedtrust.nn import (
+    LOG_CLAMP,
     Architecture,
     ModelParams,
     OutputActivation,
+    forward_layers,
     init_params,
     input_gradient_batch,
     predict_batch,
+    unpack_layers,
 )
 from fedtrust.seeding import rng_from
 from fedtrust.valuation import CoalitionCache, coalition_utility
 
 # --- reference path ---
+
+
+def ref_forward(model, x):
+    """Pre-activations of every layer and the output probabilities."""
+    layers = unpack_layers(model)
+    pre_acts, a = [], x
+    for w, b in layers:
+        z = a @ w + b
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0)
+    z = pre_acts[-1]
+    if model.architecture.output_activation is OutputActivation.SOFTMAX:
+        exp = np.exp(z - z.max(axis=1, keepdims=True))
+        return layers, pre_acts, exp / exp.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        return layers, pre_acts, 1.0 / (1.0 + np.exp(-z[:, 0]))
+
+
+def ref_predict(model, x):
+    _, _, probs = ref_forward(model, x)
+    if model.architecture.output_activation is OutputActivation.SOFTMAX:
+        return np.argmax(probs, axis=1)
+    return (probs > 0.5).astype(np.int64)
+
+
+def ref_input_gradient(model, x, y):
+    layers, pre_acts, probs = ref_forward(model, x)
+    rows = np.arange(len(y))
+    if model.architecture.output_activation is OutputActivation.SOFTMAX:
+        p_true = probs[rows, y]
+        delta = probs.copy()
+        delta[rows, y] -= 1.0
+    else:
+        p_true = np.where(y == 1, probs, 1.0 - probs)
+        delta = (probs - y)[:, None]
+    delta[p_true < LOG_CLAMP] = 0.0
+    for i in range(len(layers) - 1, -1, -1):
+        delta = delta @ layers[i][0].T
+        if i > 0:
+            delta = delta * (pre_acts[i - 1] > 0.0)
+    return delta
 
 
 def ref_pgd(model, inputs, labels, spec):
@@ -44,10 +89,10 @@ def ref_pgd(model, inputs, labels, spec):
     for _ in range(spec.steps):
         if active.size == 0:
             break
-        grad = input_gradient_batch(model, x_adv[active], y[active])
+        grad = ref_input_gradient(model, x_adv[active], y[active])
         stepped = x_adv[active] + spec.step_size * np.sign(grad)
         x_adv[active] = np.clip(stepped, lower[active], upper[active])
-        still = predict_batch(model, x_adv[active]) == y[active]
+        still = ref_predict(model, x_adv[active]) == y[active]
         active = active[still]
     return x_adv
 
@@ -112,6 +157,17 @@ def first_flip_steps(model, x, y, spec):
 
 
 @pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("hidden_layers", [0, 1, 2])
+def test_passes_match_plain_reference(activation, hidden_layers):
+    for seed in range(4):
+        model, rng = random_model(seed, activation, hidden_layers)
+        x = rng.random((40, 5))
+        y = rng.integers(0, model.architecture.class_count, size=40)
+        assert np.array_equal(input_gradient_batch(model, x, y), ref_input_gradient(model, x, y))
+        assert np.array_equal(predict_batch(model, x), ref_predict(model, x))
+
+
+@pytest.mark.parametrize("activation", list(OutputActivation))
 @pytest.mark.parametrize("hidden_layers", [1, 2])
 def test_pgd_matches_two_pass_reference(activation, hidden_layers):
     spec = AttackSpec(epsilon=0.4, step_size=0.03, steps=15)
@@ -139,6 +195,51 @@ def test_pgd_degenerate_specs_match_reference(activation, spec):
     assert np.array_equal(pgd_batch(model, x, y, spec), ref_pgd(model, x, y, spec))
 
 
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+def test_pgd_log_clamp_on_mislabelled_rows_matches_reference(activation, hidden_layers):
+    # Scaled-up weights saturate the outputs, so rows whose label disagrees
+    # with the clean prediction have p_true < LOG_CLAMP at x0: the clamp
+    # zeroes their first step, and the freeze test then stops them.
+    spec = AttackSpec(epsilon=0.3, step_size=0.05, steps=6)
+    clamped = 0
+    for seed in range(4):
+        model, rng = random_model(seed, activation, hidden_layers)
+        model = ModelParams(model.architecture, model.values * 40.0)
+        x = rng.random((60, 5))
+        y = rng.integers(0, model.architecture.class_count, size=60)
+        _, _, probs = forward_layers(unpack_layers(model), activation, x)
+        if activation is OutputActivation.SIGMOID:
+            p_true = np.where(y == 1, probs, 1.0 - probs)
+        else:
+            p_true = probs[np.arange(60), y]
+        clamped += int(np.count_nonzero(p_true < LOG_CLAMP))
+        assert np.array_equal(pgd_batch(model, x, y, spec), ref_pgd(model, x, y, spec))
+    assert clamped >= 20
+
+
+def linear_sigmoid_rows(margins):
+    """Rows of a sigmoid unit z = x0 - x1 with the given positive margins.
+
+    Each PGD step of size s lowers z by exactly 2s until the row flips.
+    """
+    model = ModelParams(Architecture((2, 1), OutputActivation.SIGMOID), np.array([1.0, -1.0, 0.0]))
+    x = np.column_stack([0.5 + np.asarray(margins) / 2, 0.5 - np.asarray(margins) / 2])
+    return model, x, np.ones(len(margins), dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "margins, flip_step",
+    [(np.linspace(0.001, 0.015, 20), 1), (np.linspace(0.081, 0.099, 20), 5)],
+    ids=["all_after_step1", "only_at_last_step"],
+)
+def test_pgd_flip_timing_extremes_match_reference(margins, flip_step):
+    spec = AttackSpec(epsilon=0.3, step_size=0.01, steps=5)
+    model, x, y = linear_sigmoid_rows(margins)
+    assert (first_flip_steps(model, x, y, spec) == flip_step).all()
+    assert np.array_equal(pgd_batch(model, x, y, spec), ref_pgd(model, x, y, spec))
+
+
 def trained_setup(seed=2, rounds=3):
     data = generate_synthetic(500, 8, 0.3, seed=seed)
     train, test = train_test_split(data, 0.2, seed=seed)
@@ -158,6 +259,17 @@ def test_pgd_matches_reference_on_trained_client_models():
             y = predict_batch(model, ctx.test.features)
             got = pgd_batch(model, ctx.test.features, y, spec)
             assert np.array_equal(got, ref_pgd(model, ctx.test.features, y, spec))
+
+
+def test_pgd_matches_reference_on_every_coalition_aggregate():
+    records, ctx = trained_setup()
+    test = ctx.test
+    for record in records:
+        for ids in all_coalitions(record.client_ids):
+            model = fedavg(record.global_before, [record.update_for(k) for k in ids])
+            correct = predict_batch(model, test.features) == test.labels
+            x, y = test.features[correct], test.labels[correct]
+            assert np.array_equal(pgd_batch(model, x, y, ctx.attack), ref_pgd(model, x, y, ctx.attack))
 
 
 # --- rel noise ---

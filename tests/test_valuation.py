@@ -4,6 +4,7 @@ from itertools import permutations as all_perms
 import numpy as np
 import pytest
 
+from fedtrust import valuation
 from fedtrust.attacks import AttackSpec
 from fedtrust.data import generate_synthetic, partition, PartitionMode, PartitionSpec, train_test_split
 from fedtrust.errors import ConfigError, InputError
@@ -313,6 +314,23 @@ class TestRoundWrappers:
         assert requested["gtg"] < requested["exact_shapley"]
         # the shared cache computes each requested utility once
         assert cache.evaluations == len(cache) == requested["exact_shapley"]
+
+    def test_gtg_draws_one_permutation_sample_per_round(self, monkeypatch):
+        records, ctx = trained_records(rounds=3)
+        vcfg = ValuationConfig(eps1=0.0, eps3=0.0)
+        draws = []
+
+        def counting_permutations(*args):
+            draws.append(args[2])
+            return gtg_permutations(*args)
+
+        monkeypatch.setattr(valuation, "gtg_permutations", counting_permutations)
+        shared = score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, CoalitionCache())
+        assert draws == [1, 2, 3]
+        # without a cache every (round, metric) draws its own sample
+        per_metric = score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, None)
+        assert len(draws) == 3 + 3 * len(Metric)
+        assert shared.entries == per_metric.entries
 
     def test_cache_soundness(self):
         records, ctx = trained_records(rounds=2)

@@ -8,13 +8,13 @@ resulting score vectors relate across metrics and schemes.
 """
 
 from .analysis import AnalysisReport, build_report, rmse, spearman
-from .attacks import AttackSpec, pgd
+from .attacks import AttackSpec
 from .config import ExperimentConfig, parse_config_file, parse_config_text
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
 from .experiment import analyze_run_dir, run_experiment, run_fold
 from .federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, fair, perf, rel, res
-from .nn import Architecture, Batch, ModelParams, init_params, predict
+from .nn import Architecture, Batch, ModelParams, init_params
 from .valuation import (
     CoalitionCache,
     Scheme,

@@ -16,13 +16,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InputError
 from .metrics import Metric
 from .valuation import ScoreTable
 
 DASH = "—"
-
-TRUST_METRICS = (Metric.FAIR.value, Metric.REL.value, Metric.RES.value)
 
 
 class SpearmanResult(NamedTuple):
@@ -230,9 +229,9 @@ def write_report(report: AnalysisReport, out_dir) -> None:
     """Emit report.json, report.csv (vs-perf table) and heatmap.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "report.json") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "metric", "phi", "phi_std", "l2", "l2_std"])
         for scheme in report.schemes:
@@ -248,7 +247,7 @@ def write_report(report: AnalysisReport, out_dir) -> None:
                         repr(stats.l2_std),
                     ]
                 )
-    with open(out_dir / "heatmap.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out_dir / "heatmap.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "metric_a", "metric_b", "phi"])
         for scheme in report.schemes:

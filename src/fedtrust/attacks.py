@@ -20,7 +20,6 @@ clipped step and a prediction pass per step), bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class AttackSpec:
     steps: int = 40
     clip_min: float = 0.0
     clip_max: float = 1.0
-    attack_seed: int = 0  # reserved; the attack has no random component
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
@@ -121,13 +119,3 @@ def pgd_batch(
         rows, x = rows[active], x[active]
     x_adv[rows] = x
     return x_adv
-
-
-def pgd(
-    model: ModelParams, x: Sequence[float], y: int, spec: AttackSpec
-) -> np.ndarray:
-    """Adversarial counterpart of a single (correctly classified) input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("pgd expects a single feature vector")
-    return pgd_batch(model, x[None, :], np.asarray([y]), spec)[0]

@@ -22,13 +22,6 @@ from .seeding import rng_from
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int
-    sensitive: bool
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Feature matrix in [0, 1], integer labels, boolean sensitive flags."""
 
@@ -61,9 +54,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]), bool(self.sensitive[i]))
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

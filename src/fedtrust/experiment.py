@@ -9,20 +9,20 @@ Each fold is an independent repetition with seeds derived from
     <output_dir>/fold_<f>/valuation_meta.json utility counts, requests per scheme
 
 A failing fold is recorded in <output_dir>/failures.json and does not stop
-the remaining folds. Fold parallelism is capped by the FEDTRUST_THREADS
-environment variable (unset/1 = serial, 0 = one worker per CPU).
+the remaining folds. A rerun into the same directory first removes each
+fold's score files and drops a stale failures.json, so ``analyze`` reads no
+scores an earlier run left for these folds.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import nn
 from .analysis import AnalysisReport, build_report, write_report
+from .atomic import atomic_open
 from .config import ExperimentConfig
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
 from .errors import ConfigError, DataError, FedTrustError
@@ -41,17 +41,6 @@ from .valuation import (
 logger = logging.getLogger(__name__)
 
 ALL_METRICS = (Metric.PERF, Metric.FAIR, Metric.REL, Metric.RES)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("FEDTRUST_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FEDTRUST_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError("FEDTRUST_THREADS must be non-negative")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None) -> Dataset:
@@ -108,7 +97,7 @@ def run_fold(
     table = score_rounds(records, cfg.schemes, ALL_METRICS, ctx, vcfg, cache)
     write_scores_csv(table, fold_dir / "scores.csv")
     write_totals_csv(table, cfg.rounds, fold_dir / "scores_total.csv")
-    with open(fold_dir / "valuation_meta.json", "w", encoding="utf-8") as fh:
+    with atomic_open(fold_dir / "valuation_meta.json") as fh:
         json.dump(
             {
                 "coalition_evaluations": cache.evaluations,
@@ -135,36 +124,29 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
     if cfg.data_source == "csv":
         source = load_csv(cfg.csv_path, cfg.csv_schema())
 
-    def one_fold(fold: int) -> ScoreTable:
-        return run_fold(cfg, fold, out_dir / f"fold_{fold}", source)
-
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
-    workers = min(worker_count(), cfg.folds)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {fold: pool.submit(one_fold, fold) for fold in range(cfg.folds)}
-            for fold, future in futures.items():
-                try:
-                    tables[fold] = future.result()
-                except FedTrustError as exc:
-                    failures.append({"fold": fold, "error": str(exc)})
-    else:
-        for fold in range(cfg.folds):
-            try:
-                tables[fold] = one_fold(fold)
-            except FedTrustError as exc:
-                failures.append({"fold": fold, "error": str(exc)})
+    for fold in range(cfg.folds):
+        fold_dir = out_dir / f"fold_{fold}"
+        for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
+            (fold_dir / name).unlink(missing_ok=True)
+        try:
+            tables[fold] = run_fold(cfg, fold, fold_dir, source)
+        except FedTrustError as exc:
+            failures.append({"fold": fold, "error": str(exc)})
 
+    failures_path = out_dir / "failures.json"
     if failures:
-        with open(out_dir / "failures.json", "w", encoding="utf-8") as fh:
+        with atomic_open(failures_path) as fh:
             json.dump(failures, fh, indent=2, sort_keys=True)
         for failure in failures:
             logger.error("fold %(fold)s failed: %(error)s", failure)
+    else:
+        failures_path.unlink(missing_ok=True)
     if not tables:
         raise DataError("every fold failed; no scores to analyze")
 
-    report = build_report([tables[f] for f in sorted(tables)], cfg.rounds)
+    report = build_report(list(tables.values()), cfg.rounds)
     write_report(report, out_dir)
     return report
 

@@ -195,23 +195,6 @@ class RunWriter:
         with open(round_dir / "meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
-    def read_round(self, round_idx: int) -> RoundRecord:
-        round_dir = self.run_dir / f"round_{round_idx}"
-        with open(round_dir / "meta.json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        before = nn.load_params(round_dir / "global_before.txt")
-        after = nn.load_params(round_dir / "global_after.txt")
-        updates = tuple(
-            ClientUpdate(
-                int(k),
-                round_idx,
-                nn.load_params(round_dir / f"client_{k}.txt"),
-                count,
-            )
-            for k, count in sorted(meta["sample_counts"].items(), key=lambda kv: int(kv[0]))
-        )
-        return RoundRecord(round_idx, before, updates, after)
-
 
 def run_training(
     init: ModelParams,

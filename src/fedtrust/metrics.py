@@ -7,9 +7,9 @@ is the fraction of predictions unchanged under additive Gaussian input noise
 predictions, never with labels), and ``res`` is one minus the adversarial
 attack success rate on the correctly classified test samples.
 
-Models are anything with a ``predict(x) -> class`` method; ``res`` with the
-default attack additionally needs input gradients and therefore a real
-:class:`~fedtrust.nn.ModelParams`.
+A model is a :class:`~fedtrust.nn.ModelParams`, or a stub with a per-row
+``predict(x) -> class`` method, used only by ``demo-fig1`` and the tests;
+``res`` with the default attack needs input gradients, so a ``ModelParams``.
 
 Evaluation path. Every metric reads the model's clean predictions on the
 test set, so each takes them as an optional ``clean`` argument and computes

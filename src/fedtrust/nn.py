@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +56,6 @@ class Architecture:
         return self.layer_sizes[0]
 
     @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def class_count(self) -> int:
         if self.output_activation is OutputActivation.SIGMOID:
             return 2
@@ -90,9 +85,6 @@ class ModelParams:
             raise NumericError("parameter values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def predict(self, x: Sequence[float]) -> int:
-        return predict(self, x)
 
 
 @dataclass(frozen=True)
@@ -200,16 +192,6 @@ def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.nda
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
-def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.architecture.input_dim:
-        raise InputError(
-            f"input length {x.shape} does not match feature dim "
-            f"{params.architecture.input_dim}"
-        )
-    return x
-
-
 def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Predicted class index per row; argmax ties resolve to the lowest index."""
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -220,11 +202,6 @@ def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
         )
     _, _, probs = _forward(params, inputs)
     return predicted_classes(params.architecture.output_activation, probs)
-
-
-def predict(params: ModelParams, x: Sequence[float]) -> int:
-    x = _check_input(params, np.asarray(x, dtype=np.float64))
-    return int(predict_batch(params, x[None, :])[0])
 
 
 def check_labels(arch: Architecture, labels: np.ndarray) -> None:
@@ -351,13 +328,6 @@ def input_gradient_from(
         if i > 0:
             delta *= pre_acts[i - 1] > 0.0
     return delta
-
-
-def input_gradient(
-    params: ModelParams, x: Sequence[float], label: int
-) -> np.ndarray:
-    x = _check_input(params, np.asarray(x, dtype=np.float64))
-    return input_gradient_batch(params, x[None, :], np.asarray([label]))[0]
 
 
 def _check_gradient(params: ModelParams, gradient: np.ndarray) -> np.ndarray:

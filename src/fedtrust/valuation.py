@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, evaluate, predictions
@@ -427,13 +428,6 @@ class ScoreTable:
     def value(self, scheme: str, metric: str, client: int, round_idx: int) -> float:
         return self.entries[(scheme, metric, client, round_idx)]
 
-    def round_scores(self, scheme: str, metric: str, round_idx: int) -> dict[int, float]:
-        return {
-            c: v
-            for (s, m, c, t), v in self.entries.items()
-            if s == scheme and m == metric and t == round_idx
-        }
-
     def score_vector(self, scheme: str, metric: str, last_round: int) -> np.ndarray:
         totals = accumulate(self, last_round)
         return np.array([totals[(scheme, metric, c)] for c in self.clients()])
@@ -496,7 +490,7 @@ TOTALS_HEADER = ["scheme", "metric", "client", "value"]
 def write_scores_csv(table: ScoreTable, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_HEADER)
         for key in sorted(table.entries):
@@ -508,7 +502,7 @@ def write_totals_csv(table: ScoreTable, last_round: int, path) -> None:
     totals = accumulate(table, last_round)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TOTALS_HEADER)
         for key in sorted(totals):

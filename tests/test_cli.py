@@ -1,12 +1,11 @@
 import json
-import os
 
 import pytest
 
 from fedtrust.cli import main
 from fedtrust.config import ExperimentConfig
 from fedtrust.data import CsvSchema, load_csv
-from fedtrust.experiment import run_experiment, worker_count
+from fedtrust.experiment import analyze_run_dir, run_experiment
 from fedtrust.valuation import read_scores_csv
 
 SMOKE = """
@@ -191,44 +190,6 @@ class TestGenerateData:
 
 
 class TestExperimentMachinery:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("FEDTRUST_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("FEDTRUST_THREADS", "0")
-        assert worker_count() == (os.cpu_count() or 1)
-        monkeypatch.delenv("FEDTRUST_THREADS")
-        assert worker_count() == 1
-
-    def test_parallel_folds_match_serial(self, tmp_path, monkeypatch):
-        cfg_serial = ExperimentConfig(
-            synthetic_n=80,
-            synthetic_d=3,
-            partition_mode="iid",
-            clients=2,
-            rounds=2,
-            attack_steps=5,
-            folds=2,
-            master_seed=3,
-            output_dir=str(tmp_path / "serial"),
-        )
-        monkeypatch.setenv("FEDTRUST_THREADS", "1")
-        run_experiment(cfg_serial)
-        cfg_par = ExperimentConfig(
-            **{
-                **cfg_serial.__dict__,
-                "output_dir": str(tmp_path / "parallel"),
-                "partition_mode": cfg_serial.partition_mode,
-                "schemes": cfg_serial.schemes,
-                "truncation_rule": cfg_serial.truncation_rule,
-            }
-        )
-        monkeypatch.setenv("FEDTRUST_THREADS", "2")
-        run_experiment(cfg_par)
-        for fold in ("fold_0", "fold_1"):
-            a = (tmp_path / "serial" / fold / "scores.csv").read_bytes()
-            b = (tmp_path / "parallel" / fold / "scores.csv").read_bytes()
-            assert a == b
-
     def test_failed_fold_recorded_others_survive(self, tmp_path, monkeypatch):
         import fedtrust.experiment as experiment
 
@@ -258,3 +219,42 @@ class TestExperimentMachinery:
         failures = json.loads((tmp_path / "flaky" / "failures.json").read_text())
         assert failures[0]["fold"] == 0
         assert (tmp_path / "flaky" / "fold_1" / "scores.csv").exists()
+
+    def test_rerun_leaves_no_stale_outputs(self, tmp_path, monkeypatch):
+        import fedtrust.experiment as experiment
+        from fedtrust.errors import NumericError
+
+        real_run_fold = experiment.run_fold
+        out_dir = tmp_path / "rerun"
+
+        def run(master_seed, failing_fold=None):
+            def maybe_fail(cfg, fold, fold_dir, source=None):
+                if fold == failing_fold:
+                    raise NumericError("synthetic failure")
+                return real_run_fold(cfg, fold, fold_dir, source)
+
+            monkeypatch.setattr(experiment, "run_fold", maybe_fail)
+            cfg = ExperimentConfig(
+                synthetic_n=80,
+                synthetic_d=3,
+                partition_mode="iid",
+                clients=2,
+                rounds=2,
+                attack_steps=5,
+                folds=2,
+                master_seed=master_seed,
+                output_dir=str(out_dir),
+            )
+            return run_experiment(cfg)
+
+        run(3, failing_fold=0)
+        assert (out_dir / "failures.json").exists()
+        # a clean rerun drops the earlier run's failure record
+        assert run(3).folds == 2
+        assert not (out_dir / "failures.json").exists()
+        # a fold that fails keeps none of the earlier run's score files
+        assert run(4, failing_fold=1).folds == 1
+        for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
+            assert not (out_dir / "fold_1" / name).exists()
+        assert json.loads((out_dir / "failures.json").read_text())[0]["fold"] == 1
+        assert analyze_run_dir(out_dir).folds == 1

@@ -43,13 +43,6 @@ class TestSynthetic:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.sensitive, b.sensitive)
 
-    def test_sample_view(self):
-        ds = generate_synthetic(20, 2, 0.0, seed=1)
-        s = ds.sample(3)
-        assert np.array_equal(s.features, ds.features[3])
-        assert s.label == ds.labels[3]
-        assert s.sensitive == bool(ds.sensitive[3])
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ConfigError):
             generate_synthetic(5, 4, 0.0, seed=0)

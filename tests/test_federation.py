@@ -17,7 +17,7 @@ from fedtrust.federation import (
     run_training,
 )
 from fedtrust.metrics import perf
-from fedtrust.nn import Architecture, Batch, ModelParams, init_params, loss_and_param_grads
+from fedtrust.nn import Architecture, Batch, ModelParams, init_params, load_params, loss_and_param_grads
 
 
 def make_update(client_id, values, count=10, round_idx=1, arch=None):
@@ -183,6 +183,11 @@ class TestRounds:
             assert meta["round"] == t
             assert meta["weighting"] == "sample_count"
             assert set(meta["sample_counts"]) == {"0", "1", "2"}
-        back = writer.read_round(2)
-        assert np.array_equal(back.global_after.values, records[1].global_after.values)
-        assert [u.sample_count for u in back.updates] == [len(p) for p in parts]
+        round_dir = tmp_path / "run" / "round_2"
+        back = load_params(round_dir / "global_after.txt")
+        assert np.array_equal(back.values, records[1].global_after.values)
+        for k, update in enumerate(records[1].updates):
+            client = load_params(round_dir / f"client_{k}.txt")
+            assert np.array_equal(client.values, update.params.values)
+        meta = json.loads((round_dir / "meta.json").read_text())
+        assert [meta["sample_counts"][str(k)] for k in range(3)] == [len(p) for p in parts]

@@ -158,8 +158,8 @@ class TestRes:
             res(wrong, test, AttackSpec(epsilon=0.1))
 
     def test_monotone_in_epsilon_on_average(self):
-        # fixed trained-ish model; PGD is deterministic so seeds only vary
-        # the (unused) attack_seed, but the mean must still be monotone
+        # fixed trained-ish model; PGD has no random component, so one
+        # call per epsilon is the whole average
         train = generate_synthetic(400, 4, 0.0, seed=11)
         model = init_params(Architecture((4, 6, 2)), 4)
         from fedtrust.federation import TrainingConfig, local_train
@@ -167,14 +167,8 @@ class TestRes:
         cfg = TrainingConfig(rounds=2, local_epochs=3, seed=0)
         model = local_train(model, train, cfg, 1, 0).params
         test = generate_synthetic(120, 4, 0.0, seed=12)
-        means = []
-        for eps in (0.05, 0.15, 0.3):
-            vals = [
-                res(model, test, AttackSpec(eps, 0.007, 40, attack_seed=s))
-                for s in range(30)
-            ]
-            means.append(np.mean(vals))
-        assert means[0] >= means[1] >= means[2]
+        values = [res(model, test, AttackSpec(eps, 0.007, 40)) for eps in (0.05, 0.15, 0.3)]
+        assert values[0] >= values[1] >= values[2]
 
 
 class TestEvaluate:

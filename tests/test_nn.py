@@ -15,9 +15,8 @@ from fedtrust.nn import (
     OutputActivation,
     adam_step,
     init_params,
-    input_gradient,
+    input_gradient_batch,
     loss_and_param_grads,
-    predict,
     predict_batch,
     sgd_step,
 )
@@ -126,15 +125,15 @@ class TestPredict:
     def test_uniform_tie_breaks_low(self):
         arch = Architecture((2, 3))
         params = ModelParams(arch, np.zeros(arch.param_count))
-        assert predict(params, [0.3, 0.8]) == 0
+        assert predict_batch(params, [[0.3, 0.8]]).tolist() == [0]
 
     def test_sigmoid_unit(self):
         # single linear unit w=[1,-1], b=0
         params = ModelParams(
             Architecture((2, 1), OutputActivation.SIGMOID), np.array([1.0, -1.0, 0.0])
         )
-        assert predict(params, [0.9, 0.1]) == 1  # sigmoid(0.8) > 0.5
-        assert predict(params, [0.1, 0.9]) == 0  # sigmoid(-0.8) < 0.5
+        assert predict_batch(params, [[0.9, 0.1]]).tolist() == [1]  # sigmoid(0.8) > 0.5
+        assert predict_batch(params, [[0.1, 0.9]]).tolist() == [0]  # sigmoid(-0.8) < 0.5
 
     def test_sigmoid_saturates_without_overflow_warning(self):
         # a logit of -1000 overflows exp(-z); the filter in pyproject.toml
@@ -147,7 +146,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         params = init_params(Architecture((3, 2)), 0)
         with pytest.raises(InputError):
-            predict(params, [0.1, 0.2])
+            predict_batch(params, [[0.1, 0.2]])
 
 
 class TestLoss:
@@ -202,7 +201,7 @@ class TestInputGradient:
         _, _, probs = nn._forward(params, x[None, :])
         onehot = np.eye(3)[y]
         expected = w @ (probs[0] - onehot)
-        got = input_gradient(params, x, y)
+        got = input_gradient_batch(params, x[None, :], np.array([y]))[0]
         assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -210,7 +209,7 @@ class TestInputGradient:
         for _ in range(10):
             params, batch = random_case(rng)
             x, y = batch.inputs[0], int(batch.labels[0])
-            got = input_gradient(params, x, y)
+            got = input_gradient_batch(params, x[None, :], np.array([y]))[0]
             fd = central_diff_input_grad(params, x, y)
             assert rel_err(got, fd) < 1e-4
 
@@ -221,8 +220,8 @@ class TestInputGradient:
         values[: 2 * 3] = 1.0  # W1 all ones
         values[6:9] = -10.0  # b1 very negative
         params = ModelParams(arch, values)
-        grad = input_gradient(params, np.array([0.5, 0.5]), 0)
-        assert np.array_equal(grad, np.zeros(2))
+        grad = input_gradient_batch(params, np.array([[0.5, 0.5]]), np.array([0]))
+        assert np.array_equal(grad, np.zeros((1, 2)))
 
 
 class TestOptimizers:
@@ -302,4 +301,4 @@ def test_predict_batch_matches_single(seed):
     params = ModelParams(arch, rng.normal(size=arch.param_count))
     xs = rng.random((6, 3))
     batch_preds = predict_batch(params, xs)
-    assert [predict(params, x) for x in xs] == list(batch_preds)
+    assert [int(predict_batch(params, x[None, :])[0]) for x in xs] == list(batch_preds)

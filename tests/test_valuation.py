@@ -415,3 +415,20 @@ class TestScoresCsv:
             ["gtg", "res"],
             ["loo", "perf"],
         ]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("writer failed partway")
+
+        table = ScoreTable()
+        table.entries[("gtg", "fair", 0, 1)] = 0.2
+        path = tmp_path / "scores.csv"
+        write_scores_csv(table, path)
+        before = path.read_bytes()
+        table.entries[("gtg", "fair", 0, 1)] = 0.3  # written before the failing row
+        table.entries[("gtg", "res", 0, 1)] = Unprintable(0.1)
+        with pytest.raises(RuntimeError, match="partway"):
+            write_scores_csv(table, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]

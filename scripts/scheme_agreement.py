@@ -3,9 +3,10 @@
 
 For each seed, trains a 4-client federation, scores every round with both
 schemes on the accuracy metric, and reports the rank correlation of the
-accumulated scores together with how many coalition-utility evaluations
-each scheme spent. Shows the cost/fidelity trade-off of the truncation
-thresholds on a desk-scale problem.
+accumulated scores together with how many distinct coalition utilities
+each scheme requested from the cache the two share. Shows the
+cost/fidelity trade-off of the truncation thresholds on a desk-scale
+problem.
 
 Usage: python scripts/scheme_agreement.py [n_seeds] [eps2]
 """
@@ -20,7 +21,7 @@ from fedtrust.data import PartitionMode, PartitionSpec, generate_synthetic, part
 from fedtrust.federation import TrainingConfig, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
 from fedtrust.nn import Architecture, OutputActivation, init_params
-from fedtrust.valuation import CoalitionCache, Scheme, ValuationConfig, score_rounds
+from fedtrust.valuation import CoalitionCache, Scheme, ValuationConfig, score_rounds, score_vectors
 
 
 def one_seed(seed: int, eps2: float):
@@ -31,20 +32,19 @@ def one_seed(seed: int, eps2: float):
     records = run_training(init, parts, TrainingConfig(rounds=10, seed=seed))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
 
-    cache_exact, cache_gtg = CoalitionCache(), CoalitionCache()
-    exact = score_rounds(records, [Scheme.EXACT], [Metric.PERF], ctx, ValuationConfig(), cache_exact)
-    gtg = score_rounds(
+    cache = CoalitionCache()
+    table = score_rounds(
         records,
-        [Scheme.GTG],
+        [Scheme.EXACT, Scheme.GTG],
         [Metric.PERF],
         ctx,
         ValuationConfig(eps2=eps2, perm_seed=seed),
-        cache_gtg,
+        cache,
     )
-    result = spearman_flagged(
-        gtg.score_vector("gtg", "perf", 10), exact.score_vector("exact_shapley", "perf", 10)
-    )
-    return result, cache_gtg.evaluations, cache_exact.evaluations
+    vectors = score_vectors(table, 10)
+    result = spearman_flagged(vectors[("gtg", "perf")], vectors[("exact_shapley", "perf")])
+    requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
+    return result, requested["gtg"], requested["exact_shapley"]
 
 
 def main():

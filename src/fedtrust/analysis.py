@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import InputError
 from .metrics import Metric
-from .valuation import ScoreTable
+from .valuation import ScoreTable, score_vectors
 
 DASH = "—"
 
@@ -162,14 +162,7 @@ def build_report(tables: Sequence[ScoreTable], last_round: int) -> AnalysisRepor
     vs_perf: dict[str, dict[str, PairStats]] = {}
     heatmap: dict[str, dict[str, dict[str, float]]] = {}
     round_variance: dict[str, dict[str, tuple[float, float]]] = {}
-    fold_vectors = [
-        {
-            (scheme, metric): table.score_vector(scheme, metric, last_round)
-            for scheme in schemes
-            for metric in metrics
-        }
-        for table in tables
-    ]
+    fold_vectors = [score_vectors(table, last_round) for table in tables]
     fold_variances = [per_round_variance(table, last_round) for table in tables]
 
     for scheme in schemes:

@@ -9,15 +9,17 @@ Each fold is an independent repetition with seeds derived from
     <output_dir>/fold_<f>/valuation_meta.json utility counts, requests per scheme
 
 A failing fold is recorded in <output_dir>/failures.json and does not stop
-the remaining folds. A rerun into the same directory first removes each
-fold's score files and drops a stale failures.json, so ``analyze`` reads no
-scores an earlier run left for these folds.
+the remaining folds. A rerun into the same directory first removes the score
+files of every fold_<f> there, including folds past this run's count, and
+drops a stale failures.json, so ``analyze`` reads no scores an earlier run
+left; checkpoints stay.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from pathlib import Path
 
 from . import nn
@@ -124,14 +126,14 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
     if cfg.data_source == "csv":
         source = load_csv(cfg.csv_path, cfg.csv_schema())
 
+    for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
+        for stale in out_dir.glob(f"fold_*/{name}"):
+            stale.unlink()
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
     for fold in range(cfg.folds):
-        fold_dir = out_dir / f"fold_{fold}"
-        for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
-            (fold_dir / name).unlink(missing_ok=True)
         try:
-            tables[fold] = run_fold(cfg, fold, fold_dir, source)
+            tables[fold] = run_fold(cfg, fold, out_dir / f"fold_{fold}", source)
         except FedTrustError as exc:
             failures.append({"fold": fold, "error": str(exc)})
 
@@ -154,10 +156,16 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
 def analyze_run_dir(run_dir) -> AnalysisReport:
     """Rebuild the report from persisted scores only.
 
-    Every fold must cover the same rounds, clients, schemes and metrics.
+    Folds are read in fold order, as ``run_experiment`` builds its report,
+    and every fold must cover the same rounds, clients, schemes and metrics.
     """
     run_dir = Path(run_dir)
-    score_files = sorted(run_dir.glob("fold_*/scores.csv"))
+    folds = {
+        int(match[1]): path
+        for path in run_dir.glob("fold_*/scores.csv")
+        if (match := re.fullmatch(r"fold_(\d+)", path.parent.name))
+    }
+    score_files = [folds[f] for f in sorted(folds)]
     if not score_files and (run_dir / "scores.csv").exists():
         score_files = [run_dir / "scores.csv"]
     if not score_files:

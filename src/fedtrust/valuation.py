@@ -17,7 +17,10 @@ model; the empty coalition is the previous global model itself. A
 :class:`CoalitionCache` aggregates each (round, coalition) once and shares
 its clean test predictions across the four metrics; utilities are memoized
 per (round, coalition, metric) and computed only when a scheme asks, so
-evaluation counts are the honest cost measure of a scheme.
+evaluation counts are the honest cost measure of a scheme. Each round
+wrapper records the (round, coalition, metric) keys its scheme asked for in
+the cache's ``requested[scheme]``; without a cache a wrapper call uses a
+private one.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +53,6 @@ _PERMUTATION_SCAN_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
 UtilityFn = Callable[[Coalition], float]
-PermutationFn = Callable[[Sequence[int], int, int, "ValuationConfig"], Sequence[Coalition]]
 
 
 class Scheme(str, Enum):
@@ -94,38 +96,21 @@ class CoalitionCache:
     utility is computed on its first request: ``evaluations`` counts the
     utilities computed, ``hits`` the requests answered from the memo and
     ``undefined`` the computed utilities that fell back to the empty
-    coalition. Requests made inside ``requests_for(scheme)`` are recorded in
-    ``requested[scheme]``. The latest GTG permutation sample is kept too, so
-    a round's four metrics share one draw.
+    coalition. ``requested[scheme]`` holds the keys the round wrappers of
+    that scheme asked for; the fallback's read of the empty coalition is
+    not a request.
     """
 
     def __init__(self) -> None:
         self._store: dict[tuple[int, Coalition, Metric], float] = {}
         self._round = 0
         self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
-        self._scope: set[tuple[int, Coalition, Metric]] | None = None
-        self._permutations: tuple[tuple, list[Coalition]] | None = None
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
         self.hits = 0
         self.undefined = 0
 
-    @contextmanager
-    def requests_for(self, scheme: str) -> Iterator[None]:
-        self._scope = self.requested.setdefault(scheme, set())
-        try:
-            yield
-        finally:
-            self._scope = None
-
     def utility(
-        self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
-    ) -> float:
-        if self._scope is not None:
-            self._scope.add((record.round, ids, metric))
-        return self._value(record, ids, metric, ctx)
-
-    def _value(
         self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
     ) -> float:
         key = (record.round, ids, metric)
@@ -146,7 +131,7 @@ class CoalitionCache:
                 exc,
             )
             self.undefined += 1
-            value = self._value(record, (), metric, ctx) if ids else 0.0
+            value = self.utility(record, (), metric, ctx) if ids else 0.0
         self.evaluations += 1
         self._store[key] = value
         return value
@@ -160,15 +145,6 @@ class CoalitionCache:
             model = fedavg(record.global_before, [record.update_for(k) for k in ids])
             self._aggregates[ids] = (model, predictions(model, ctx.test.features))
         return self._aggregates[ids]
-
-    def permutations(
-        self, clients: Sequence[int], budget: int, round_idx: int, vcfg: ValuationConfig
-    ) -> list[Coalition]:
-        """:func:`gtg_permutations`, drawn once while its arguments repeat."""
-        key = (tuple(clients), budget, round_idx, vcfg)
-        if self._permutations is None or self._permutations[0] != key:
-            self._permutations = (key, gtg_permutations(clients, budget, round_idx, vcfg))
-        return self._permutations[1]
 
     def __len__(self) -> int:
         return len(self._store)
@@ -184,7 +160,8 @@ def coalition_utility(
     """Metric value of the coalition's aggregate on the round's base model.
 
     Metric-undefined coalitions fall back to the empty-coalition utility
-    (with a logged warning). Without a ``cache`` nothing is memoized.
+    (with a logged warning). Without a ``cache`` a private one serves this
+    call.
     """
     ids: Coalition = tuple(sorted(set(subset)))
     if not record.client_id_set.issuperset(ids):
@@ -200,8 +177,22 @@ def _utility_fn(
     metric: Metric,
     ctx: EvalContext,
     cache: CoalitionCache | None,
+    scheme: Scheme,
 ) -> UtilityFn:
-    return lambda ids: coalition_utility(record, ids, metric, ctx, cache)
+    """The round's utility game, recording each request as ``scheme``'s.
+
+    The scheme cores ask for sorted tuples, so a request's key is already
+    the canonical coalition that :func:`coalition_utility` memoizes.
+    """
+    if cache is None:
+        cache = CoalitionCache()
+    requested = cache.requested.setdefault(scheme.value, set())
+
+    def u(ids: Coalition) -> float:
+        requested.add((record.round, ids, metric))
+        return coalition_utility(record, ids, metric, ctx, cache)
+
+    return u
 
 
 # --- scheme cores over an abstract utility function ---
@@ -256,15 +247,17 @@ def permutation_budget(client_count: int, eps2: float) -> int:
     return budget
 
 
+@lru_cache(maxsize=1)
 def gtg_permutations(
     clients: Sequence[int], budget: int, round_idx: int, vcfg: ValuationConfig
-) -> list[Coalition]:
+) -> tuple[Coalition, ...]:
     """Balanced permutation sample: client (r mod K) leads permutation r.
 
     A lead whose quota covers its whole stratum gets the suffixes by
     lexicographic enumeration (this is what makes eps2 = 1 reproduce the
     exact permutation set); otherwise suffixes are independent seeded
-    shuffles keyed by (perm_seed, round, r).
+    shuffles keyed by (perm_seed, round, r). The latest sample is kept, so
+    a round's four metrics share one draw; ``clients`` must be hashable.
     """
     clients = tuple(sorted(clients))
     k = len(clients)
@@ -286,7 +279,7 @@ def gtg_permutations(
             rng = rng_from(vcfg.perm_seed, "perm", round_idx, r)
             suffix = tuple(int(c) for c in rng.permutation(rest))
         perms.append((lead,) + suffix)
-    return perms
+    return tuple(perms)
 
 
 def gtg_shapley_values(
@@ -294,13 +287,8 @@ def gtg_shapley_values(
     u: UtilityFn,
     round_idx: int,
     vcfg: ValuationConfig,
-    permutations: PermutationFn | None = None,
 ) -> dict[int, float]:
-    """GTG-approximate Shapley values for one round's utility game.
-
-    ``permutations`` draws the sample in place of :func:`gtg_permutations`;
-    it must return the same permutations (a memo of it, say).
-    """
+    """GTG-approximate Shapley values for one round's utility game."""
     clients = tuple(sorted(clients))
     v_empty = u(())
     v_full = u(clients)
@@ -308,8 +296,7 @@ def gtg_shapley_values(
         return {c: 0.0 for c in clients}
     budget = permutation_budget(len(clients), vcfg.eps2)
     sums = {c: 0.0 for c in clients}
-    draw = gtg_permutations if permutations is None else permutations
-    for perm in draw(clients, budget, round_idx, vcfg):
+    for perm in gtg_permutations(clients, budget, round_idx, vcfg):
         prefix: Coalition = ()
         v_prefix = v_empty
         truncated = False
@@ -349,32 +336,23 @@ def exact_shapley_round(
             f"exact Shapley enumerates 2^K utilities; K={len(record.updates)} "
             f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
         )
-    return exact_shapley_values(record.client_ids, _utility_fn(record, metric, ctx, cache))
+    return exact_shapley_values(
+        record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.EXACT)
+    )
 
 
 def gtg_shapley_round(
     record: RoundRecord,
-    prev_record: RoundRecord | None,
     metric: Metric,
     ctx: EvalContext,
     vcfg: ValuationConfig,
     cache: CoalitionCache | None = None,
 ) -> dict[int, float]:
-    if record.round > 1:
-        if prev_record is None:
-            raise InputError(f"round {record.round} valuation needs the previous record")
-        if prev_record.round != record.round - 1:
-            raise InputError(
-                f"previous record is round {prev_record.round}, expected {record.round - 1}"
-            )
-        if not np.array_equal(prev_record.global_after.values, record.global_before.values):
-            raise InputError("round records are not chained")
     return gtg_shapley_values(
         record.client_ids,
-        _utility_fn(record, metric, ctx, cache),
+        _utility_fn(record, metric, ctx, cache, Scheme.GTG),
         record.round,
         vcfg,
-        None if cache is None else cache.permutations,
     )
 
 
@@ -386,7 +364,7 @@ def loo_round(
 ) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
-    return loo_values(record.client_ids, _utility_fn(record, metric, ctx, cache))
+    return loo_values(record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.LOO))
 
 
 # --- score bookkeeping ---
@@ -428,10 +406,6 @@ class ScoreTable:
     def value(self, scheme: str, metric: str, client: int, round_idx: int) -> float:
         return self.entries[(scheme, metric, client, round_idx)]
 
-    def score_vector(self, scheme: str, metric: str, last_round: int) -> np.ndarray:
-        totals = accumulate(self, last_round)
-        return np.array([totals[(scheme, metric, c)] for c in self.clients()])
-
 
 def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int], float]:
     """Sum per-round scores over rounds 2..last_round (round 1 excluded)."""
@@ -454,6 +428,17 @@ def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int],
     return totals
 
 
+def score_vectors(table: ScoreTable, last_round: int) -> dict[tuple[str, str], np.ndarray]:
+    """Accumulated scores per (scheme, metric), one entry per client in order."""
+    totals = accumulate(table, last_round)
+    clients = table.clients()
+    return {
+        (scheme, metric): np.array([totals[(scheme, metric, c)] for c in clients])
+        for scheme in table.schemes()
+        for metric in table.metrics()
+    }
+
+
 def score_rounds(
     records: Sequence[RoundRecord],
     schemes: Sequence[Scheme],
@@ -464,19 +449,15 @@ def score_rounds(
 ) -> ScoreTable:
     """Score every round (including the excluded round 1) for all schemes."""
     table = ScoreTable()
-    for i, record in enumerate(records):
-        prev = records[i - 1] if i > 0 else None
+    for record in records:
         for metric in metrics:
-            for scheme in schemes:
-                scheme = Scheme(scheme)
-                scope = nullcontext() if cache is None else cache.requests_for(scheme.value)
-                with scope:
-                    if scheme is Scheme.EXACT:
-                        scores = exact_shapley_round(record, metric, ctx, cache)
-                    elif scheme is Scheme.GTG:
-                        scores = gtg_shapley_round(record, prev, metric, ctx, vcfg, cache)
-                    else:
-                        scores = loo_round(record, metric, ctx, cache)
+            for scheme in map(Scheme, schemes):
+                if scheme is Scheme.EXACT:
+                    scores = exact_shapley_round(record, metric, ctx, cache)
+                elif scheme is Scheme.GTG:
+                    scores = gtg_shapley_round(record, metric, ctx, vcfg, cache)
+                else:
+                    scores = loo_round(record, metric, ctx, cache)
                 table.add_round_scores(scheme, metric, record.round, scores)
     return table
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -111,6 +112,20 @@ class TestAnalyze:
     def test_rebuild_matches_original_report(self, tmp_path):
         out_dir = tmp_path / "out"
         config = write_smoke_config(tmp_path, out_dir)
+        assert main(["run", str(config)]) == 0
+        original = {
+            name: (out_dir / name).read_bytes()
+            for name in ("report.json", "report.csv", "heatmap.csv")
+        }
+        assert main(["analyze", str(out_dir)]) == 0
+        for name, blob in original.items():
+            assert (out_dir / name).read_bytes() == blob
+
+    def test_rebuild_matches_original_report_over_twelve_folds(self, tmp_path):
+        # fold_10 and fold_11 sort before fold_2 as strings; the report's
+        # fold means must still add up in fold order
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, "experiment.folds = 12\n")
         assert main(["run", str(config)]) == 0
         original = {
             name: (out_dir / name).read_bytes()
@@ -258,3 +273,23 @@ class TestExperimentMachinery:
             assert not (out_dir / "fold_1" / name).exists()
         assert json.loads((out_dir / "failures.json").read_text())[0]["fold"] == 1
         assert analyze_run_dir(out_dir).folds == 1
+
+    def test_rerun_with_fewer_folds_drops_the_extra_folds_scores(self, tmp_path):
+        out_dir = tmp_path / "shrink"
+        cfg = ExperimentConfig(
+            synthetic_n=80,
+            synthetic_d=3,
+            partition_mode="iid",
+            clients=2,
+            rounds=2,
+            attack_steps=5,
+            folds=3,
+            master_seed=3,
+            output_dir=str(out_dir),
+        )
+        run_experiment(cfg)
+        assert run_experiment(dataclasses.replace(cfg, folds=2)).folds == 2
+        for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
+            assert not (out_dir / "fold_2" / name).exists()
+        assert (out_dir / "fold_2" / "round_2").is_dir()
+        assert analyze_run_dir(out_dir).folds == 2

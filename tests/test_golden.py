@@ -1,7 +1,9 @@
-"""Golden sha256 digests of every fold's scores.csv for the shipped configs.
+"""Golden sha256 digests of every output file of the shipped configs.
 
-A change that alters any score byte fails here; if the change is intended,
-update the digests and say why in CHANGES.md.
+Each fold's scores.csv, scores_total.csv and valuation_meta.json are pinned,
+and so are the run's report.json, report.csv and heatmap.csv. A change that
+alters any of these bytes fails here; if the change is intended, update the
+digests and say why in CHANGES.md.
 """
 
 import dataclasses
@@ -15,26 +17,73 @@ from fedtrust.experiment import run_experiment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+FOLD_FILES = ("scores.csv", "scores_total.csv", "valuation_meta.json")
+RUN_FILES = ("report.json", "report.csv", "heatmap.csv")
+
+# Per fold: the digests of FOLD_FILES in order; then RUN_FILES in order.
 GOLDEN = {
-    "smoke": [
-        "a0c83d2cf4cf839a37bcc15f8674011909add243720b74caf79f2de3cf14ea73",
-    ],
-    "default": [
-        "fa4ed325dd2de008caaed2bd43afecd49ec2e3fa85f638ee47b21ba9e4b47e61",
-        "07d27ba75a5d6c013735da7f65f651f183bfedd2bb584b9d416f512eec515bf8",
-        "71cfb91ba2fd60831739fa66ea8522a7fb67a9ce7aed8f55be54274b6e254629",
-        "cfe5ab5187a66ef28afe092a08972b539e7c4151602a941c7c5913e1591088bb",
-        "f7f3ce0587e6c5dcbe911ff657f0199c538843db81530fc329c0c588ba75701f",
-    ],
+    "smoke": {
+        "folds": [
+            (
+                "a0c83d2cf4cf839a37bcc15f8674011909add243720b74caf79f2de3cf14ea73",
+                "a64c53b434b46e1cee916e26825e6fc2061f2e7fef7ff895b902b86149dee435",
+                "2ddbd653fc1bafd8ff6f0cb2e827f21a7e9f74a3d823c5f0eddb0f19ba881af7",
+            ),
+        ],
+        "run": (
+            "b5b9a56eb37fcb7d8a3893559a47091f06bfb6ed20e7c4a163482c508cb16c62",
+            "139341c71774df8a8fd7240fa92e92b11e83b60e92b12a16748150e4e703e52e",
+            "4bf5c4d40f55d81be7f560751638b77a3bfe55402ae3cc45f527c0d2df7e4042",
+        ),
+    },
+    "default": {
+        "folds": [
+            (
+                "fa4ed325dd2de008caaed2bd43afecd49ec2e3fa85f638ee47b21ba9e4b47e61",
+                "877813cbcfc2421be5db023e290ccd90ecf1455b3a82cffcf82472168c32ead2",
+                "257c62ee25d9b57131dd2d04535f1a5c58072a8eef6ab2e288c99ec2fee43531",
+            ),
+            (
+                "07d27ba75a5d6c013735da7f65f651f183bfedd2bb584b9d416f512eec515bf8",
+                "2205bcb3f75f0047799d52cdd7f6b88f1f504a72aa39cb233584e5b97c658a6c",
+                "fd78e5e4b4b8bbb4d8441e5ca8ba7a499f5988e958fe924d266489f6f7370d46",
+            ),
+            (
+                "71cfb91ba2fd60831739fa66ea8522a7fb67a9ce7aed8f55be54274b6e254629",
+                "fbdec5187b3cdfb5935979754e600aa10f1319ea3b9c28c99a04523eefc02d2c",
+                "378b5e127d76cbc062f63c261e33d725963b8f225d0bca37e5d8ac8700cd31b9",
+            ),
+            (
+                "cfe5ab5187a66ef28afe092a08972b539e7c4151602a941c7c5913e1591088bb",
+                "454f9a3f5ae59635ec571921500e064092d636146c0d0b5bb03b7a326e20c87c",
+                "1a641ac97438cb50a9dc5d83c83846e8a46671f9dba8908d5e18f9d198a78967",
+            ),
+            (
+                "f7f3ce0587e6c5dcbe911ff657f0199c538843db81530fc329c0c588ba75701f",
+                "3e4b4292645b6871f2291b162bbd0b0791307312929999fd058283dc27559795",
+                "33475a87f32f75557f17f1d549ff0a2942cb6914ba8c6326c89a27d9de1af06d",
+            ),
+        ],
+        "run": (
+            "03abe0ff4f86c985ef46d4f43bc96b1086cece3a7afca85afb500a7c0628d73d",
+            "e982efe88e644cca887a09c96bb8883b749f96fc41b8c01f7fc94dcc5cfbdfc3",
+            "c2f46a10be9809204532424fc7669dfdf8ff773ebf8c333183984cf629ef0305",
+        ),
+    },
 }
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_scores_digests(name, tmp_path):
     cfg = parse_config_file(CONFIGS / f"{name}.txt")
     run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-    digests = [
-        hashlib.sha256((tmp_path / f"fold_{f}" / "scores.csv").read_bytes()).hexdigest()
+    folds = [
+        tuple(digest(tmp_path / f"fold_{f}" / file) for file in FOLD_FILES)
         for f in range(cfg.folds)
     ]
-    assert digests == GOLDEN[name]
+    assert folds == GOLDEN[name]["folds"]
+    assert tuple(digest(tmp_path / file) for file in RUN_FILES) == GOLDEN[name]["run"]

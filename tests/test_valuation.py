@@ -11,6 +11,7 @@ from fedtrust.errors import ConfigError, InputError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, res
 from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params
+from fedtrust.seeding import rng_from
 from fedtrust.valuation import (
     CoalitionCache,
     Scheme,
@@ -257,6 +258,11 @@ class TestCoalitionUtility:
             value = coalition_utility(record, (0,), Metric.RES, ctx)
         assert value == res(always_zero, test, ctx.attack)
         assert any("undefined" in message for message in caplog.messages)
+        # the fallback's read of the empty coalition is computed, not requested
+        cache = CoalitionCache()
+        loo_round(record, Metric.RES, ctx, cache)
+        assert cache.requested == {"loo": {(1, ids, Metric.RES) for ids in [(0, 1), (0,), (1,)]}}
+        assert len(cache) == 4 and cache.undefined >= 1
 
 
 class TestRoundWrappers:
@@ -269,17 +275,9 @@ class TestRoundWrappers:
         with pytest.raises(ConfigError, match="gtg"):
             exact_shapley_round(record, Metric.PERF, ctx)
 
-    def test_gtg_requires_chained_prev_record(self):
-        records, ctx = trained_records()
-        vcfg = ValuationConfig()
-        with pytest.raises(InputError):
-            gtg_shapley_round(records[1], None, Metric.PERF, ctx, vcfg)
-        with pytest.raises(InputError):
-            gtg_shapley_round(records[2], records[0], Metric.PERF, ctx, vcfg)
-
     def test_gtg_round_one_needs_no_prev(self):
         records, ctx = trained_records()
-        scores = gtg_shapley_round(records[0], None, Metric.PERF, ctx, ValuationConfig())
+        scores = gtg_shapley_round(records[0], Metric.PERF, ctx, ValuationConfig())
         assert set(scores) == {0, 1, 2, 3}
 
     def test_exact_efficiency_on_real_round(self):
@@ -318,19 +316,18 @@ class TestRoundWrappers:
     def test_gtg_draws_one_permutation_sample_per_round(self, monkeypatch):
         records, ctx = trained_records(rounds=3)
         vcfg = ValuationConfig(eps1=0.0, eps3=0.0)
-        draws = []
+        streams = []
 
-        def counting_permutations(*args):
-            draws.append(args[2])
-            return gtg_permutations(*args)
+        def counting_rng_from(seed, *tags):
+            streams.append(tags)
+            return rng_from(seed, *tags)
 
-        monkeypatch.setattr(valuation, "gtg_permutations", counting_permutations)
-        shared = score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, CoalitionCache())
-        assert draws == [1, 2, 3]
-        # without a cache every (round, metric) draws its own sample
-        per_metric = score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, None)
-        assert len(draws) == 3 + 3 * len(Metric)
-        assert shared.entries == per_metric.entries
+        monkeypatch.setattr(valuation, "rng_from", counting_rng_from)
+        gtg_permutations.cache_clear()
+        score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg)
+        # each round's four metrics share one sample of `budget` shuffles
+        budget = permutation_budget(4, vcfg.eps2)
+        assert streams == [("perm", t, r) for t in (1, 2, 3) for r in range(budget)]
 
     def test_cache_soundness(self):
         records, ctx = trained_records(rounds=2)

@@ -14,7 +14,7 @@ from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partitio
 from .experiment import analyze_run_dir, run_experiment, run_fold
 from .federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, fair, perf, rel, res
-from .nn import Architecture, Batch, ModelParams, init_params
+from .nn import Architecture, ModelParams, init_params
 from .valuation import (
     CoalitionCache,
     Scheme,

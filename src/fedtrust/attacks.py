@@ -71,7 +71,7 @@ def pgd_batch(
     if spec.epsilon == 0.0:
         return x0.copy()
     check_labels(model.architecture, y)
-    layers = unpack_layers(model)
+    layers = unpack_layers(model.architecture, model.values)
     activation = model.architecture.output_activation
     x_adv = x0.copy()
     # Working arrays: rows[i] is the input row of working row i. A row that

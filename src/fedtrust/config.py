@@ -9,6 +9,7 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable
 
@@ -18,7 +19,14 @@ from .errors import ConfigError
 from .federation import TrainingConfig
 from .metrics import FairnessSpec, NoiseSpec
 from .seeding import derive_seed
-from .valuation import Scheme, TruncationRule, ValuationConfig
+from .valuation import Scheme, ValuationConfig
+
+
+class TruncationRule(str, Enum):
+    # GTG's one truncation rule (gtg_shapley_values): a permutation scan
+    # stops once the prefix utility is within eps3 of the full coalition's.
+    # The key stays so that configs naming the rule still parse.
+    PREFIX_DISTANCE = "prefix_distance"
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,6 @@ class ExperimentConfig:
             eps2=self.eps2,
             eps3=self.eps3,
             perm_seed=perm_seed,
-            truncation_rule=self.truncation_rule,
         )
 
     def attack_spec(self) -> AttackSpec:

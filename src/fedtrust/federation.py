@@ -7,13 +7,17 @@ artifacts the valuation stage consumes:
     <run_dir>/round_<t>/{global_before.txt, global_after.txt,
                          client_<k>.txt, meta.json}
 
-Client shuffling streams are derived per (seed, round, client), so a full
-training run is a pure function of its configuration.
+A client's local update trains one working copy of the global parameter
+vector in place (minibatch Adam or SGD) and checks it for non-finite values
+after every step; the finished vector becomes the update's immutable
+``ModelParams``. Client shuffling streams are derived per (seed, round,
+client), so a full training run is a pure function of its configuration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,7 +28,7 @@ import numpy as np
 from . import nn
 from .data import Dataset
 from .errors import ConfigError, InputError, NumericError
-from .nn import AdamState, Batch, ModelParams
+from .nn import ModelParams
 from .seeding import derive_seed
 
 OPTIMIZERS = ("adam", "sgd")
@@ -44,8 +48,10 @@ class TrainingConfig:
             raise ConfigError("need rounds >= 2 (round 1 is excluded from scoring)")
         if self.local_epochs < 0:
             raise ConfigError("local_epochs must be non-negative")
-        if self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("batch_size and learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
 
@@ -111,26 +117,35 @@ def local_train(
     if shuffle_seed is None:
         shuffle_seed = derive_seed(cfg.seed, "local", round_idx, client_id)
     rng = np.random.default_rng(shuffle_seed)
-    params = global_params
-    state = AdamState.fresh(params.architecture)
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = Batch(data.features[idx], data.labels[idx])
-            try:
-                loss, grad = nn.loss_and_param_grads(params, batch)
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
+    arch = global_params.architecture
+    nn.check_labels(arch, data.labels)
+    values = global_params.values.copy()
+    layers = nn.unpack_layers(arch, values)
+    m = np.zeros_like(values)
+    v = np.zeros_like(values)
+    step = 0
+    # A diverging step overflows to inf or nan, which stay non-finite under
+    # every later step: one check after each step stops at the first bad
+    # one, and numpy's overflow warnings on the way are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(len(data))
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grad = nn.loss_and_param_grads(
+                    layers, arch.output_activation, data.features[idx], data.labels[idx]
+                )
+                step += 1
                 if cfg.optimizer == "adam":
-                    params, state = nn.adam_step(state, params, grad, cfg.learning_rate)
+                    nn.adam_step(values, m, v, grad, step, cfg.learning_rate)
                 else:
-                    params = nn.sgd_step(params, grad, cfg.learning_rate)
-            except NumericError as exc:
-                raise NumericError(
-                    f"training diverged in round {round_idx}, client {client_id}: {exc}"
-                ) from exc
-    return ClientUpdate(client_id, round_idx, params, len(data))
+                    nn.sgd_step(values, grad, cfg.learning_rate)
+                if not np.isfinite(values).all():
+                    raise NumericError(
+                        f"training diverged in round {round_idx}, client {client_id}: "
+                        f"non-finite parameters after step {step}"
+                    )
+    return ClientUpdate(client_id, round_idx, ModelParams(arch, values), len(data))
 
 
 def fedavg(base: ModelParams, updates: Sequence[ClientUpdate]) -> ModelParams:

@@ -2,8 +2,10 @@
 
 Forward and backward passes are written directly in numpy so that gradients
 are available with respect to both the parameters and the inputs (the latter
-is what the adversarial attack needs). All operations are pure functions of
-their arguments: same inputs, bit-identical outputs.
+is what the adversarial attack needs). Every function is deterministic: same
+inputs, bit-identical outputs. All are pure except the two optimizer steps,
+which update a working parameter vector (and Adam's moments) in place; local
+training owns that vector and wraps it in a ``ModelParams`` when it is done.
 
 Parameter layout: for each layer l, the weight matrix W_l (fan_in x fan_out,
 row-major) followed by the bias vector b_l. Keeping parameters flat makes
@@ -87,42 +89,22 @@ class ModelParams:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A training mini-batch: inputs (n, d) and integer class labels (n,)."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if x.ndim != 2:
-            raise InputError(f"batch inputs must be 2-d, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise InputError("batch labels must align with input rows")
-        if y.size and y.min() < 0:
-            raise InputError("labels must be non-negative class indices")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
-def unpack_layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+def unpack_layers(
+    arch: Architecture, values: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (no copies) of the per-layer weight matrices and bias vectors.
 
-    Callers that make many passes over one model (PGD) unpack once and hand
-    the layers to :func:`forward_layers` and :func:`input_gradient_from`.
+    ``values`` is a flat parameter vector of ``arch``: a model's read-only
+    ``ModelParams.values``, or the writable vector local training updates in
+    place, whose views then follow every update. Callers that make many
+    passes over one vector (PGD, local training) unpack it once.
     """
-    sizes = params.architecture.layer_sizes
     layers = []
     offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+    for fan_in, fan_out in zip(arch.layer_sizes[:-1], arch.layer_sizes[1:]):
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
         offset += fan_in * fan_out
-        b = params.values[offset : offset + fan_out]
+        b = values[offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -182,7 +164,8 @@ def forward_layers(
 def _forward(
     params: ModelParams, x: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    return forward_layers(unpack_layers(params), params.architecture.output_activation, x)
+    arch = params.architecture
+    return forward_layers(unpack_layers(arch, params.values), arch.output_activation, x)
 
 
 def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.ndarray:
@@ -245,12 +228,11 @@ def _output_delta(
 
 
 def _backward_params(
-    params: ModelParams,
+    layers: list[tuple[np.ndarray, np.ndarray]],
     activations: list[np.ndarray],
     pre_acts: list[np.ndarray],
     delta: np.ndarray,
 ) -> np.ndarray:
-    layers = unpack_layers(params)
     grads: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
@@ -275,19 +257,25 @@ def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def loss_and_param_grads(
-    params: ModelParams, batch: Batch
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: OutputActivation,
+    inputs: np.ndarray,
+    labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. ``values``."""
-    if len(batch) == 0:
+    """Mean cross-entropy over a batch and its gradient w.r.t. the flat values.
+
+    ``layers`` come from :func:`unpack_layers`; ``inputs`` is a float64
+    (n, d) array and ``labels`` must already have passed
+    :func:`check_labels`.
+    """
+    if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
-    check_labels(params.architecture, batch.labels)
-    activations, pre_acts, probs = _forward(params, batch.inputs)
-    activation = params.architecture.output_activation
-    p_true = _true_class_prob(activation, probs, batch.labels)
+    activations, pre_acts, probs = forward_layers(layers, activation, inputs)
+    p_true = _true_class_prob(activation, probs, labels)
     losses = -np.log(np.maximum(p_true, LOG_CLAMP))
-    delta = _output_delta(activation, probs, batch.labels, clamp=False)
+    delta = _output_delta(activation, probs, labels, clamp=False)
     delta[p_true < LOG_CLAMP] = 0.0
-    grad = _backward_params(params, activations, pre_acts, delta / len(batch))
+    grad = _backward_params(layers, activations, pre_acts, delta / len(labels))
     return float(losses.mean()), grad
 
 
@@ -302,9 +290,10 @@ def input_gradient_batch(
             f"inputs shape {inputs.shape} does not match feature dim "
             f"{params.architecture.input_dim}"
         )
-    check_labels(params.architecture, labels)
-    layers = unpack_layers(params)
-    activation = params.architecture.output_activation
+    arch = params.architecture
+    check_labels(arch, labels)
+    layers = unpack_layers(arch, params.values)
+    activation = arch.output_activation
     _, pre_acts, probs = forward_layers(layers, activation, inputs)
     return input_gradient_from(layers, activation, pre_acts, probs, labels)
 
@@ -330,61 +319,32 @@ def input_gradient_from(
     return delta
 
 
-def _check_gradient(params: ModelParams, gradient: np.ndarray) -> np.ndarray:
-    g = np.asarray(gradient, dtype=np.float64)
-    if g.shape != params.values.shape:
-        raise InputError("gradient is not aligned with the parameter vector")
-    if not np.all(np.isfinite(g)):
-        raise NumericError("gradient contains non-finite values")
-    return g
-
-
-def sgd_step(
-    params: ModelParams, gradient: np.ndarray, learning_rate: float
-) -> ModelParams:
-    g = _check_gradient(params, gradient)
-    # Divergence surfaces as the NumericError ModelParams raises on
-    # non-finite values, not as a numpy overflow warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_values = params.values - learning_rate * g
-    return ModelParams(params.architecture, new_values)
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators and the step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-
-    @classmethod
-    def fresh(cls, arch: Architecture) -> "AdamState":
-        n = arch.param_count
-        return cls(np.zeros(n), np.zeros(n), 0)
+def sgd_step(values: np.ndarray, gradient: np.ndarray, learning_rate: float) -> None:
+    """One plain gradient step on ``values``, in place."""
+    values -= learning_rate * gradient
 
 
 def adam_step(
-    state: AdamState,
-    params: ModelParams,
+    values: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     gradient: np.ndarray,
+    step: int,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[ModelParams, AdamState]:
-    """Standard bias-corrected Adam update."""
-    g = _check_gradient(params, gradient)
-    if state.m.shape != params.values.shape:
-        raise InputError("optimizer state is not aligned with the parameters")
-    t = state.step + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # as in sgd_step
-        m = beta1 * state.m + (1.0 - beta1) * g
-        v = beta2 * state.v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_values = params.values - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    return ModelParams(params.architecture, new_values), AdamState(m, v, t)
+) -> None:
+    """Standard bias-corrected Adam update of ``values``, in place.
+
+    ``m`` and ``v`` are the first and second moment estimates (zeros before
+    step 1) and are updated in place; ``step`` counts from 1.
+    """
+    m[:] = beta1 * m + (1.0 - beta1) * gradient
+    v[:] = beta2 * v + (1.0 - beta2) * gradient * gradient
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    values -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # Text serialization: architecture header line, then one value per line with

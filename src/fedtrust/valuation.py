@@ -61,30 +61,18 @@ class Scheme(str, Enum):
     LOO = "loo"
 
 
-class TruncationRule(str, Enum):
-    # prefix_distance is the published GTG convergence criterion; the
-    # marginal_size alternative stops a permutation scan after the first
-    # negligible marginal instead.
-    PREFIX_DISTANCE = "prefix_distance"
-    MARGINAL_SIZE = "marginal_size"
-
-
 @dataclass(frozen=True)
 class ValuationConfig:
     eps1: float = 0.001
     eps2: float = 0.05
     eps3: float = 0.002
     perm_seed: int = 0
-    truncation_rule: TruncationRule = TruncationRule.PREFIX_DISTANCE
 
     def __post_init__(self) -> None:
         if self.eps1 < 0 or self.eps3 < 0:
             raise ConfigError("eps1 and eps3 must be non-negative")
         if not 0.0 < self.eps2 <= 1.0:
             raise ConfigError("eps2 must lie in (0, 1]")
-        object.__setattr__(
-            self, "truncation_rule", TruncationRule(self.truncation_rule)
-        )
 
 
 class CoalitionCache:
@@ -299,26 +287,13 @@ def gtg_shapley_values(
     for perm in gtg_permutations(clients, budget, round_idx, vcfg):
         prefix: Coalition = ()
         v_prefix = v_empty
-        truncated = False
         for client in perm:
-            if truncated:
-                continue
-            if (
-                vcfg.truncation_rule is TruncationRule.PREFIX_DISTANCE
-                and abs(v_full - v_prefix) < vcfg.eps3
-            ):
-                truncated = True
-                continue
+            if abs(v_full - v_prefix) < vcfg.eps3:
+                break
             prefix = tuple(sorted(prefix + (client,)))
             v_next = u(prefix)
-            marginal = v_next - v_prefix
-            sums[client] += marginal
+            sums[client] += v_next - v_prefix
             v_prefix = v_next
-            if (
-                vcfg.truncation_rule is TruncationRule.MARGINAL_SIZE
-                and abs(marginal) < vcfg.eps3
-            ):
-                truncated = True
     return {c: sums[c] / budget for c in clients}
 
 

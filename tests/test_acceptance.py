@@ -26,13 +26,13 @@ from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_t
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, rel, res
 from fedtrust.nn import (
     Architecture,
-    Batch,
     ModelParams,
     OutputActivation,
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
     predict_batch,
+    unpack_layers,
 )
 from fedtrust.valuation import (
     CoalitionCache,
@@ -123,15 +123,15 @@ def test_criterion_2_gradient_oracle():
             y = rng.integers(0, arch.class_count, size=3)
             if _min_hidden_margin(params, x) < 1e-2:
                 continue  # keep clear of ReLU kinks, where FD is invalid
-            batch = Batch(x, y)
-            _, grad = loss_and_param_grads(params, batch)
+            layers = unpack_layers(arch, params.values)
+            _, grad = loss_and_param_grads(layers, arch.output_activation, x, y)
             fd = np.empty_like(grad)
             for i in range(len(grad)):
                 plus, minus = params.values.copy(), params.values.copy()
                 plus[i] += step
                 minus[i] -= step
-                lp, _ = loss_and_param_grads(ModelParams(arch, plus), batch)
-                lm, _ = loss_and_param_grads(ModelParams(arch, minus), batch)
+                lp, _ = loss_and_param_grads(unpack_layers(arch, plus), arch.output_activation, x, y)
+                lm, _ = loss_and_param_grads(unpack_layers(arch, minus), arch.output_activation, x, y)
                 fd[i] = (lp - lm) / (2 * step)
             assert _rel_err(grad, fd) < 1e-4
             gin = input_gradient_batch(params, x[:1], y[:1])[0]
@@ -140,8 +140,8 @@ def test_criterion_2_gradient_oracle():
                 plus, minus = x[0].copy(), x[0].copy()
                 plus[i] += step
                 minus[i] -= step
-                lp, _ = loss_and_param_grads(params, Batch(plus[None], y[:1]))
-                lm, _ = loss_and_param_grads(params, Batch(minus[None], y[:1]))
+                lp, _ = loss_and_param_grads(layers, arch.output_activation, plus[None], y[:1])
+                lm, _ = loss_and_param_grads(layers, arch.output_activation, minus[None], y[:1])
                 fd_in[i] = (lp - lm) / (2 * step)
             assert _rel_err(gin, fd_in) < 1e-4
             checked += 1
@@ -153,7 +153,7 @@ def _min_hidden_margin(params, x):
 
     margin = np.inf
     a = x
-    for w, b in nn.unpack_layers(params)[:-1]:
+    for w, b in nn.unpack_layers(params.architecture, params.values)[:-1]:
         z = a @ w + b
         margin = min(margin, float(np.abs(z).min()))
         a = np.maximum(z, 0.0)

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.errors import ConfigError, InputError
-from fedtrust.nn import Architecture, Batch, ModelParams, OutputActivation, loss_and_param_grads, predict_batch
+from fedtrust.nn import Architecture, ModelParams, OutputActivation, loss_and_param_grads, predict_batch, unpack_layers
+
+
+def batch_loss(params, x, y):
+    """Mean cross-entropy of a model on the batch (x, y)."""
+    arch = params.architecture
+    loss, _ = loss_and_param_grads(unpack_layers(arch, params.values), arch.output_activation, x, y)
+    return loss
 
 
 def linear_binary_model(w, b=0.0):
@@ -70,8 +77,8 @@ class TestPgd:
             x = rng.random((1, 3))
             y = predict_batch(model, x)
             adv = pgd_batch(model, x, y, AttackSpec(epsilon=0.15, step_size=0.03, steps=8))
-            loss_before, _ = loss_and_param_grads(model, Batch(x, y))
-            loss_after, _ = loss_and_param_grads(model, Batch(adv, y))
+            loss_before = batch_loss(model, x, y)
+            loss_after = batch_loss(model, adv, y)
             assert loss_after >= loss_before - 1e-12
 
     def test_deterministic(self):

@@ -1,9 +1,9 @@
 import pytest
 
-from fedtrust.config import ExperimentConfig, parse_config_file, parse_config_text
+from fedtrust.config import ExperimentConfig, TruncationRule, parse_config_file, parse_config_text
 from fedtrust.data import PartitionMode
 from fedtrust.errors import ConfigError
-from fedtrust.valuation import Scheme, TruncationRule
+from fedtrust.valuation import Scheme
 
 
 class TestDefaults:
@@ -63,6 +63,17 @@ class TestParser:
             parse_config_text("experiment.folds = 0\n")
         with pytest.raises(ConfigError):
             parse_config_text("valuation.eps2 = 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            parse_config_text(f"training.learning_rate = {value}\n")
+
+    def test_truncation_rule_accepts_only_prefix_distance(self):
+        cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
+        assert cfg.truncation_rule is TruncationRule.PREFIX_DISTANCE
+        with pytest.raises(ConfigError, match=r":2.*valuation\.truncation_rule.*marginal_size"):
+            parse_config_text("data.n = 100\nvaluation.truncation_rule = marginal_size\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from fedtrust.federation import (
     run_training,
 )
 from fedtrust.metrics import perf
-from fedtrust.nn import Architecture, Batch, ModelParams, init_params, load_params, loss_and_param_grads
+from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, load_params, loss_and_param_grads, unpack_layers
+
+
+def batch_loss(params, x, y):
+    """Mean cross-entropy of a model on the batch (x, y)."""
+    arch = params.architecture
+    loss, _ = loss_and_param_grads(unpack_layers(arch, params.values), arch.output_activation, x, y)
+    return loss
 
 
 def make_update(client_id, values, count=10, round_idx=1, arch=None):
@@ -101,15 +109,13 @@ class TestLocalTrain:
         toy = Dataset(x, y, np.zeros(80, bool), 2)
         init = init_params(Architecture((2, 4, 2)), 3)
         cfg = TrainingConfig(rounds=2, local_epochs=2, learning_rate=1e-3, seed=2)
-        before, _ = loss_and_param_grads(init, Batch(x, y))
+        before = batch_loss(init, x, y)
         update = local_train(init, toy, cfg, 1, 0)
-        after, _ = loss_and_param_grads(update.params, Batch(x, y))
+        after = batch_loss(update.params, x, y)
         assert after <= before
 
     def test_numeric_failure_names_round_and_client(self):
         # huge hidden activations + extreme lr overflow the first sgd update
-        from fedtrust.nn import OutputActivation
-
         arch = Architecture((2, 1, 1), OutputActivation.SIGMOID)
         start = ModelParams(arch, np.array([1e160, 2e160, 0.0, 0.0, 0.0]))
         client = Dataset(
@@ -120,6 +126,17 @@ class TestLocalTrain:
         )
         with pytest.raises(NumericError, match=r"round 4.*client 2"):
             local_train(start, client, cfg, 4, 2)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("hidden, out, activation", [((16,), 1, "sigmoid"), ((4, 4), 2, "softmax")])
+    def test_divergence_raises_without_numpy_warnings(self, optimizer, hidden, out, activation):
+        data = generate_synthetic(60, 3, 0.1, seed=0)
+        init = init_params(Architecture((3, *hidden, out), OutputActivation(activation)), 0)
+        cfg = TrainingConfig(learning_rate=1e300, optimizer=optimizer, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"round 3, client 1"):
+                local_train(init, data, cfg, 3, 1)
 
 
 class TestRounds:

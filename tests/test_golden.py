@@ -1,9 +1,11 @@
 """Golden sha256 digests of every output file of the shipped configs.
 
 Each fold's scores.csv, scores_total.csv and valuation_meta.json are pinned,
-and so are the run's report.json, report.csv and heatmap.csv. A change that
-alters any of these bytes fails here; if the change is intended, update the
-digests and say why in CHANGES.md.
+and so are the run's report.json, report.csv and heatmap.csv. Each fold's
+training checkpoints are pinned by one digest over every round_<t>/* file:
+a last-bit change in training can leave every prediction, and so every
+score byte, as it was. A change that alters any of these bytes fails here;
+if the change is intended, update the digests and say why in CHANGES.md.
 """
 
 import dataclasses
@@ -20,7 +22,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FOLD_FILES = ("scores.csv", "scores_total.csv", "valuation_meta.json")
 RUN_FILES = ("report.json", "report.csv", "heatmap.csv")
 
-# Per fold: the digests of FOLD_FILES in order; then RUN_FILES in order.
+# Per fold: the digests of FOLD_FILES in order; then RUN_FILES in order;
+# then one checkpoint digest per fold (see checkpoint_digest).
 GOLDEN = {
     "smoke": {
         "folds": [
@@ -35,6 +38,9 @@ GOLDEN = {
             "139341c71774df8a8fd7240fa92e92b11e83b60e92b12a16748150e4e703e52e",
             "4bf5c4d40f55d81be7f560751638b77a3bfe55402ae3cc45f527c0d2df7e4042",
         ),
+        "checkpoints": [
+            "bef149841909f5b41292bfae0465c98fea1b71f11fb5a1239a0e738e4be26296",
+        ],
     },
     "default": {
         "folds": [
@@ -69,12 +75,28 @@ GOLDEN = {
             "e982efe88e644cca887a09c96bb8883b749f96fc41b8c01f7fc94dcc5cfbdfc3",
             "c2f46a10be9809204532424fc7669dfdf8ff773ebf8c333183984cf629ef0305",
         ),
+        "checkpoints": [
+            "e74417eb94228455a0ce8170ccaa1c0df0aac93d9c07e8083762b0f25db808bc",
+            "6e6fec6e3daf0b1a5288e352ebc5fd6d5223e8f2fed47b8184794eeb28c295ce",
+            "365757f27de9b79d61df22186614177209487ae797272cff2057148e8cf41988",
+            "c8a4809fdb72ce498da2a3963845cc75b8807a491c9540b3bdc9d608090658a3",
+            "fa188f45513cf5b4b9640524555b73354450e48ede4c9eed4d05a251eb1a6d29",
+        ],
     },
 }
 
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def checkpoint_digest(fold_dir: Path) -> str:
+    """sha256 over each round_<t>/* file's relative path, a NUL and its bytes,
+    in sorted path order."""
+    h = hashlib.sha256()
+    for path in sorted(fold_dir.glob("round_*/*")):
+        h.update(path.relative_to(fold_dir).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -86,4 +108,6 @@ def test_scores_digests(name, tmp_path):
         for f in range(cfg.folds)
     ]
     assert folds == GOLDEN[name]["folds"]
+    checkpoints = [checkpoint_digest(tmp_path / f"fold_{f}") for f in range(cfg.folds)]
+    assert checkpoints == GOLDEN[name]["checkpoints"]
     assert tuple(digest(tmp_path / file) for file in RUN_FILES) == GOLDEN[name]["run"]

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtrust import nn
+from fedtrust.data import Dataset
 from fedtrust.errors import ConfigError, InputError, NumericError
+from fedtrust.federation import TrainingConfig, local_train
 from fedtrust.nn import (
-    AdamState,
     Architecture,
-    Batch,
     ModelParams,
     OutputActivation,
     adam_step,
@@ -19,10 +19,19 @@ from fedtrust.nn import (
     loss_and_param_grads,
     predict_batch,
     sgd_step,
+    unpack_layers,
 )
 
 
-def central_diff_param_grad(params, batch, step=1e-4):
+def loss_and_grad(params, x, y):
+    """``loss_and_param_grads`` of a model on the batch (x, y)."""
+    arch = params.architecture
+    return loss_and_param_grads(
+        unpack_layers(arch, params.values), arch.output_activation, x, np.asarray(y)
+    )
+
+
+def central_diff_param_grad(params, x, y, step=1e-4):
     """Independent oracle: central finite differences of the batch loss."""
     base = params.values.copy()
     grad = np.empty_like(base)
@@ -31,8 +40,8 @@ def central_diff_param_grad(params, batch, step=1e-4):
         plus[i] += step
         minus = base.copy()
         minus[i] -= step
-        lp, _ = loss_and_param_grads(ModelParams(params.architecture, plus), batch)
-        lm, _ = loss_and_param_grads(ModelParams(params.architecture, minus), batch)
+        lp, _ = loss_and_grad(ModelParams(params.architecture, plus), x, y)
+        lm, _ = loss_and_grad(ModelParams(params.architecture, minus), x, y)
         grad[i] = (lp - lm) / (2 * step)
     return grad
 
@@ -51,12 +60,12 @@ def central_diff_input_grad(params, x, label, step=1e-4):
 
 
 def sample_loss(params, x, label):
-    loss, _ = loss_and_param_grads(params, Batch(x[None, :], np.array([label])))
+    loss, _ = loss_and_grad(params, x[None, :], [label])
     return loss
 
 
 def random_case(rng, softmax=True):
-    """Small random net + batch, resampled until clear of ReLU kinks."""
+    """Small random net + batch (x, y), resampled until clear of ReLU kinks."""
     d = int(rng.integers(2, 6))
     hidden = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(0, 3)))]
     out = int(rng.integers(2, 4)) if softmax else 1
@@ -67,13 +76,13 @@ def random_case(rng, softmax=True):
         x = rng.random((4, d))
         y = rng.integers(0, arch.class_count, size=4)
         if _kink_margin(params, x) > 1e-2:
-            return params, Batch(x, y)
+            return params, x, y
     raise AssertionError("could not sample a kink-free case")
 
 
 def _kink_margin(params, x):
     margin = np.inf
-    layers = nn.unpack_layers(params)
+    layers = unpack_layers(params.architecture, params.values)
     a = x
     for i, (w, b) in enumerate(layers[:-1]):
         z = a @ w + b
@@ -153,8 +162,8 @@ class TestLoss:
     def test_zero_params_softmax_is_log2(self):
         arch = Architecture((4, 2))
         params = ModelParams(arch, np.zeros(arch.param_count))
-        batch = Batch(np.random.default_rng(0).random((5, 4)), np.array([0, 1, 0, 1, 1]))
-        loss, _ = loss_and_param_grads(params, batch)
+        x = np.random.default_rng(0).random((5, 4))
+        loss, _ = loss_and_grad(params, x, [0, 1, 0, 1, 1])
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_saturated_sample_near_zero_loss(self):
@@ -162,30 +171,30 @@ class TestLoss:
         params = ModelParams(
             Architecture((1, 1), OutputActivation.SIGMOID), np.array([40.0, 0.0])
         )
-        loss, _ = loss_and_param_grads(params, Batch(np.array([[1.0]]), np.array([1])))
+        loss, _ = loss_and_grad(params, np.array([[1.0]]), [1])
         assert 0.0 <= loss <= 1e-6
 
     def test_empty_batch_rejected(self):
         params = init_params(Architecture((2, 2)), 0)
         with pytest.raises(InputError):
-            loss_and_param_grads(params, Batch(np.empty((0, 2)), np.empty(0, dtype=int)))
+            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=int))
 
     @pytest.mark.parametrize("softmax", [True, False])
     def test_param_grad_matches_finite_differences(self, softmax):
         rng = np.random.default_rng(42 if softmax else 43)
         for _ in range(10):
-            params, batch = random_case(rng, softmax=softmax)
-            _, grad = loss_and_param_grads(params, batch)
-            fd = central_diff_param_grad(params, batch)
+            params, x, y = random_case(rng, softmax=softmax)
+            _, grad = loss_and_grad(params, x, y)
+            fd = central_diff_param_grad(params, x, y)
             assert rel_err(grad, fd) < 1e-4
 
     def test_loss_non_negative_and_softmax_sums(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            params, batch = random_case(rng)
-            loss, _ = loss_and_param_grads(params, batch)
+            params, x, y = random_case(rng)
+            loss, _ = loss_and_grad(params, x, y)
             assert loss >= 0.0
-            _, _, probs = nn._forward(params, batch.inputs)
+            _, _, probs = nn._forward(params, x)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -207,8 +216,8 @@ class TestInputGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            params, batch = random_case(rng)
-            x, y = batch.inputs[0], int(batch.labels[0])
+            params, xs, ys = random_case(rng)
+            x, y = xs[0], int(ys[0])
             got = input_gradient_batch(params, x[None, :], np.array([y]))[0]
             fd = central_diff_input_grad(params, x, y)
             assert rel_err(got, fd) < 1e-4
@@ -227,54 +236,70 @@ class TestInputGradient:
 class TestOptimizers:
     def test_sgd_zero_lr_is_identity(self):
         params = init_params(Architecture((2, 2)), 3)
-        out = sgd_step(params, np.ones(params.values.size), 0.0)
-        assert np.array_equal(out.values, params.values)
+        values = params.values.copy()
+        sgd_step(values, np.ones(values.size), 0.0)
+        assert np.array_equal(values, params.values)
 
     def test_sgd_arithmetic(self):
-        params = ModelParams(Architecture((1, 1), OutputActivation.SIGMOID), np.array([1.0, 1.0]))
-        out = sgd_step(params, np.array([1.0, -1.0]), 0.5)
-        assert np.array_equal(out.values, [0.5, 1.5])
+        values = np.array([1.0, 1.0])
+        sgd_step(values, np.array([1.0, -1.0]), 0.5)
+        assert np.array_equal(values, [0.5, 1.5])
 
     def test_sgd_two_steps_linear(self):
         params = init_params(Architecture((3, 2)), 9)
         g1 = np.random.default_rng(1).normal(size=params.values.size)
         g2 = np.random.default_rng(2).normal(size=params.values.size)
-        stepped = sgd_step(sgd_step(params, g1, 0.1), g2, 0.1)
-        summed = sgd_step(params, g1 + g2, 0.1)
-        assert np.allclose(stepped.values, summed.values, atol=1e-15)
+        stepped = params.values.copy()
+        sgd_step(stepped, g1, 0.1)
+        sgd_step(stepped, g2, 0.1)
+        summed = params.values.copy()
+        sgd_step(summed, g1 + g2, 0.1)
+        assert np.allclose(stepped, summed, atol=1e-15)
 
-    def test_sgd_rejects_nonfinite(self):
-        params = init_params(Architecture((2, 2)), 0)
-        with pytest.raises(NumericError):
-            sgd_step(params, np.full(params.values.size, np.nan), 0.1)
+    def test_sgd_rejects_nonfinite(self, monkeypatch):
+        # the steps update in place; local_train checks the values after each
+        arch = Architecture((2, 2))
+        params = init_params(arch, 0)
+
+        def nan_gradient(layers, activation, inputs, labels):
+            return 0.0, np.full(arch.param_count, np.nan)
+
+        monkeypatch.setattr(nn, "loss_and_param_grads", nan_gradient)
+        data = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3, bool), 2)
+        cfg = TrainingConfig(learning_rate=0.1, optimizer="sgd")
+        with pytest.raises(NumericError, match=r"round 1, client 0"):
+            local_train(params, data, cfg, 1, 0)
 
     def test_adam_first_step_magnitude(self):
         # after bias correction, step 1 moves each coord by ~lr in -sign(g)
         arch = Architecture((2, 2))
-        params = ModelParams(arch, np.zeros(arch.param_count))
+        values, m, v = (np.zeros(arch.param_count) for _ in range(3))
         g = np.array([0.5, -2.0, 1e-3, 3.0, -0.2, 0.7])
-        out, state = adam_step(AdamState.fresh(arch), params, g, learning_rate=0.01)
+        adam_step(values, m, v, g, 1, learning_rate=0.01)
         expected = -0.01 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(out.values, expected, atol=1e-12)
-        assert state.step == 1
+        assert np.allclose(values, expected, atol=1e-12)
+        assert np.allclose(m, 0.1 * g, rtol=1e-12) and np.allclose(v, 0.001 * g * g, rtol=1e-12)
 
     def test_adam_zero_gradient_fixed_point(self):
         arch = Architecture((2, 2))
-        params = init_params(arch, 4)
-        state = AdamState.fresh(arch)
-        for _ in range(3):
-            params2, state = adam_step(state, params, np.zeros(arch.param_count), 0.1)
-            assert np.array_equal(params2.values, params.values)
-            params = params2
+        start = init_params(arch, 4).values
+        values, m, v = start.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
+        for step in range(1, 4):
+            adam_step(values, m, v, np.zeros(arch.param_count), step, 0.1)
+            assert np.array_equal(values, start)
 
     def test_adam_deterministic(self):
         arch = Architecture((3, 2))
         params = init_params(arch, 1)
         g = np.random.default_rng(7).normal(size=arch.param_count)
-        a1, s1 = adam_step(AdamState.fresh(arch), params, g, 0.01)
-        a2, s2 = adam_step(AdamState.fresh(arch), params, g, 0.01)
-        assert np.array_equal(a1.values, a2.values)
-        assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
+        runs = []
+        for _ in range(2):
+            values, m, v = params.values.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
+            adam_step(values, m, v, g, 1, 0.01)
+            runs.append((values, m, v))
+        (a1, m1, v1), (a2, m2, v2) = runs
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
 
 class TestSerialization:

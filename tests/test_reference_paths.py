@@ -1,11 +1,13 @@
 """Equivalence of the evaluation path with the straightforward reference path.
 
-The reference functions below are the plain loops the evaluation path
-replaced: PGD with an input-gradient pass and a separate prediction pass on
-every iterate (both written out here with plain matmuls, so the oracle
-shares no pass with ``fedtrust.nn``), a noise matrix built on every ``rel`` call, and a per-metric
-evaluation that aggregates the coalition and predicts the clean test set for
-each metric on its own. Every comparison is exact.
+The reference functions below are the plain loops the evaluation and
+training paths replaced: PGD with an input-gradient pass and a separate
+prediction pass on every iterate (both written out here with plain matmuls,
+so the oracle shares no pass with ``fedtrust.nn``), a noise matrix built on
+every ``rel`` call, a per-metric evaluation that aggregates the coalition
+and predicts the clean test set for each metric on its own, and local
+training that builds a new model and new optimizer arrays on every step.
+Every comparison is exact.
 """
 
 from itertools import combinations
@@ -17,7 +19,7 @@ from fedtrust import valuation
 from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
 from fedtrust.errors import MetricUndefinedError
-from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, run_training
+from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate, rel
 from fedtrust.nn import (
     LOG_CLAMP,
@@ -30,7 +32,7 @@ from fedtrust.nn import (
     predict_batch,
     unpack_layers,
 )
-from fedtrust.seeding import rng_from
+from fedtrust.seeding import derive_seed, rng_from
 from fedtrust.valuation import CoalitionCache, coalition_utility
 
 # --- reference path ---
@@ -38,7 +40,7 @@ from fedtrust.valuation import CoalitionCache, coalition_utility
 
 def ref_forward(model, x):
     """Pre-activations of every layer and the output probabilities."""
-    layers = unpack_layers(model)
+    layers = unpack_layers(model.architecture, model.values)
     pre_acts, a = [], x
     for w, b in layers:
         z = a @ w + b
@@ -59,8 +61,8 @@ def ref_predict(model, x):
     return (probs > 0.5).astype(np.int64)
 
 
-def ref_input_gradient(model, x, y):
-    layers, pre_acts, probs = ref_forward(model, x)
+def ref_output_delta(model, probs, y):
+    """Each row's loss gradient w.r.t. the output logits, zero where clamped."""
     rows = np.arange(len(y))
     if model.architecture.output_activation is OutputActivation.SOFTMAX:
         p_true = probs[rows, y]
@@ -70,6 +72,12 @@ def ref_input_gradient(model, x, y):
         p_true = np.where(y == 1, probs, 1.0 - probs)
         delta = (probs - y)[:, None]
     delta[p_true < LOG_CLAMP] = 0.0
+    return delta
+
+
+def ref_input_gradient(model, x, y):
+    layers, pre_acts, probs = ref_forward(model, x)
+    delta = ref_output_delta(model, probs, y)
     for i in range(len(layers) - 1, -1, -1):
         delta = delta @ layers[i][0].T
         if i > 0:
@@ -134,6 +142,44 @@ def ref_coalition_utility(record, subset, metric, ctx):
         return ref_evaluate(model, metric, ctx)
     except MetricUndefinedError:
         return ref_coalition_utility(record, (), metric, ctx) if ids else 0.0
+
+
+def ref_param_grad(model, x, y):
+    """Gradient of the batch's mean cross-entropy w.r.t. the flat values."""
+    layers, pre_acts, probs = ref_forward(model, x)
+    delta = ref_output_delta(model, probs, y) / len(y)
+    inputs = [x] + [np.maximum(z, 0.0) for z in pre_acts[:-1]]
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads = [(inputs[i].T @ delta).ravel(), delta.sum(axis=0)] + grads
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (pre_acts[i - 1] > 0.0)
+    return np.concatenate(grads)
+
+
+def ref_local_train(start, data, cfg, round_idx, client_id):
+    """Textbook minibatch Adam or SGD: new arrays and a new model every step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, client_id))
+    model = start
+    m = v = np.zeros(start.architecture.param_count)
+    t = 0
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(len(data))
+        for begin in range(0, len(order), cfg.batch_size):
+            idx = order[begin : begin + cfg.batch_size]
+            g = ref_param_grad(model, data.features[idx], data.labels[idx])
+            if cfg.optimizer == "adam":
+                t += 1
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * g * g
+                m_hat = m / (1.0 - beta1**t)
+                v_hat = v / (1.0 - beta2**t)
+                values = model.values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            else:
+                values = model.values - cfg.learning_rate * g
+            model = ModelParams(model.architecture, values)
+    return model
 
 
 # --- PGD ---
@@ -208,7 +254,7 @@ def test_pgd_log_clamp_on_mislabelled_rows_matches_reference(activation, hidden_
         model = ModelParams(model.architecture, model.values * 40.0)
         x = rng.random((60, 5))
         y = rng.integers(0, model.architecture.class_count, size=60)
-        _, _, probs = forward_layers(unpack_layers(model), activation, x)
+        _, _, probs = forward_layers(unpack_layers(model.architecture, model.values), activation, x)
         if activation is OutputActivation.SIGMOID:
             p_true = np.where(y == 1, probs, 1.0 - probs)
         else:
@@ -270,6 +316,28 @@ def test_pgd_matches_reference_on_every_coalition_aggregate():
             correct = predict_batch(model, test.features) == test.labels
             x, y = test.features[correct], test.labels[correct]
             assert np.array_equal(pgd_batch(model, x, y, ctx.attack), ref_pgd(model, x, y, ctx.attack))
+
+
+# --- local training ---
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+@pytest.mark.parametrize("learning_rate", [0.01, 0.5])
+def test_local_train_matches_per_step_reference(optimizer, activation, hidden_layers, learning_rate):
+    # 37 rows in batches of 8: every epoch ends on a ragged batch of 5
+    cfg = TrainingConfig(
+        local_epochs=3, batch_size=8, learning_rate=learning_rate, optimizer=optimizer, seed=5
+    )
+    for seed in range(3):
+        start, rng = random_model(seed, activation, hidden_layers)
+        start = ModelParams(start.architecture, start.values / 3.0)
+        classes = start.architecture.class_count
+        data = Dataset(rng.random((37, 5)), rng.integers(0, classes, size=37), np.zeros(37, bool), classes)
+        got = local_train(start, data, cfg, 2, seed).params
+        assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
+        assert not np.array_equal(got.values, start.values)
 
 
 # --- rel noise ---

@@ -16,7 +16,6 @@ from fedtrust.valuation import (
     CoalitionCache,
     Scheme,
     ScoreTable,
-    TruncationRule,
     ValuationConfig,
     accumulate,
     coalition_utility,
@@ -172,22 +171,6 @@ class TestGtgCore:
         assert all(len(ids) <= 1 for ids in evaluated - {(0, 1, 2, 3)})
         # each permutation credits its lead with the whole jump
         assert gtg == {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
-
-    def test_marginal_size_rule_truncates_after_small_marginal(self):
-        calls = []
-
-        def u(ids):
-            calls.append(tuple(sorted(ids)))
-            return {0: 0.0, 1: 0.5, 2: 0.5001, 3: 0.8, 4: 1.0}[len(ids)]
-
-        vcfg = ValuationConfig(
-            eps1=0.0, eps2=0.05, eps3=0.01, truncation_rule=TruncationRule.MARGINAL_SIZE
-        )
-        gtg = gtg_shapley_values(range(4), u, 2, vcfg)
-        # first marginal 0.5 is kept, second (0.0001) truncates the rest
-        assert all(len(ids) <= 2 for ids in set(calls) - {(0, 1, 2, 3)})
-        for lead in range(4):
-            assert gtg[lead] >= 0.1  # every lead keeps its first marginal
 
 
 # --- wrappers over real federation records ---

@@ -223,7 +223,7 @@ def write_report(report: AnalysisReport, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "report.json") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
     with atomic_open(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "metric", "phi", "phi_std", "l2", "l2_std"])

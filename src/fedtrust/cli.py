@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .attacks import AttackSpec
 from .config import parse_config_file
 from .data import Dataset, generate_synthetic, save_dataset_csv
 from .errors import FedTrustError
@@ -26,45 +25,30 @@ from .metrics import FairnessSpec, demographic_parity_gap, fair, perf, res
 from .seeding import derive_seed
 
 
-class _TableModel:
-    """Fixed-prediction stub keyed on the (single) feature value."""
-
-    def __init__(self, table: dict[int, int]) -> None:
-        self.table = table
-
-    def predict(self, x) -> int:
-        return self.table[int(round(float(x[0]) * 10))]
-
-
 def _fig1_toy():
-    """The six-sample toy test set with its stub model and stub attack.
+    """The six-sample toy test set with a stub model's predictions.
 
     Samples 1..6 carry labels [G, R, G, R, R, G] with G=0, R=1; samples
     1, 2, 4 are protected and R is the target class. The stub model predicts
-    [G, R, R, G, R, G]; the stub attack flips exactly sample 1 of the four
-    correctly classified ones.
+    [G, R, R, G, R, G], so samples 1, 2, 5, 6 are classified correctly; its
+    predictions on their stub attacks flip exactly sample 1, to R.
     """
     features = np.array([[i / 10] for i in range(1, 7)])
     labels = np.array([0, 1, 0, 1, 1, 0])
     protected = np.array([True, True, False, True, False, False])
     test = Dataset(features, labels, protected, class_count=2)
-    model = _TableModel({1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1})
-
-    def attack_fn(_model, x, _y):
-        if int(round(float(x[0]) * 10)) == 1:
-            return np.array([0.7])
-        return np.asarray(x)
-
-    return test, model, attack_fn
+    clean = np.array([0, 1, 1, 0, 1, 0])
+    adversarial = np.array([1, 1, 1, 0])
+    return test, clean, adversarial
 
 
 def cmd_demo_fig1() -> int:
-    test, model, attack_fn = _fig1_toy()
+    test, clean, adversarial = _fig1_toy()
     spec = FairnessSpec(target_class=1)
-    perf_v = perf(model, test)
-    gap_v = demographic_parity_gap(model, test, spec)
-    fair_v = fair(model, test, spec)
-    res_v = res(model, test, AttackSpec(epsilon=0.3), attack_fn=attack_fn)
+    perf_v = perf(clean, test)
+    gap_v = demographic_parity_gap(clean, test, spec)
+    fair_v = fair(clean, test, spec)
+    res_v = res(test.labels[clean == test.labels], adversarial)
     success = 1.0 - res_v
     print(f"perf = {perf_v:.4g}")
     print(f"demographic parity gap = {gap_v:.4g}")

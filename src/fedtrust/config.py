@@ -8,6 +8,7 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -127,16 +128,12 @@ class ExperimentConfig:
         )
 
 
-def _as_int(raw: str) -> int:
-    return int(raw)
-
-
 def _as_float(raw: str) -> float:
-    return float(raw)
-
-
-def _as_str(raw: str) -> str:
-    return raw
+    # NaN passes every `x < 0` range check, so non-finite values stop here.
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError("value must be finite")
+    return value
 
 
 def _as_int_tuple(raw: str) -> tuple[int, ...]:
@@ -149,38 +146,38 @@ def _as_schemes(raw: str) -> tuple[Scheme, ...]:
 
 # config key -> (ExperimentConfig field, caster)
 _KEYS: dict[str, tuple[str, Callable]] = {
-    "data.source": ("data_source", _as_str),
-    "data.n": ("synthetic_n", _as_int),
-    "data.d": ("synthetic_d", _as_int),
+    "data.source": ("data_source", str),
+    "data.n": ("synthetic_n", int),
+    "data.d": ("synthetic_d", int),
     "data.group_imbalance": ("group_imbalance", _as_float),
-    "data.csv_path": ("csv_path", _as_str),
-    "data.label_column": ("label_column", _as_str),
-    "data.sensitive_column": ("sensitive_column", _as_str),
-    "data.positive_sensitive_value": ("positive_sensitive_value", _as_str),
+    "data.csv_path": ("csv_path", str),
+    "data.label_column": ("label_column", str),
+    "data.sensitive_column": ("sensitive_column", str),
+    "data.positive_sensitive_value": ("positive_sensitive_value", str),
     "data.test_fraction": ("test_fraction", _as_float),
     "partition.mode": ("partition_mode", PartitionMode),
     "partition.alpha": ("dirichlet_alpha", _as_float),
-    "partition.clients": ("clients", _as_int),
+    "partition.clients": ("clients", int),
     "model.hidden": ("hidden_sizes", _as_int_tuple),
-    "model.output": ("output_activation", _as_str),
-    "training.rounds": ("rounds", _as_int),
-    "training.local_epochs": ("local_epochs", _as_int),
-    "training.batch_size": ("batch_size", _as_int),
+    "model.output": ("output_activation", str),
+    "training.rounds": ("rounds", int),
+    "training.local_epochs": ("local_epochs", int),
+    "training.batch_size": ("batch_size", int),
     "training.learning_rate": ("learning_rate", _as_float),
-    "training.optimizer": ("optimizer", _as_str),
+    "training.optimizer": ("optimizer", str),
     "metrics.sigma": ("sigma", _as_float),
-    "metrics.target_class": ("target_class", _as_int),
+    "metrics.target_class": ("target_class", int),
     "attack.epsilon": ("attack_epsilon", _as_float),
     "attack.step_size": ("attack_step_size", _as_float),
-    "attack.steps": ("attack_steps", _as_int),
+    "attack.steps": ("attack_steps", int),
     "valuation.schemes": ("schemes", _as_schemes),
     "valuation.eps1": ("eps1", _as_float),
     "valuation.eps2": ("eps2", _as_float),
     "valuation.eps3": ("eps3", _as_float),
     "valuation.truncation_rule": ("truncation_rule", TruncationRule),
-    "experiment.folds": ("folds", _as_int),
-    "experiment.master_seed": ("master_seed", _as_int),
-    "experiment.output_dir": ("output_dir", _as_str),
+    "experiment.folds": ("folds", int),
+    "experiment.master_seed": ("master_seed", int),
+    "experiment.output_dir": ("output_dir", str),
 }
 
 

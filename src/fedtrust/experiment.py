@@ -9,10 +9,11 @@ Each fold is an independent repetition with seeds derived from
     <output_dir>/fold_<f>/valuation_meta.json utility counts, requests per scheme
 
 A failing fold is recorded in <output_dir>/failures.json and does not stop
-the remaining folds. A rerun into the same directory first removes the score
-files of every fold_<f> there, including folds past this run's count, and
-drops a stale failures.json, so ``analyze`` reads no scores an earlier run
-left; checkpoints stay.
+the remaining folds; if every fold fails, the run raises the first fold's
+error class, so it exits with that fold's code. A rerun into the same
+directory first removes the score files of every fold_<f> there, including
+folds past this run's count, and drops a stale failures.json, so
+``analyze`` reads no scores an earlier run left; checkpoints stay.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None)
 
 
 def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> nn.Architecture:
+    if cfg.target_class >= class_count:
+        raise ConfigError(
+            f"metrics.target_class {cfg.target_class} is not a class of the "
+            f"{class_count}-class dataset"
+        )
     if cfg.output_activation == "sigmoid":
         if class_count != 2:
             raise ConfigError("sigmoid output needs a binary dataset")
@@ -131,11 +137,13 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
             stale.unlink()
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
+    first_error: FedTrustError | None = None
     for fold in range(cfg.folds):
         try:
             tables[fold] = run_fold(cfg, fold, out_dir / f"fold_{fold}", source)
         except FedTrustError as exc:
             failures.append({"fold": fold, "error": str(exc)})
+            first_error = first_error or exc
 
     failures_path = out_dir / "failures.json"
     if failures:
@@ -146,7 +154,11 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
     else:
         failures_path.unlink(missing_ok=True)
     if not tables:
-        raise DataError("every fold failed; no scores to analyze")
+        # The first fold's error class keeps its exit code: a run whose
+        # every fold diverged is a numeric error, not a data error.
+        raise type(first_error)(
+            f"every fold failed; no scores to analyze (fold 0: {first_error})"
+        ) from first_error
 
     report = build_report(list(tables.values()), cfg.rounds)
     write_report(report, out_dir)

@@ -41,8 +41,8 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
-from .metrics import EvalContext, Metric, evaluate, predictions
-from .nn import ModelParams
+from .metrics import EvalContext, Metric, evaluate
+from .nn import ModelParams, predict_batch
 from .seeding import rng_from
 
 logger = logging.getLogger(__name__)
@@ -131,7 +131,7 @@ class CoalitionCache:
             self._round, self._aggregates = record.round, {}
         if ids not in self._aggregates:
             model = fedavg(record.global_before, [record.update_for(k) for k in ids])
-            self._aggregates[ids] = (model, predictions(model, ctx.test.features))
+            self._aggregates[ids] = (model, predict_batch(model, ctx.test.features))
         return self._aggregates[ids]
 
     def __len__(self) -> int:
@@ -478,7 +478,10 @@ def read_scores_csv(path) -> ScoreTable:
                 if len(row) != 5:
                     raise DataError(f"{path}: malformed row {row}")
                 scheme, metric, client, round_idx, value = row
-                table.entries[(scheme, metric, int(client), int(round_idx))] = float(value)
+                score = float(value)
+                if not math.isfinite(score):
+                    raise DataError(f"{path}:{reader.line_num}: non-finite score {value!r}")
+                table.entries[(scheme, metric, int(client), int(round_idx))] = score
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

@@ -6,6 +6,7 @@ default-configuration run via module fixtures.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fedtrust.data import (
 )
 from fedtrust.experiment import run_experiment
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
-from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, rel, res
+from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
     Architecture,
     ModelParams,
@@ -271,14 +272,20 @@ def test_criterion_7_metric_monotonicity():
     with criterion(7, "rel non-increasing in sigma, res non-increasing in epsilon"):
         records, ctx = trained_setup(seed=7, n=500, rounds=3)
         model = records[-1].global_after
-        test = ctx.test
+        clean = predict_batch(model, ctx.test.features)
         rel_means = []
         for sigma in (0.05, 0.1, 0.2):
-            values = [rel(model, test, NoiseSpec(sigma, s)) for s in range(30)]
+            values = [
+                evaluate(model, Metric.REL, replace(ctx, noise=NoiseSpec(sigma, s)), clean)
+                for s in range(30)
+            ]
             rel_means.append(np.mean(values))
         assert rel_means[0] >= rel_means[1] >= rel_means[2]
         # PGD has no random component: one call per epsilon
-        res_values = [res(model, test, AttackSpec(eps, 0.007, 40)) for eps in (0.05, 0.15, 0.3)]
+        res_values = [
+            evaluate(model, Metric.RES, replace(ctx, attack=AttackSpec(eps, 0.007, 40)), clean)
+            for eps in (0.05, 0.15, 0.3)
+        ]
         assert res_values[0] >= res_values[1] >= res_values[2]
 
 

@@ -87,6 +87,26 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, "metrics.target_class = 5\n")
+        assert main(["run", str(config)]) == 2
+        assert "target_class 5" in capsys.readouterr().err
+
+    def test_every_fold_diverged_exits_with_numeric_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        extra = (
+            "experiment.folds = 2\n"
+            "training.optimizer = sgd\n"
+            "training.learning_rate = 1e300\n"
+        )
+        config = write_smoke_config(tmp_path, out_dir, extra)
+        assert main(["run", str(config)]) == 4
+        assert "every fold failed" in capsys.readouterr().err
+        failures = json.loads((out_dir / "failures.json").read_text())
+        assert [f["fold"] for f in failures] == [0, 1]
+        assert all("diverged" in f["error"] for f in failures)
+
     def test_csv_source_run(self, tmp_path, capsys):
         data_path = tmp_path / "input.csv"
         gen_spec = tmp_path / "gen.txt"
@@ -147,6 +167,19 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir)]) == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["vs_perf"]["gtg"]["fair"]["phi_mean"] == pytest.approx(1.0)
+
+    def test_non_finite_score_is_data_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "hand"
+        run_dir.mkdir()
+        rows = ["scheme,metric,client,round,value"]
+        for metric in ("perf", "fair"):
+            for client, value in enumerate(["0.1", "0.3", "nan" if metric == "fair" else "0.2"]):
+                rows.append(f"gtg,{metric},{client},1,0.0")
+                rows.append(f"gtg,{metric},{client},2,{value}")
+        (run_dir / "scores.csv").write_text("\n".join(rows) + "\n")
+        assert main(["analyze", str(run_dir)]) == 3
+        assert "scores.csv:13: non-finite score 'nan'" in capsys.readouterr().err
+        assert not (run_dir / "report.json").exists()
 
     def test_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

@@ -69,6 +69,26 @@ class TestParser:
         with pytest.raises(ConfigError, match="learning_rate"):
             parse_config_text(f"training.learning_rate = {value}\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "data.group_imbalance",
+            "data.test_fraction",
+            "partition.alpha",
+            "training.learning_rate",
+            "metrics.sigma",
+            "attack.epsilon",
+            "attack.step_size",
+            "valuation.eps1",
+            "valuation.eps2",
+            "valuation.eps3",
+        ],
+    )
+    def test_non_finite_float_rejected_naming_the_line(self, key, value):
+        with pytest.raises(ConfigError, match=rf":2: bad value for '{key}'.*finite"):
+            parse_config_text(f"data.n = 100\n{key} = {value}\n")
+
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
         assert cfg.truncation_rule is TruncationRule.PREFIX_DISTANCE

@@ -18,7 +18,16 @@ from fedtrust.federation import (
     run_training,
 )
 from fedtrust.metrics import perf
-from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, load_params, loss_and_param_grads, unpack_layers
+from fedtrust.nn import (
+    Architecture,
+    ModelParams,
+    OutputActivation,
+    init_params,
+    load_params,
+    loss_and_param_grads,
+    predict_batch,
+    unpack_layers,
+)
 
 
 def batch_loss(params, x, y):
@@ -182,7 +191,8 @@ class TestRounds:
             init = init_params(Architecture((3, 8, 2)), seed)
             cfg = TrainingConfig(rounds=5, local_epochs=1, seed=seed)
             records = run_training(init, parts, cfg)
-            wins.append(perf(records[-1].global_after, test) - perf(init, test))
+            final = predict_batch(records[-1].global_after, test.features)
+            wins.append(perf(final, test) - perf(predict_batch(init, test.features), test))
         assert np.mean(wins) > 0
 
     def test_checkpoint_layout(self, tmp_path):

@@ -20,7 +20,7 @@ from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
 from fedtrust.errors import MetricUndefinedError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
-from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate, rel
+from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
     LOG_CLAMP,
     Architecture,
@@ -345,13 +345,15 @@ def test_local_train_matches_per_step_reference(optimizer, activation, hidden_la
 
 def test_context_noise_is_built_once_and_read_only():
     records, ctx = trained_setup(rounds=2)
-    noise = ctx.noise_matrix
-    assert noise is ctx.noise_matrix
-    assert np.array_equal(noise, ref_noise_matrix(ctx.noise, len(ctx.test), ctx.test.feature_dim))
+    noisy = ctx.noisy_features
+    assert noisy is ctx.noisy_features
+    noise = ref_noise_matrix(ctx.noise, len(ctx.test), ctx.test.feature_dim)
+    assert np.array_equal(noisy, ctx.test.features + noise)
     with pytest.raises(ValueError):
-        noise[0, 0] = 1.0
+        noisy[0, 0] = 1.0
     model = records[-1].global_after
-    assert rel(model, ctx.test, ctx.noise) == evaluate(model, Metric.REL, ctx)
+    clean = predict_batch(model, ctx.test.features)
+    assert evaluate(model, Metric.REL, ctx, clean) == ref_evaluate(model, Metric.REL, ctx)
 
 
 # --- coalition utilities ---

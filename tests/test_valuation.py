@@ -9,8 +9,8 @@ from fedtrust.attacks import AttackSpec
 from fedtrust.data import generate_synthetic, partition, PartitionMode, PartitionSpec, train_test_split
 from fedtrust.errors import ConfigError, InputError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
-from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, res
-from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params
+from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
+from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, predict_batch
 from fedtrust.seeding import rng_from
 from fedtrust.valuation import (
     CoalitionCache,
@@ -196,7 +196,7 @@ class TestCoalitionUtility:
         from fedtrust.metrics import perf
 
         value = coalition_utility(record, (), Metric.PERF, ctx)
-        assert value == perf(record.global_before, ctx.test)
+        assert value == perf(predict_batch(record.global_before, ctx.test.features), ctx.test)
 
     def test_full_subset_is_new_global(self):
         records, ctx = trained_records()
@@ -204,7 +204,7 @@ class TestCoalitionUtility:
         from fedtrust.metrics import perf
 
         value = coalition_utility(record, record.client_ids, Metric.PERF, ctx)
-        assert value == perf(record.global_after, ctx.test)
+        assert value == perf(predict_batch(record.global_after, ctx.test.features), ctx.test)
 
     def test_cache_hit_is_bit_identical(self):
         records, ctx = trained_records()
@@ -239,7 +239,7 @@ class TestCoalitionUtility:
         ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 1), AttackSpec(0.1, 0.02, 3))
         with caplog.at_level(logging.WARNING, logger="fedtrust.valuation"):
             value = coalition_utility(record, (0,), Metric.RES, ctx)
-        assert value == res(always_zero, test, ctx.attack)
+        assert value == evaluate(always_zero, Metric.RES, ctx, predict_batch(always_zero, test.features))
         assert any("undefined" in message for message in caplog.messages)
         # the fallback's read of the empty coalition is computed, not requested
         cache = CoalitionCache()

@@ -13,12 +13,16 @@ The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
 A row that flips is written out on that step and marked inactive; inactive
 rows leave the working arrays only once they are at least half of them.
-Every iterate equals that of the plain loop (an input-gradient pass, a
-clipped step and a prediction pass per step), bit for bit.
+The labels are put in the form the delta and the freeze test read once per
+call, and ``np.errstate`` (the sigmoid's exp overflow) is entered once
+around the step loop. Every iterate equals that of the plain loop (an
+input-gradient pass, a clipped step and a prediction pass per step), bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +30,11 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .nn import (
     ModelParams,
+    OutputActivation,
     check_labels,
     forward_layers,
     input_gradient_from,
-    predicted_classes,
+    loss_labels,
     unpack_layers,
 )
 
@@ -45,14 +50,19 @@ class AttackSpec:
     clip_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be non-negative")
-        if self.epsilon > 0 and self.step_size <= 0:
+        # Each check is written so that NaN fails it.
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be non-negative and finite, got {self.epsilon}")
+        if not math.isfinite(self.step_size):
+            raise ConfigError(f"step_size must be finite, got {self.step_size}")
+        if self.epsilon > 0 and not self.step_size > 0:
             raise ConfigError("step_size must be positive when epsilon > 0")
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
-        if self.clip_min >= self.clip_max:
-            raise ConfigError("empty clip box")
+        if not -math.inf < self.clip_min < self.clip_max < math.inf:
+            raise ConfigError(
+                f"clip box must be finite and non-empty, got [{self.clip_min}, {self.clip_max}]"
+            )
 
 
 def pgd_batch(
@@ -70,9 +80,14 @@ def pgd_batch(
         raise InputError("labels must align with input rows")
     if spec.epsilon == 0.0:
         return x0.copy()
-    check_labels(model.architecture, y)
-    layers = unpack_layers(model.architecture, model.values)
-    activation = model.architecture.output_activation
+    arch = model.architecture
+    check_labels(arch, y)
+    activation = arch.output_activation
+    sigmoid = activation is OutputActivation.SIGMOID
+    layers = unpack_layers(arch, model.values)
+    # The labels in the form the delta and the freeze test read, built once
+    # and compacted with the rows.
+    targets = loss_labels(activation, y)
     x_adv = x0.copy()
     # Working arrays: rows[i] is the input row of working row i. A row that
     # flips is written to x_adv and marked inactive at once, but it stays
@@ -84,37 +99,45 @@ def pgd_batch(
     upper = np.minimum(x0 + spec.epsilon, spec.clip_max)
     active = np.ones(rows.size, dtype=bool)
     inactive = 0
-    _, pre_acts, probs = forward_layers(layers, activation, x)
-    for step in range(spec.steps):
-        # After step 0 every active row is classified correctly, so its true
-        # class has probability >= 1/C and the log clamp cannot fire.
-        grad = input_gradient_from(layers, activation, pre_acts, probs, y, clamp=step == 0)
-        np.sign(grad, out=grad)
-        grad *= spec.step_size
-        x += grad
-        # np.clip(x, lower, upper) without the cost of its Python wrapper
-        np.maximum(x, lower, out=x)
-        np.minimum(x, upper, out=x)
-        if step == spec.steps - 1:
-            break
+    with np.errstate(over="ignore"):
         _, pre_acts, probs = forward_layers(layers, activation, x)
-        flipped = predicted_classes(activation, probs) != y
-        if inactive:
-            flipped &= active
-        if not flipped.any():
-            continue
-        x_adv[rows[flipped]] = x[flipped]
-        active &= ~flipped
-        inactive += np.count_nonzero(flipped)
-        if inactive == rows.size:
-            return x_adv
-        if 2 * inactive >= rows.size:
-            rows, x, lower, upper, y, probs = (
-                rows[active], x[active], lower[active], upper[active], y[active], probs[active]
+        for step in range(spec.steps):
+            # After step 0 every active row is classified correctly, so its
+            # true class has probability >= 1/C and the log clamp cannot fire.
+            grad = input_gradient_from(
+                layers, activation, pre_acts, probs, targets, clamp=step == 0
             )
-            pre_acts = [z[active] for z in pre_acts]
-            active = np.ones(rows.size, dtype=bool)
-            inactive = 0
+            np.sign(grad, out=grad)
+            grad *= spec.step_size
+            x += grad
+            # np.clip(x, lower, upper) without the cost of its Python wrapper
+            np.maximum(x, lower, out=x)
+            np.minimum(x, upper, out=x)
+            if step == spec.steps - 1:
+                break
+            _, pre_acts, probs = forward_layers(layers, activation, x)
+            # predicted_classes(activation, probs) != y, without its int copy;
+            # the targets are y == 1 under sigmoid and y itself under softmax
+            if sigmoid:
+                flipped = (probs > 0.5) != targets
+            else:
+                flipped = probs.argmax(axis=1) != targets
+            if inactive:
+                flipped &= active
+            if not flipped.any():
+                continue
+            x_adv[rows[flipped]] = x[flipped]
+            active &= ~flipped
+            inactive += np.count_nonzero(flipped)
+            if inactive == rows.size:
+                return x_adv
+            if 2 * inactive >= rows.size:
+                rows, x, lower, upper, targets, probs = (
+                    a[active] for a in (rows, x, lower, upper, targets, probs)
+                )
+                pre_acts = [z[active] for z in pre_acts]
+                active = np.ones(rows.size, dtype=bool)
+                inactive = 0
     if inactive:
         rows, x = rows[active], x[active]
     x_adv[rows] = x

@@ -1,6 +1,7 @@
 """Experiment configuration: defaults, file format, per-fold seed streams.
 
-Config files are flat ``section.key = value`` lines (``#`` starts a comment).
+Config files are flat ``section.key = value`` lines (``#`` starts a comment);
+each key may appear once.
 Defaults mirror the experimental protocol this artifact reproduces: K=4
 clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 (0.007, 0.3, 40) and GTG thresholds eps1=0.001, eps2=0.05, eps3=0.002.
@@ -9,7 +10,7 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -73,6 +74,11 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
+        # A config built in code skips the file caster's finiteness check.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.data_source not in ("synthetic", "csv"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
         if self.data_source == "csv" and not self.csv_path:
@@ -183,6 +189,8 @@ _KEYS: dict[str, tuple[str, Callable]] = {
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     overrides: dict = {}
+    # config key -> line that set it; a key may be set once
+    set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -192,6 +200,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{origin}:{lineno}: config key {key!r} repeated (first set on line {set_on[key]})"
+            )
+        set_on[key] = lineno
         field_name, caster = _KEYS[key]
         try:
             overrides[field_name] = caster(raw_value)

@@ -10,6 +10,7 @@ and every operation is a pure function of its seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -78,7 +79,9 @@ class PartitionSpec:
         object.__setattr__(self, "mode", PartitionMode(self.mode))
         if self.client_count < 2:
             raise ConfigError("need at least two clients")
-        if self.mode is PartitionMode.DIRICHLET and self.dirichlet_alpha <= 0:
+        if not math.isfinite(self.dirichlet_alpha):
+            raise ConfigError(f"dirichlet_alpha must be finite, got {self.dirichlet_alpha}")
+        if self.mode is PartitionMode.DIRICHLET and not self.dirichlet_alpha > 0:
             raise ConfigError("dirichlet_alpha must be positive")
 
 

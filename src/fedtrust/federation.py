@@ -10,8 +10,13 @@ artifacts the valuation stage consumes:
 A client's local update trains one working copy of the global parameter
 vector in place (minibatch Adam or SGD) and checks it for non-finite values
 after every step; the finished vector becomes the update's immutable
-``ModelParams``. Client shuffling streams are derived per (seed, round,
-client), so a full training run is a pure function of its configuration.
+``ModelParams``. The gradient vector, Adam's moments and scratch vectors and
+the labels in the form the loss reads are built once per update; each step
+gathers its minibatch rows, has ``nn.loss_and_param_grads`` write the
+gradient into views of that vector (no loss value is computed) and updates
+the parameters in place. ``np.errstate`` is entered once around the loop.
+Client shuffling streams are derived per (seed, round, client), so a full
+training run is a pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -118,26 +123,32 @@ def local_train(
         shuffle_seed = derive_seed(cfg.seed, "local", round_idx, client_id)
     rng = np.random.default_rng(shuffle_seed)
     arch = global_params.architecture
+    activation = arch.output_activation
     nn.check_labels(arch, data.labels)
+    labels = nn.loss_labels(activation, data.labels)
     values = global_params.values.copy()
     layers = nn.unpack_layers(arch, values)
+    grad = np.empty_like(values)
+    grad_layers = nn.unpack_layers(arch, grad)
     m = np.zeros_like(values)
     v = np.zeros_like(values)
+    scratch = (np.empty_like(values), np.empty_like(values))
     step = 0
     # A diverging step overflows to inf or nan, which stay non-finite under
     # every later step: one check after each step stops at the first bad
-    # one, and numpy's overflow warnings on the way are silenced.
+    # one, and numpy's overflow warnings on the way (and the sigmoid's exp
+    # overflow) are silenced once for the whole loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(len(data))
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, grad = nn.loss_and_param_grads(
-                    layers, arch.output_activation, data.features[idx], data.labels[idx]
+                nn.loss_and_param_grads(
+                    layers, activation, data.features[idx], labels[idx], grad_layers
                 )
                 step += 1
                 if cfg.optimizer == "adam":
-                    nn.adam_step(values, m, v, grad, step, cfg.learning_rate)
+                    nn.adam_step(values, m, v, grad, step, cfg.learning_rate, scratch)
                 else:
                     nn.sgd_step(values, grad, cfg.learning_rate)
                 if not np.isfinite(values).all():

@@ -21,6 +21,7 @@ iterate (see :mod:`fedtrust.attacks`), and predicts on the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -61,8 +62,8 @@ class NoiseSpec:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be non-negative and finite, got {self.sigma}")
 
 
 def perf(clean: np.ndarray, test: Dataset) -> float:

@@ -3,9 +3,20 @@
 Forward and backward passes are written directly in numpy so that gradients
 are available with respect to both the parameters and the inputs (the latter
 is what the adversarial attack needs). Every function is deterministic: same
-inputs, bit-identical outputs. All are pure except the two optimizer steps,
-which update a working parameter vector (and Adam's moments) in place; local
-training owns that vector and wraps it in a ``ModelParams`` when it is done.
+inputs, bit-identical outputs. All are pure except the training step:
+:func:`loss_and_param_grads` writes a batch's gradient into views of one
+gradient vector, and the two optimizer steps update a working parameter
+vector (and Adam's moments) in place. Local training owns those vectors,
+allocates them once per client update and wraps the parameters in a
+``ModelParams`` when it is done. The training step computes no loss value;
+:func:`cross_entropy` gives the loss whose gradient it is.
+
+The passes themselves (:func:`forward_layers`, :func:`loss_and_param_grads`)
+do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
+for logits below about -709 (1 / (1 + inf) is then the correct probability
+0.0), so their callers silence that overflow once: :func:`predict_batch`,
+:func:`input_gradient_batch` and :func:`cross_entropy` per call, PGD around
+its step loop and local training around its epochs.
 
 Parameter layout: for each layer l, the weight matrix W_l (fan_in x fan_out,
 row-major) followed by the bias vector b_l. Keeping parameters flat makes
@@ -130,7 +141,8 @@ def forward_layers(
 
     Returns the post-activation of every layer (activations[0] is the input),
     the pre-activations of every layer, and the output probabilities: (n, C)
-    rows for softmax, an (n,) positive-class column for sigmoid.
+    rows for softmax, an (n,) positive-class column for sigmoid. The caller
+    silences the sigmoid's ``exp`` overflow (see the module docstring).
     """
     activations = [x]
     pre_acts = []
@@ -152,10 +164,7 @@ def forward_layers(
         probs /= probs.sum(axis=1, keepdims=True)
     else:
         probs = np.negative(z_out[:, 0])
-        # exp overflows to inf for logits below about -709; 1 / (1 + inf)
-        # is then the correct probability 0.0.
-        with np.errstate(over="ignore"):
-            np.exp(probs, out=probs)
+        np.exp(probs, out=probs)
         probs += 1.0
         np.divide(1.0, probs, out=probs)
     return activations, pre_acts, probs
@@ -183,23 +192,41 @@ def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
             f"inputs shape {inputs.shape} does not match feature dim "
             f"{params.architecture.input_dim}"
         )
-    _, _, probs = _forward(params, inputs)
+    with np.errstate(over="ignore"):
+        _, _, probs = _forward(params, inputs)
     return predicted_classes(params.architecture.output_activation, probs)
 
 
 def check_labels(arch: Architecture, labels: np.ndarray) -> None:
     """Reject class labels the architecture cannot output."""
     c = arch.class_count
-    if labels.size and labels.max() >= c:
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise InputError(f"label out of range for {c} classes")
+
+
+def loss_labels(activation: OutputActivation, labels: np.ndarray) -> np.ndarray:
+    """Labels in the form the output delta reads, built once per label set.
+
+    Under softmax these are the class indices themselves; under sigmoid the
+    positive-class mask ``labels == 1``, which serves both as the delta's
+    0/1 target (subtracting a bool subtracts exactly 0.0 or 1.0) and as the
+    mask that picks each row's true-class probability. Callers gather or
+    slice it along with their rows, so no step converts labels again; it
+    costs one byte per row, where a float copy would cost eight. Labels must
+    already have passed :func:`check_labels`.
+    """
+    if activation is OutputActivation.SIGMOID:
+        return labels == 1
+    return labels
 
 
 def _true_class_prob(
     activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
+    """Each row's true-class probability; ``labels`` from :func:`loss_labels`."""
     if activation is OutputActivation.SOFTMAX:
         return probs[np.arange(len(labels)), labels]
-    return np.where(labels == 1, probs, 1.0 - probs)
+    return np.where(labels, probs, 1.0 - probs)
 
 
 def _output_delta(
@@ -208,41 +235,25 @@ def _output_delta(
     labels: np.ndarray,
     clamp: bool = True,
 ) -> np.ndarray:
-    """d(loss_i)/d(z_out) of each sample's cross-entropy loss.
+    """d(loss_i)/d(z_out) of each sample's cross-entropy loss, as (n, C).
 
-    Log arguments are clamped at LOG_CLAMP; samples whose clamp is active get
-    a zero delta because the computed loss is locally constant there.
-    ``clamp=False`` leaves the clamp out, for a caller whose rows are all
-    classified correctly (their true class has probability at least 1/C, so
-    it cannot fire) or that applies it from true-class probabilities it
-    already has. Labels must already have passed :func:`check_labels`.
+    Built in place in ``probs``, which the caller gives up; a sigmoid's (n,)
+    column is edited as it is and returned as an (n, 1) view. ``labels``
+    are the rows' :func:`loss_labels`. Log arguments are clamped at
+    LOG_CLAMP; samples whose clamp is active get a zero delta because the
+    computed loss is locally constant there. ``clamp=False`` leaves the
+    clamp out, for a caller whose rows are all classified correctly (their
+    true class has probability at least 1/C, so it cannot fire).
     """
-    if activation is OutputActivation.SOFTMAX:
-        delta = probs.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
-    else:
-        delta = (probs - labels)[:, None]
     if clamp:
-        delta[_true_class_prob(activation, probs, labels) < LOG_CLAMP] = 0.0
-    return delta
-
-
-def _backward_params(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activations: list[np.ndarray],
-    pre_acts: list[np.ndarray],
-    delta: np.ndarray,
-) -> np.ndarray:
-    grads: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = activations[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
-        if i > 0:
-            delta = _back_through(delta, w)
-            delta *= pre_acts[i - 1] > 0.0
-    return np.concatenate(grads)
+        clamped = _true_class_prob(activation, probs, labels) < LOG_CLAMP
+    if activation is OutputActivation.SOFTMAX:
+        probs[np.arange(len(labels)), labels] -= 1.0
+    else:
+        probs -= labels
+    if clamp:
+        probs[clamped] = 0.0
+    return probs if probs.ndim == 2 else probs[:, None]
 
 
 def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -256,27 +267,54 @@ def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return delta @ w.T
 
 
+def cross_entropy(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: OutputActivation,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+) -> float:
+    """Mean cross-entropy of a batch, each log argument clamped at LOG_CLAMP.
+
+    The loss whose gradient :func:`loss_and_param_grads` writes; training
+    itself never computes it. Labels must already have passed
+    :func:`check_labels`.
+    """
+    if len(labels) == 0:
+        raise InputError("cannot evaluate loss on an empty batch")
+    with np.errstate(over="ignore"):
+        _, _, probs = forward_layers(layers, activation, inputs)
+    p_true = _true_class_prob(activation, probs, loss_labels(activation, labels))
+    return float((-np.log(np.maximum(p_true, LOG_CLAMP))).mean())
+
+
 def loss_and_param_grads(
     layers: list[tuple[np.ndarray, np.ndarray]],
     activation: OutputActivation,
     inputs: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient w.r.t. the flat values.
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Gradient of a batch's mean cross-entropy w.r.t. the flat values.
 
-    ``layers`` come from :func:`unpack_layers`; ``inputs`` is a float64
-    (n, d) array and ``labels`` must already have passed
-    :func:`check_labels`.
+    Writes each layer's weight and bias gradient into ``grad_layers``, the
+    :func:`unpack_layers` views of one gradient vector that the caller
+    allocates once, so the vector then holds the whole gradient. No loss
+    value is computed (see :func:`cross_entropy`). ``inputs`` is a float64
+    (n, d) array and ``labels`` are the batch's :func:`loss_labels`. The
+    caller silences the sigmoid's ``exp`` overflow.
     """
     if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
     activations, pre_acts, probs = forward_layers(layers, activation, inputs)
-    p_true = _true_class_prob(activation, probs, labels)
-    losses = -np.log(np.maximum(p_true, LOG_CLAMP))
-    delta = _output_delta(activation, probs, labels, clamp=False)
-    delta[p_true < LOG_CLAMP] = 0.0
-    grad = _backward_params(layers, activations, pre_acts, delta / len(labels))
-    return float(losses.mean()), grad
+    delta = _output_delta(activation, probs, labels)
+    delta /= len(labels)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        np.matmul(activations[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = _back_through(delta, layers[i][0])
+            delta *= pre_acts[i - 1] > 0.0
 
 
 def input_gradient_batch(
@@ -294,8 +332,11 @@ def input_gradient_batch(
     check_labels(arch, labels)
     layers = unpack_layers(arch, params.values)
     activation = arch.output_activation
-    _, pre_acts, probs = forward_layers(layers, activation, inputs)
-    return input_gradient_from(layers, activation, pre_acts, probs, labels)
+    with np.errstate(over="ignore"):
+        _, pre_acts, probs = forward_layers(layers, activation, inputs)
+        return input_gradient_from(
+            layers, activation, pre_acts, probs, loss_labels(activation, labels)
+        )
 
 
 def input_gradient_from(
@@ -308,8 +349,9 @@ def input_gradient_from(
 ) -> np.ndarray:
     """Row-wise input gradient from the outputs of :func:`forward_layers`.
 
-    Labels must already have passed :func:`check_labels`; ``clamp`` is
-    passed on to :func:`_output_delta`.
+    ``probs`` is used up (the output delta is built in it); ``labels`` are
+    the rows' :func:`loss_labels`, and ``clamp`` is passed on to
+    :func:`_output_delta`.
     """
     delta = _output_delta(activation, probs, labels, clamp)
     for i in range(len(layers) - 1, -1, -1):
@@ -331,6 +373,7 @@ def adam_step(
     gradient: np.ndarray,
     step: int,
     learning_rate: float,
+    scratch: tuple[np.ndarray, np.ndarray],
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
@@ -338,13 +381,32 @@ def adam_step(
     """Standard bias-corrected Adam update of ``values``, in place.
 
     ``m`` and ``v`` are the first and second moment estimates (zeros before
-    step 1) and are updated in place; ``step`` counts from 1.
+    step 1) and are updated in place; ``step`` counts from 1. ``scratch`` is
+    two vectors of the values' size that the step overwrites. Every
+    operation is one of the textbook expressions', in their order::
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        values -= learning_rate * (m / (1 - beta1**step))
+                  / (sqrt(v / (1 - beta2**step)) + eps)
+
+    so the update has their bits.
     """
-    m[:] = beta1 * m + (1.0 - beta1) * gradient
-    v[:] = beta2 * v + (1.0 - beta2) * gradient * gradient
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    values -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    s, u = scratch
+    m *= beta1
+    np.multiply(gradient, 1.0 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.multiply(gradient, 1.0 - beta2, out=s)
+    s *= gradient
+    v += s
+    np.divide(m, 1.0 - beta1**step, out=s)
+    s *= learning_rate
+    np.divide(v, 1.0 - beta2**step, out=u)
+    np.sqrt(u, out=u)
+    u += eps
+    s /= u
+    values -= s
 
 
 # Text serialization: architecture header line, then one value per line with

@@ -69,8 +69,11 @@ class ValuationConfig:
     perm_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps1 < 0 or self.eps3 < 0:
-            raise ConfigError("eps1 and eps3 must be non-negative")
+        # Each check is written so that NaN fails it.
+        if not (0.0 <= self.eps1 < math.inf and 0.0 <= self.eps3 < math.inf):
+            raise ConfigError(
+                f"eps1 and eps3 must be non-negative and finite, got {self.eps1}, {self.eps3}"
+            )
         if not 0.0 < self.eps2 <= 1.0:
             raise ConfigError("eps2 must lie in (0, 1]")
 

@@ -29,9 +29,11 @@ from fedtrust.nn import (
     Architecture,
     ModelParams,
     OutputActivation,
+    cross_entropy,
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
+    loss_labels,
     predict_batch,
     unpack_layers,
 )
@@ -124,15 +126,17 @@ def test_criterion_2_gradient_oracle():
             y = rng.integers(0, arch.class_count, size=3)
             if _min_hidden_margin(params, x) < 1e-2:
                 continue  # keep clear of ReLU kinks, where FD is invalid
+            act = arch.output_activation
             layers = unpack_layers(arch, params.values)
-            _, grad = loss_and_param_grads(layers, arch.output_activation, x, y)
+            grad = np.empty(arch.param_count)
+            loss_and_param_grads(layers, act, x, loss_labels(act, y), unpack_layers(arch, grad))
             fd = np.empty_like(grad)
             for i in range(len(grad)):
                 plus, minus = params.values.copy(), params.values.copy()
                 plus[i] += step
                 minus[i] -= step
-                lp, _ = loss_and_param_grads(unpack_layers(arch, plus), arch.output_activation, x, y)
-                lm, _ = loss_and_param_grads(unpack_layers(arch, minus), arch.output_activation, x, y)
+                lp = cross_entropy(unpack_layers(arch, plus), act, x, y)
+                lm = cross_entropy(unpack_layers(arch, minus), act, x, y)
                 fd[i] = (lp - lm) / (2 * step)
             assert _rel_err(grad, fd) < 1e-4
             gin = input_gradient_batch(params, x[:1], y[:1])[0]
@@ -141,8 +145,8 @@ def test_criterion_2_gradient_oracle():
                 plus, minus = x[0].copy(), x[0].copy()
                 plus[i] += step
                 minus[i] -= step
-                lp, _ = loss_and_param_grads(layers, arch.output_activation, plus[None], y[:1])
-                lm, _ = loss_and_param_grads(layers, arch.output_activation, minus[None], y[:1])
+                lp = cross_entropy(layers, act, plus[None], y[:1])
+                lm = cross_entropy(layers, act, minus[None], y[:1])
                 fd_in[i] = (lp - lm) / (2 * step)
             assert _rel_err(gin, fd_in) < 1e-4
             checked += 1

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.errors import ConfigError, InputError
-from fedtrust.nn import Architecture, ModelParams, OutputActivation, loss_and_param_grads, predict_batch, unpack_layers
+from fedtrust.nn import Architecture, ModelParams, OutputActivation, cross_entropy, predict_batch, unpack_layers
 
 
 def batch_loss(params, x, y):
     """Mean cross-entropy of a model on the batch (x, y)."""
     arch = params.architecture
-    loss, _ = loss_and_param_grads(unpack_layers(arch, params.values), arch.output_activation, x, y)
-    return loss
+    return cross_entropy(unpack_layers(arch, params.values), arch.output_activation, x, y)
 
 
 def linear_binary_model(w, b=0.0):

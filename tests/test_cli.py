@@ -23,8 +23,13 @@ experiment.master_seed = 11
 
 
 def write_smoke_config(tmp_path, out_dir, extra=""):
+    """SMOKE plus the output directory; each line of ``extra`` replaces its key's line."""
+    lines = SMOKE.strip().splitlines() + [f"experiment.output_dir = {out_dir}"]
+    for line in extra.splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines = [ln for ln in lines if ln.split("=", 1)[0].strip() != key] + [line]
     path = tmp_path / "config.txt"
-    path.write_text(SMOKE + f"experiment.output_dir = {out_dir}\n" + extra)
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -86,6 +91,13 @@ class TestRun:
         bad.write_text("data.n = lots\n")
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(SMOKE + f"experiment.output_dir = {tmp_path / 'out'}\nexperiment.folds = 2\n")
+        assert main(["run", str(config)]) == 2
+        assert "'experiment.folds' repeated (first set on line 9)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

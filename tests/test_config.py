@@ -1,9 +1,39 @@
-import pytest
+import dataclasses
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedtrust import config
+from fedtrust.attacks import AttackSpec
 from fedtrust.config import ExperimentConfig, TruncationRule, parse_config_file, parse_config_text
-from fedtrust.data import PartitionMode
+from fedtrust.data import PartitionMode, PartitionSpec
 from fedtrust.errors import ConfigError
-from fedtrust.valuation import Scheme
+from fedtrust.federation import TrainingConfig
+from fedtrust.metrics import NoiseSpec
+from fedtrust.valuation import Scheme, ValuationConfig
+
+
+def float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+# every config class a caller may build in code, with the arguments it needs
+# besides its floats
+CONFIG_CLASSES = [
+    (ExperimentConfig, {}),
+    (TrainingConfig, {}),
+    (AttackSpec, {}),
+    (NoiseSpec, {}),
+    (ValuationConfig, {}),
+    (PartitionSpec, {"mode": PartitionMode.DIRICHLET, "client_count": 4}),
+]
+FLOAT_FIELDS = [
+    pytest.param(cls, kwargs, name, id=f"{cls.__name__}.{name}")
+    for cls, kwargs in CONFIG_CLASSES
+    for name in float_fields(cls)
+]
 
 
 class TestDefaults:
@@ -89,6 +119,12 @@ class TestParser:
         with pytest.raises(ConfigError, match=rf":2: bad value for '{key}'.*finite"):
             parse_config_text(f"data.n = 100\n{key} = {value}\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r":3: config key 'data\.n' repeated \(first set on line 1\)"):
+            parse_config_text("data.n = 100\ndata.d = 3\ndata.n = 200\n")
+        with pytest.raises(ConfigError, match=r":2: .*'metrics\.sigma' repeated"):
+            parse_config_text("metrics.sigma = 0.1\nmetrics.sigma = 0.1\n")
+
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
         assert cfg.truncation_rule is TruncationRule.PREFIX_DISTANCE
@@ -104,3 +140,42 @@ class TestParser:
         path.write_text("training.rounds = 4\nmetrics.sigma = 0.05\n")
         cfg = parse_config_file(path)
         assert cfg.rounds == 4 and cfg.sigma == 0.05
+
+
+class TestCodeBuiltConfigs:
+    def test_table_covers_every_float_field(self):
+        # ExperimentConfig 10, TrainingConfig 1, AttackSpec 4, NoiseSpec 1,
+        # ValuationConfig 3, PartitionSpec 1
+        assert len(FLOAT_FIELDS) == 20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, kwargs, name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, cls, kwargs, name, value):
+        with pytest.raises(ConfigError):
+            cls(**kwargs, **{name: value})
+
+    def test_defaults_construct(self):
+        for cls, kwargs in CONFIG_CLASSES:
+            cls(**kwargs)
+
+
+ADVERSARIAL_VALUES = ["nan", "inf", "-inf", "-0", "1e308", "", "0", "1", "0.5", "-1", "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(config._KEYS)), st.sampled_from(ADVERSARIAL_VALUES)),
+        max_size=6,
+    )
+)
+def test_parsed_config_is_rejected_or_all_finite(lines):
+    # Lines may repeat a key. Parsing only: no run starts.
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    assert len({key for key, _ in lines}) == len(lines)
+    for name in float_fields(ExperimentConfig):
+        assert math.isfinite(getattr(cfg, name))

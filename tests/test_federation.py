@@ -22,9 +22,9 @@ from fedtrust.nn import (
     Architecture,
     ModelParams,
     OutputActivation,
+    cross_entropy,
     init_params,
     load_params,
-    loss_and_param_grads,
     predict_batch,
     unpack_layers,
 )
@@ -33,8 +33,7 @@ from fedtrust.nn import (
 def batch_loss(params, x, y):
     """Mean cross-entropy of a model on the batch (x, y)."""
     arch = params.architecture
-    loss, _ = loss_and_param_grads(unpack_layers(arch, params.values), arch.output_activation, x, y)
-    return loss
+    return cross_entropy(unpack_layers(arch, params.values), arch.output_activation, x, y)
 
 
 def make_update(client_id, values, count=10, round_idx=1, arch=None):

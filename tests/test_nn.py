@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtrust import nn
+from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.data import Dataset
 from fedtrust.errors import ConfigError, InputError, NumericError
 from fedtrust.federation import TrainingConfig, local_train
@@ -14,9 +16,11 @@ from fedtrust.nn import (
     ModelParams,
     OutputActivation,
     adam_step,
+    cross_entropy,
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
+    loss_labels,
     predict_batch,
     sgd_step,
     unpack_layers,
@@ -24,11 +28,19 @@ from fedtrust.nn import (
 
 
 def loss_and_grad(params, x, y):
-    """``loss_and_param_grads`` of a model on the batch (x, y)."""
+    """Mean cross-entropy of a model on the batch (x, y), and its gradient."""
     arch = params.architecture
-    return loss_and_param_grads(
-        unpack_layers(arch, params.values), arch.output_activation, x, np.asarray(y)
-    )
+    layers = unpack_layers(arch, params.values)
+    y = np.asarray(y)
+    grad = np.empty(arch.param_count)
+    labels = loss_labels(arch.output_activation, y)
+    loss_and_param_grads(layers, arch.output_activation, x, labels, unpack_layers(arch, grad))
+    return cross_entropy(layers, arch.output_activation, x, y), grad
+
+
+def scratch(arch):
+    """The two scratch vectors ``adam_step`` overwrites."""
+    return np.empty(arch.param_count), np.empty(arch.param_count)
 
 
 def central_diff_param_grad(params, x, y, step=1e-4):
@@ -157,6 +169,37 @@ class TestPredict:
         with pytest.raises(InputError):
             predict_batch(params, [[0.1, 0.2]])
 
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["negative", "too_large"])
+    @pytest.mark.parametrize("act", list(OutputActivation))
+    def test_labels_outside_the_classes_rejected(self, act, bad):
+        arch = Architecture((2, 2 if act is OutputActivation.SOFTMAX else 1), act)
+        params = init_params(arch, 0)
+        x, y = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, bad])
+        with pytest.raises(InputError, match="label out of range"):
+            input_gradient_batch(params, x, y)
+        with pytest.raises(InputError, match="label out of range"):
+            pgd_batch(params, x, y, AttackSpec())
+
+
+@pytest.mark.parametrize("act", list(OutputActivation))
+def test_saturated_logits_warn_nowhere(act):
+    # Logits of +-1000 overflow the sigmoid's exp and saturate softmax; each
+    # entry point silences what it must, and nothing else warns.
+    weights = [1000.0, -1000.0] if act is OutputActivation.SIGMOID else [0.0, 1000.0, 0.0, -1000.0]
+    arch = Architecture((2, len(weights) // 2), act)
+    params = ModelParams(arch, np.array([*weights, *[0.0] * (len(weights) // 2)]))
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.2], [0.1, 0.8]])
+    y = np.array([1, 0, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predict_batch(params, x).tolist() == [1, 0, 1, 0]
+        assert np.isfinite(input_gradient_batch(params, x, y)).all()
+        adv = pgd_batch(params, x, predict_batch(params, x), AttackSpec(0.3, 0.1, 5))
+        assert np.isfinite(adv).all()
+        data = Dataset(x, y, np.zeros(4, bool), 2)
+        update = local_train(params, data, TrainingConfig(local_epochs=2, batch_size=3), 1, 0)
+        assert np.isfinite(update.params.values).all()
+
 
 class TestLoss:
     def test_zero_params_softmax_is_log2(self):
@@ -261,8 +304,10 @@ class TestOptimizers:
         arch = Architecture((2, 2))
         params = init_params(arch, 0)
 
-        def nan_gradient(layers, activation, inputs, labels):
-            return 0.0, np.full(arch.param_count, np.nan)
+        def nan_gradient(layers, activation, inputs, labels, grad_layers):
+            for gw, gb in grad_layers:
+                gw[...] = np.nan
+                gb[...] = np.nan
 
         monkeypatch.setattr(nn, "loss_and_param_grads", nan_gradient)
         data = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3, bool), 2)
@@ -275,7 +320,7 @@ class TestOptimizers:
         arch = Architecture((2, 2))
         values, m, v = (np.zeros(arch.param_count) for _ in range(3))
         g = np.array([0.5, -2.0, 1e-3, 3.0, -0.2, 0.7])
-        adam_step(values, m, v, g, 1, learning_rate=0.01)
+        adam_step(values, m, v, g, 1, 0.01, scratch(arch))
         expected = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(values, expected, atol=1e-12)
         assert np.allclose(m, 0.1 * g, rtol=1e-12) and np.allclose(v, 0.001 * g * g, rtol=1e-12)
@@ -285,7 +330,7 @@ class TestOptimizers:
         start = init_params(arch, 4).values
         values, m, v = start.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
         for step in range(1, 4):
-            adam_step(values, m, v, np.zeros(arch.param_count), step, 0.1)
+            adam_step(values, m, v, np.zeros(arch.param_count), step, 0.1, scratch(arch))
             assert np.array_equal(values, start)
 
     def test_adam_deterministic(self):
@@ -295,7 +340,7 @@ class TestOptimizers:
         runs = []
         for _ in range(2):
             values, m, v = params.values.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
-            adam_step(values, m, v, g, 1, 0.01)
+            adam_step(values, m, v, g, 1, 0.01, scratch(arch))
             runs.append((values, m, v))
         (a1, m1, v1), (a2, m2, v2) = runs
         assert np.array_equal(a1, a2)

@@ -26,7 +26,6 @@ from fedtrust.nn import (
     Architecture,
     ModelParams,
     OutputActivation,
-    forward_layers,
     init_params,
     input_gradient_batch,
     predict_batch,
@@ -254,7 +253,7 @@ def test_pgd_log_clamp_on_mislabelled_rows_matches_reference(activation, hidden_
         model = ModelParams(model.architecture, model.values * 40.0)
         x = rng.random((60, 5))
         y = rng.integers(0, model.architecture.class_count, size=60)
-        _, _, probs = forward_layers(unpack_layers(model.architecture, model.values), activation, x)
+        _, _, probs = ref_forward(model, x)
         if activation is OutputActivation.SIGMOID:
             p_true = np.where(y == 1, probs, 1.0 - probs)
         else:
@@ -338,6 +337,58 @@ def test_local_train_matches_per_step_reference(optimizer, activation, hidden_la
         got = local_train(start, data, cfg, 2, seed).params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
         assert not np.array_equal(got.values, start.values)
+
+
+def random_client(start, rng, n=37):
+    classes = start.architecture.class_count
+    return Dataset(rng.random((n, 5)), rng.integers(0, classes, size=n), np.zeros(n, bool), classes)
+
+
+def true_class_probs(model, data):
+    _, _, probs = ref_forward(model, data.features)
+    if model.architecture.output_activation is OutputActivation.SIGMOID:
+        return np.where(data.labels == 1, probs, 1.0 - probs)
+    return probs[np.arange(len(data)), data.labels]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", list(OutputActivation))
+def test_local_train_with_clamped_rows_matches_reference(optimizer, activation):
+    # Scaled-up weights saturate the outputs, so rows labelled against the
+    # model's prediction have p_true < LOG_CLAMP: their delta is zeroed.
+    cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.01, optimizer=optimizer, seed=5)
+    clamped = 0
+    for seed in range(3):
+        start, rng = random_model(seed, activation, 1)
+        start = ModelParams(start.architecture, start.values * 40.0)
+        data = random_client(start, rng)
+        clamped += int(np.count_nonzero(true_class_probs(start, data) < LOG_CLAMP))
+        got = local_train(start, data, cfg, 2, seed).params
+        assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
+    assert clamped >= 10
+
+
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("batch_size", [1, 64], ids=["one_row", "larger_than_data"])
+def test_local_train_batch_size_extremes_match_reference(activation, batch_size):
+    cfg = TrainingConfig(local_epochs=2, batch_size=batch_size, learning_rate=0.01, seed=5)
+    for seed in range(2):
+        start, rng = random_model(seed, activation, 1)
+        data = random_client(start, rng)
+        got = local_train(start, data, cfg, 2, seed).params
+        assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_local_train_ten_class_softmax_matches_reference(optimizer):
+    cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.01, optimizer=optimizer, seed=5)
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        arch = Architecture((5, 6, 10), OutputActivation.SOFTMAX)
+        start = ModelParams(arch, rng.normal(scale=0.5, size=arch.param_count))
+        data = random_client(start, rng, n=60)
+        got = local_train(start, data, cfg, 2, seed).params
+        assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
 
 
 # --- rel noise ---

@@ -13,11 +13,9 @@ The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
 A row that flips is written out on that step and marked inactive; inactive
 rows leave the working arrays only once they are at least half of them.
-The labels are put in the form the delta and the freeze test read once per
-call, and ``np.errstate`` (the sigmoid's exp overflow) is entered once
-around the step loop. Every iterate equals that of the plain loop (an
-input-gradient pass, a clipped step and a prediction pass per step), bit for
-bit.
+``np.errstate`` (the sigmoid's exp overflow) is entered once around the
+step loop. Every iterate equals that of the plain loop (an input-gradient
+pass, a clipped step and a prediction pass per step), bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .nn import (
     ModelParams,
-    OutputActivation,
     check_labels,
     forward_layers,
     input_gradient_from,
-    loss_labels,
+    predicted_classes,
     unpack_layers,
 )
 
@@ -80,14 +77,9 @@ def pgd_batch(
         raise InputError("labels must align with input rows")
     if spec.epsilon == 0.0:
         return x0.copy()
-    arch = model.architecture
-    check_labels(arch, y)
-    activation = arch.output_activation
-    sigmoid = activation is OutputActivation.SIGMOID
-    layers = unpack_layers(arch, model.values)
-    # The labels in the form the delta and the freeze test read, built once
-    # and compacted with the rows.
-    targets = loss_labels(activation, y)
+    check_labels(model.architecture, y)
+    layers = unpack_layers(model.architecture, model.values)
+    activation = model.architecture.output_activation
     x_adv = x0.copy()
     # Working arrays: rows[i] is the input row of working row i. A row that
     # flips is written to x_adv and marked inactive at once, but it stays
@@ -105,7 +97,7 @@ def pgd_batch(
             # After step 0 every active row is classified correctly, so its
             # true class has probability >= 1/C and the log clamp cannot fire.
             grad = input_gradient_from(
-                layers, activation, pre_acts, probs, targets, clamp=step == 0
+                layers, activation, pre_acts, probs, y, clamp=step == 0
             )
             np.sign(grad, out=grad)
             grad *= spec.step_size
@@ -116,12 +108,7 @@ def pgd_batch(
             if step == spec.steps - 1:
                 break
             _, pre_acts, probs = forward_layers(layers, activation, x)
-            # predicted_classes(activation, probs) != y, without its int copy;
-            # the targets are y == 1 under sigmoid and y itself under softmax
-            if sigmoid:
-                flipped = (probs > 0.5) != targets
-            else:
-                flipped = probs.argmax(axis=1) != targets
+            flipped = predicted_classes(activation, probs) != y
             if inactive:
                 flipped &= active
             if not flipped.any():
@@ -132,8 +119,8 @@ def pgd_batch(
             if inactive == rows.size:
                 return x_adv
             if 2 * inactive >= rows.size:
-                rows, x, lower, upper, targets, probs = (
-                    a[active] for a in (rows, x, lower, upper, targets, probs)
+                rows, x, lower, upper, y, probs = (
+                    rows[active], x[active], lower[active], upper[active], y[active], probs[active]
                 )
                 pre_acts = [z[active] for z in pre_acts]
                 active = np.ones(rows.size, dtype=bool)

@@ -1,7 +1,6 @@
 """Experiment configuration: defaults, file format, per-fold seed streams.
 
-Config files are flat ``section.key = value`` lines (``#`` starts a comment);
-each key may appear once.
+Config files are flat ``section.key = value`` lines (``#`` starts a comment).
 Defaults mirror the experimental protocol this artifact reproduces: K=4
 clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 (0.007, 0.3, 40) and GTG thresholds eps1=0.001, eps2=0.05, eps3=0.002.
@@ -10,13 +9,13 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
 from .attacks import AttackSpec
-from .data import CsvSchema, PartitionMode
+from .data import CsvSchema, PartitionMode, PartitionSpec
 from .errors import ConfigError
 from .federation import TrainingConfig
 from .metrics import FairnessSpec, NoiseSpec
@@ -74,11 +73,6 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
-        # A config built in code skips the file caster's finiteness check.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.data_source not in ("synthetic", "csv"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
         if self.data_source == "csv" and not self.csv_path:
@@ -99,8 +93,14 @@ class ExperimentConfig:
         self.attack_spec()
         NoiseSpec(self.sigma, 0)
         FairnessSpec(self.target_class)
+        PartitionSpec(self.partition_mode, self.clients, self.dirichlet_alpha)
+        # Each range check is written so that NaN fails it.
         if not 0.0 <= self.group_imbalance < 1.0:
             raise ConfigError("data.group_imbalance must lie in [0, 1)")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("data.test_fraction must lie in (0, 1)")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError(f"model.hidden sizes must be positive, got {self.hidden_sizes}")
 
     def training_config(self, seed: int) -> TrainingConfig:
         return TrainingConfig(
@@ -189,8 +189,6 @@ _KEYS: dict[str, tuple[str, Callable]] = {
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     overrides: dict = {}
-    # config key -> line that set it; a key may be set once
-    set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -200,11 +198,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
-        if key in set_on:
-            raise ConfigError(
-                f"{origin}:{lineno}: config key {key!r} repeated (first set on line {set_on[key]})"
-            )
-        set_on[key] = lineno
         field_name, caster = _KEYS[key]
         try:
             overrides[field_name] = caster(raw_value)

@@ -10,13 +10,13 @@ artifacts the valuation stage consumes:
 A client's local update trains one working copy of the global parameter
 vector in place (minibatch Adam or SGD) and checks it for non-finite values
 after every step; the finished vector becomes the update's immutable
-``ModelParams``. The gradient vector, Adam's moments and scratch vectors and
-the labels in the form the loss reads are built once per update; each step
-gathers its minibatch rows, has ``nn.loss_and_param_grads`` write the
-gradient into views of that vector (no loss value is computed) and updates
-the parameters in place. ``np.errstate`` is entered once around the loop.
-Client shuffling streams are derived per (seed, round, client), so a full
-training run is a pure function of its configuration.
+``ModelParams``. The gradient vector, Adam's moments and two scratch
+vectors are allocated once per update; each step gathers its minibatch
+rows, has ``nn.loss_and_param_grads`` write the gradient into views of that
+vector (no loss value is computed) and updates the parameters in place.
+``np.errstate`` is entered once around the loop. Client shuffling streams
+are derived per (seed, round, client), so a full training run is a pure
+function of its configuration.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ def local_train(
     arch = global_params.architecture
     activation = arch.output_activation
     nn.check_labels(arch, data.labels)
-    labels = nn.loss_labels(activation, data.labels)
     values = global_params.values.copy()
     layers = nn.unpack_layers(arch, values)
     grad = np.empty_like(values)
@@ -144,7 +143,7 @@ def local_train(
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 nn.loss_and_param_grads(
-                    layers, activation, data.features[idx], labels[idx], grad_layers
+                    layers, activation, data.features[idx], data.labels[idx], grad_layers
                 )
                 step += 1
                 if cfg.optimizer == "adam":

@@ -204,28 +204,13 @@ def check_labels(arch: Architecture, labels: np.ndarray) -> None:
         raise InputError(f"label out of range for {c} classes")
 
 
-def loss_labels(activation: OutputActivation, labels: np.ndarray) -> np.ndarray:
-    """Labels in the form the output delta reads, built once per label set.
-
-    Under softmax these are the class indices themselves; under sigmoid the
-    positive-class mask ``labels == 1``, which serves both as the delta's
-    0/1 target (subtracting a bool subtracts exactly 0.0 or 1.0) and as the
-    mask that picks each row's true-class probability. Callers gather or
-    slice it along with their rows, so no step converts labels again; it
-    costs one byte per row, where a float copy would cost eight. Labels must
-    already have passed :func:`check_labels`.
-    """
-    if activation is OutputActivation.SIGMOID:
-        return labels == 1
-    return labels
-
-
 def _true_class_prob(
     activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Each row's true-class probability; ``labels`` from :func:`loss_labels`."""
+    """Each row's true-class probability; ``labels`` passed :func:`check_labels`."""
     if activation is OutputActivation.SOFTMAX:
         return probs[np.arange(len(labels)), labels]
+    # sigmoid labels are 0 or 1, so a label is its own positive-class mask
     return np.where(labels, probs, 1.0 - probs)
 
 
@@ -238,12 +223,13 @@ def _output_delta(
     """d(loss_i)/d(z_out) of each sample's cross-entropy loss, as (n, C).
 
     Built in place in ``probs``, which the caller gives up; a sigmoid's (n,)
-    column is edited as it is and returned as an (n, 1) view. ``labels``
-    are the rows' :func:`loss_labels`. Log arguments are clamped at
-    LOG_CLAMP; samples whose clamp is active get a zero delta because the
-    computed loss is locally constant there. ``clamp=False`` leaves the
-    clamp out, for a caller whose rows are all classified correctly (their
-    true class has probability at least 1/C, so it cannot fire).
+    column is edited as it is (minus its 0/1 labels) and returned as an
+    (n, 1) view. ``labels`` passed :func:`check_labels`. Log arguments are
+    clamped at LOG_CLAMP; samples whose clamp is active get a zero delta
+    because the computed loss is locally constant there. ``clamp=False``
+    leaves the clamp out, for a caller whose rows are all classified
+    correctly (their true class has probability at least 1/C, so it cannot
+    fire).
     """
     if clamp:
         clamped = _true_class_prob(activation, probs, labels) < LOG_CLAMP
@@ -283,7 +269,7 @@ def cross_entropy(
         raise InputError("cannot evaluate loss on an empty batch")
     with np.errstate(over="ignore"):
         _, _, probs = forward_layers(layers, activation, inputs)
-    p_true = _true_class_prob(activation, probs, loss_labels(activation, labels))
+    p_true = _true_class_prob(activation, probs, labels)
     return float((-np.log(np.maximum(p_true, LOG_CLAMP))).mean())
 
 
@@ -300,8 +286,8 @@ def loss_and_param_grads(
     :func:`unpack_layers` views of one gradient vector that the caller
     allocates once, so the vector then holds the whole gradient. No loss
     value is computed (see :func:`cross_entropy`). ``inputs`` is a float64
-    (n, d) array and ``labels`` are the batch's :func:`loss_labels`. The
-    caller silences the sigmoid's ``exp`` overflow.
+    (n, d) array and ``labels`` passed :func:`check_labels`. The caller
+    silences the sigmoid's ``exp`` overflow.
     """
     if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
@@ -334,9 +320,7 @@ def input_gradient_batch(
     activation = arch.output_activation
     with np.errstate(over="ignore"):
         _, pre_acts, probs = forward_layers(layers, activation, inputs)
-        return input_gradient_from(
-            layers, activation, pre_acts, probs, loss_labels(activation, labels)
-        )
+        return input_gradient_from(layers, activation, pre_acts, probs, labels)
 
 
 def input_gradient_from(
@@ -349,8 +333,8 @@ def input_gradient_from(
 ) -> np.ndarray:
     """Row-wise input gradient from the outputs of :func:`forward_layers`.
 
-    ``probs`` is used up (the output delta is built in it); ``labels`` are
-    the rows' :func:`loss_labels`, and ``clamp`` is passed on to
+    ``probs`` is used up (the output delta is built in it); ``labels``
+    passed :func:`check_labels`, and ``clamp`` is passed on to
     :func:`_output_delta`.
     """
     delta = _output_delta(activation, probs, labels, clamp)

@@ -33,7 +33,6 @@ from fedtrust.nn import (
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
-    loss_labels,
     predict_batch,
     unpack_layers,
 )
@@ -129,7 +128,7 @@ def test_criterion_2_gradient_oracle():
             act = arch.output_activation
             layers = unpack_layers(arch, params.values)
             grad = np.empty(arch.param_count)
-            loss_and_param_grads(layers, act, x, loss_labels(act, y), unpack_layers(arch, grad))
+            loss_and_param_grads(layers, act, x, y, unpack_layers(arch, grad))
             fd = np.empty_like(grad)
             for i in range(len(grad)):
                 plus, minus = params.values.copy(), params.values.copy()

@@ -92,12 +92,12 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_repeated_key_is_config_error(self, tmp_path, capsys):
-        config = tmp_path / "config.txt"
-        config.write_text(SMOKE + f"experiment.output_dir = {tmp_path / 'out'}\nexperiment.folds = 2\n")
+    def test_bad_test_fraction_fails_before_any_fold(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, "data.test_fraction = 2\n")
         assert main(["run", str(config)]) == 2
-        assert "'experiment.folds' repeated (first set on line 9)" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "test_fraction must lie in (0, 1)" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

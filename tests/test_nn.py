@@ -20,7 +20,6 @@ from fedtrust.nn import (
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
-    loss_labels,
     predict_batch,
     sgd_step,
     unpack_layers,
@@ -33,8 +32,7 @@ def loss_and_grad(params, x, y):
     layers = unpack_layers(arch, params.values)
     y = np.asarray(y)
     grad = np.empty(arch.param_count)
-    labels = loss_labels(arch.output_activation, y)
-    loss_and_param_grads(layers, arch.output_activation, x, labels, unpack_layers(arch, grad))
+    loss_and_param_grads(layers, arch.output_activation, x, y, unpack_layers(arch, grad))
     return cross_entropy(layers, arch.output_activation, x, y), grad
 
 

@@ -86,15 +86,10 @@ class RoundRecord:
             raise ConfigError("duplicate client ids in round record")
         object.__setattr__(self, "updates", tuple(self.updates))
 
-    # Valuation reads these on every utility request; the record is
-    # immutable, so each is built once on first access.
+    # The record is immutable, so the ids are built once on first access.
     @cached_property
     def client_ids(self) -> tuple[int, ...]:
         return tuple(u.client_id for u in self.updates)
-
-    @cached_property
-    def client_id_set(self) -> frozenset[int]:
-        return frozenset(self.client_ids)
 
     def update_for(self, client_id: int) -> ClientUpdate:
         for u in self.updates:

@@ -14,9 +14,14 @@ aggregates each (round, coalition) once, runs one clean forward pass on the
 aggregate and hands that prediction to every metric it evaluates there.
 ``rel`` adds one forward pass on the noisy test inputs, which depend only on
 the noise spec and the test set, so :class:`EvalContext` builds them once,
-that is once per fold, and keeps them read-only. ``res`` attacks the
-correctly classified samples with PGD, which runs one forward pass per
-iterate (see :mod:`fedtrust.attacks`), and predicts on the result.
+that is once per fold, and keeps them read-only. ``res`` first certifies
+the correctly classified samples that no PGD iterate can flip
+(:func:`fedtrust.attacks.certified_rows`, a linear bound on each row's
+margin); their adversarial prediction is their label. Only the other rows
+are attacked with PGD, which runs one forward pass per iterate (see
+:mod:`fedtrust.attacks`), and predicted on the result. ``res`` then scores
+the same full-length arrays as with every row attacked, so it has the same
+bits.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .attacks import AttackSpec, pgd_batch
+from .attacks import AttackSpec, certified_rows, pgd_batch
 from .data import Dataset
 from .errors import ConfigError, InputError, MetricUndefinedError
 from .nn import ModelParams, predict_batch
@@ -148,6 +153,12 @@ def evaluate(model: ModelParams, metric: Metric, ctx: EvalContext, clean: np.nda
         raise MetricUndefinedError(
             "res is undefined: no test sample is correctly classified"
         )
-    labels = test.labels[correct]
-    adversarial = pgd_batch(model, test.features[correct], labels, ctx.attack)
-    return res(labels, predict_batch(model, adversarial))
+    inputs, labels = test.features[correct], test.labels[correct]
+    # A certified row keeps its label at every point PGD can reach, so only
+    # the other rows are attacked; res sees the same full-length arrays.
+    adversarial = labels.copy()
+    open_rows = ~certified_rows(model, inputs, labels, ctx.attack)
+    if open_rows.any():
+        attacked = pgd_batch(model, inputs[open_rows], labels[open_rows], ctx.attack)
+        adversarial[open_rows] = predict_batch(model, attacked)
+    return res(labels, adversarial)

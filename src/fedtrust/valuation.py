@@ -21,6 +21,14 @@ evaluation counts are the honest cost measure of a scheme. Each round
 wrapper records the (round, coalition, metric) keys its scheme asked for in
 the cache's ``requested[scheme]``; without a cache a wrapper call uses a
 private one.
+
+The scheme cores carry coalitions as int bitmasks over the round's sorted
+client ids, and the memo is keyed by mask. The cache keeps the latest
+round's table from mask to coalition (built on first use, so GTG's K may be
+too large for a 2^K list); each request looks its mask up there and hands
+that coalition to :func:`coalition_utility`, which takes it without sorting
+or checking it again. A request the memo answers thus costs a few dict
+lookups; a subset from any other caller is sorted and checked as before.
 """
 
 from __future__ import annotations
@@ -52,7 +60,9 @@ _SUFFIX_ENUM_LIMIT = 1_000_000
 _PERMUTATION_SCAN_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
-UtilityFn = Callable[[Coalition], float]
+# A scheme core's utility game: the utility of a coalition given as a
+# bitmask over the round's sorted client ids (bit i: the i-th id is in).
+UtilityFn = Callable[[int], float]
 
 
 class Scheme(str, Enum):
@@ -78,37 +88,88 @@ class ValuationConfig:
             raise ConfigError("eps2 must lie in (0, 1]")
 
 
+class _Members(tuple):
+    """A coalition's sorted client ids; ``mask`` is its bitmask in its round."""
+
+    mask: int
+
+
+class _Coalitions(dict):
+    """One round's coalitions by bitmask, each built on first use.
+
+    Bit i stands for the i-th of the round's sorted client ids; a request
+    whose subset is one of these objects needs no sorting or checking.
+    """
+
+    def __init__(self, client_ids: Iterable[int]) -> None:
+        super().__init__()
+        self.ids = tuple(sorted(client_ids))
+        self.bits = {c: 1 << i for i, c in enumerate(self.ids)}
+
+    def __missing__(self, mask: int) -> _Members:
+        members = _Members(c for i, c in enumerate(self.ids) if mask >> i & 1)
+        members.mask = mask
+        self[mask] = members
+        return members
+
+    def of(self, subset: Iterable[int], round_idx: int) -> _Members:
+        """The coalition of any iterable of the round's client ids."""
+        ids = set(subset)
+        unknown = ids.difference(self.bits)
+        if unknown:
+            raise InputError(f"unknown clients {sorted(unknown)} in round {round_idx}")
+        return self[sum(self.bits[c] for c in ids)]
+
+
 class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
+    A fold has one record per round, so a round number names its record.
     Each (round, coalition) is aggregated and run forward on the clean test
     inputs once; the aggregate and its predictions are kept for the latest
     round only and shared by every metric. A (round, coalition, metric)
-    utility is computed on its first request: ``evaluations`` counts the
-    utilities computed, ``hits`` the requests answered from the memo and
-    ``undefined`` the computed utilities that fell back to the empty
-    coalition. ``requested[scheme]`` holds the keys the round wrappers of
-    that scheme asked for; the fallback's read of the empty coalition is
-    not a request.
+    utility is computed on its first request and memoized by the
+    coalition's bitmask: ``evaluations`` counts the utilities computed,
+    ``hits`` the requests answered from the memo and ``undefined`` the
+    computed utilities that fell back to the empty coalition.
+    ``requested[scheme]`` holds the (round, coalition, metric) keys the
+    round wrappers of that scheme asked for; the fallback's read of the
+    empty coalition is not a request.
     """
 
     def __init__(self) -> None:
-        self._store: dict[tuple[int, Coalition, Metric], float] = {}
-        self._round = 0
-        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
+        self._memo: dict[tuple[int, Metric, int], float] = {}
+        self._round: int | None = None
+        self._coalitions = _Coalitions(())
+        self._aggregates: dict[int, tuple[ModelParams, np.ndarray]] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
         self.hits = 0
         self.undefined = 0
 
+    def coalitions(self, record: RoundRecord) -> _Coalitions:
+        """The coalitions of ``record``'s round; a new round replaces them."""
+        if record.round != self._round:
+            self._round = record.round
+            self._coalitions = _Coalitions(record.client_ids)
+            self._aggregates = {}
+        return self._coalitions
+
     def utility(
-        self, record: RoundRecord, ids: Coalition, metric: Metric, ctx: EvalContext
+        self, record: RoundRecord, subset: Iterable[int], metric: Metric, ctx: EvalContext
     ) -> float:
-        key = (record.round, ids, metric)
-        if key in self._store:
+        # A GTG round of 8 clients makes about 16k requests per metric, so a
+        # request for one of the round's own coalitions is answered inline.
+        coalitions = self._coalitions if record.round == self._round else self.coalitions(record)
+        members = subset
+        if members.__class__ is not _Members or coalitions.get(members.mask) is not members:
+            members = coalitions.of(subset, record.round)
+        key = (record.round, metric, members.mask)
+        value = self._memo.get(key)
+        if value is not None:
             self.hits += 1
-            return self._store[key]
-        model, clean = self._aggregate(record, ids, ctx)
+            return value
+        model, clean = self._aggregate(record, members, ctx)
         try:
             value = evaluate(model, metric, ctx, clean)
         except MetricUndefinedError as exc:
@@ -117,28 +178,26 @@ class CoalitionCache:
             logger.warning(
                 "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
                 record.round,
-                ids,
+                tuple(members),
                 metric.value,
                 exc,
             )
             self.undefined += 1
-            value = self.utility(record, (), metric, ctx) if ids else 0.0
+            value = self.utility(record, (), metric, ctx) if members else 0.0
         self.evaluations += 1
-        self._store[key] = value
+        self._memo[key] = value
         return value
 
     def _aggregate(
-        self, record: RoundRecord, ids: Coalition, ctx: EvalContext
+        self, record: RoundRecord, members: _Members, ctx: EvalContext
     ) -> tuple[ModelParams, np.ndarray]:
-        if record.round != self._round:
-            self._round, self._aggregates = record.round, {}
-        if ids not in self._aggregates:
-            model = fedavg(record.global_before, [record.update_for(k) for k in ids])
-            self._aggregates[ids] = (model, predict_batch(model, ctx.test.features))
-        return self._aggregates[ids]
+        if members.mask not in self._aggregates:
+            model = fedavg(record.global_before, [record.update_for(k) for k in members])
+            self._aggregates[members.mask] = (model, predict_batch(model, ctx.test.features))
+        return self._aggregates[members.mask]
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._memo)
 
 
 def coalition_utility(
@@ -152,15 +211,14 @@ def coalition_utility(
 
     Metric-undefined coalitions fall back to the empty-coalition utility
     (with a logged warning). Without a ``cache`` a private one serves this
-    call.
+    call. A subset handed out by the cache's round table (the scheme cores'
+    requests) is taken as it is; any other is sorted and checked.
     """
-    ids: Coalition = tuple(sorted(set(subset)))
-    if not record.client_id_set.issuperset(ids):
-        unknown = set(ids) - record.client_id_set
-        raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
     if cache is None:
         cache = CoalitionCache()
-    return cache.utility(record, ids, Metric(metric), ctx)
+    if metric.__class__ is not Metric:
+        metric = Metric(metric)
+    return cache.utility(record, subset, metric, ctx)
 
 
 def _utility_fn(
@@ -170,23 +228,34 @@ def _utility_fn(
     cache: CoalitionCache | None,
     scheme: Scheme,
 ) -> UtilityFn:
-    """The round's utility game, recording each request as ``scheme``'s.
+    """The round's utility game over bitmasks, recording each request as
+    ``scheme``'s.
 
-    The scheme cores ask for sorted tuples, so a request's key is already
-    the canonical coalition that :func:`coalition_utility` memoizes.
+    Each mask is looked up in the cache's table of the round's coalitions,
+    and that object enters :func:`coalition_utility`, so a request costs a
+    few dict lookups.
     """
     if cache is None:
         cache = CoalitionCache()
+    coalitions = cache.coalitions(record)
     requested = cache.requested.setdefault(scheme.value, set())
+    seen: set[int] = set()
 
-    def u(ids: Coalition) -> float:
-        requested.add((record.round, ids, metric))
-        return coalition_utility(record, ids, metric, ctx, cache)
+    def u(mask: int) -> float:
+        members = coalitions[mask]
+        if mask not in seen:
+            seen.add(mask)
+            requested.add((record.round, members, metric))
+        return coalition_utility(record, members, metric, ctx, cache)
 
     return u
 
 
 # --- scheme cores over an abstract utility function ---
+#
+# Each core carries coalitions as bitmasks over its sorted ``clients`` (see
+# ``UtilityFn``): the coalition of the first i clients of a permutation is
+# one OR per step, and a memo keyed by mask answers a repeated request.
 
 
 def exact_shapley_values(clients: Sequence[int], u: UtilityFn) -> dict[int, float]:
@@ -200,14 +269,15 @@ def exact_shapley_values(clients: Sequence[int], u: UtilityFn) -> dict[int, floa
     k = len(clients)
     fact = [math.factorial(i) for i in range(k + 1)]
     weights = [fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)]
+    bits = [1 << i for i in range(k)]
     values: dict[int, float] = {}
-    for client in clients:
-        others = tuple(c for c in clients if c != client)
+    for i, client in enumerate(clients):
+        others = bits[:i] + bits[i + 1 :]
         total = 0.0
         for size in range(k):
             for combo in combinations(others, size):
-                with_c = tuple(sorted(combo + (client,)))
-                total += weights[size] * (u(with_c) - u(combo))
+                without = sum(combo)
+                total += weights[size] * (u(without | bits[i]) - u(without))
         values[client] = total
     return values
 
@@ -215,10 +285,9 @@ def exact_shapley_values(clients: Sequence[int], u: UtilityFn) -> dict[int, floa
 def loo_values(clients: Sequence[int], u: UtilityFn) -> dict[int, float]:
     """Leave-one-out: utility of everyone minus utility without the client."""
     clients = tuple(sorted(clients))
-    full = u(clients)
-    return {
-        c: full - u(tuple(x for x in clients if x != c)) for c in clients
-    }
+    everyone = (1 << len(clients)) - 1
+    full = u(everyone)
+    return {c: full - u(everyone ^ 1 << i) for i, c in enumerate(clients)}
 
 
 def permutation_budget(client_count: int, eps2: float) -> int:
@@ -281,19 +350,20 @@ def gtg_shapley_values(
 ) -> dict[int, float]:
     """GTG-approximate Shapley values for one round's utility game."""
     clients = tuple(sorted(clients))
-    v_empty = u(())
-    v_full = u(clients)
+    bits = {c: 1 << i for i, c in enumerate(clients)}
+    v_empty = u(0)
+    v_full = u((1 << len(clients)) - 1)
     if abs(v_full - v_empty) < vcfg.eps1:
         return {c: 0.0 for c in clients}
     budget = permutation_budget(len(clients), vcfg.eps2)
     sums = {c: 0.0 for c in clients}
     for perm in gtg_permutations(clients, budget, round_idx, vcfg):
-        prefix: Coalition = ()
+        prefix = 0
         v_prefix = v_empty
         for client in perm:
             if abs(v_full - v_prefix) < vcfg.eps3:
                 break
-            prefix = tuple(sorted(prefix + (client,)))
+            prefix |= bits[client]
             v_next = u(prefix)
             sums[client] += v_next - v_prefix
             v_prefix = v_next

@@ -15,8 +15,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fedtrust import valuation
-from fedtrust.attacks import AttackSpec, pgd_batch
+from fedtrust import metrics, valuation
+from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
 from fedtrust.errors import MetricUndefinedError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
@@ -285,11 +285,11 @@ def test_pgd_flip_timing_extremes_match_reference(margins, flip_step):
     assert np.array_equal(pgd_batch(model, x, y, spec), ref_pgd(model, x, y, spec))
 
 
-def trained_setup(seed=2, rounds=3):
+def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivation.SIGMOID)):
     data = generate_synthetic(500, 8, 0.3, seed=seed)
     train, test = train_test_split(data, 0.2, seed=seed)
     parts = partition(train, PartitionSpec(PartitionMode.DIRICHLET, 4, 0.5, seed=seed))
-    init = init_params(Architecture((8, 16, 1), OutputActivation.SIGMOID), seed)
+    init = init_params(arch, seed)
     records = run_training(init, parts, TrainingConfig(rounds=rounds, learning_rate=0.01, seed=seed))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
     return records, ctx
@@ -460,3 +460,67 @@ def test_undefined_metric_fallback_matches_reference(metric):
     # where the aggregate gets nothing right
     expected = {Metric.FAIR: 4, Metric.RES: 1}.get(metric, 0)
     assert cache.undefined == expected
+
+
+# --- res with certified rows ---
+
+RES_ARCHITECTURES = {
+    "sigmoid": Architecture((8, 16, 1), OutputActivation.SIGMOID),
+    "softmax": Architecture((8, 16, 2), OutputActivation.SOFTMAX),
+    "two_hidden": Architecture((8, 16, 16, 1), OutputActivation.SIGMOID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RES_ARCHITECTURES))
+def test_res_matches_reference_on_every_coalition_aggregate(name):
+    records, ctx = trained_setup(arch=RES_ARCHITECTURES[name])
+    test = ctx.test
+    certified = attacked = 0
+    for record in records:
+        for ids in all_coalitions(record.client_ids):
+            model = fedavg(record.global_before, [record.update_for(k) for k in ids])
+            clean = predict_batch(model, test.features)
+            assert evaluate(model, Metric.RES, ctx, clean) == ref_evaluate(model, Metric.RES, ctx)
+            correct = clean == test.labels
+            rows = certified_rows(model, test.features[correct], test.labels[correct], ctx.attack)
+            certified += int(rows.sum())
+            attacked += int(correct.sum())
+    # the aggregates hold certified rows and attacked ones
+    assert 0 < certified < attacked
+
+
+def counting_pgd(monkeypatch):
+    """Replace the attack ``evaluate`` runs by one that records its row counts."""
+    rows = []
+
+    def counted(model, inputs, labels, spec):
+        rows.append(len(labels))
+        return pgd_batch(model, inputs, labels, spec)
+
+    monkeypatch.setattr(metrics, "pgd_batch", counted)
+    return rows
+
+
+def test_res_with_every_row_certified_runs_no_attack(monkeypatch):
+    record, ctx = fallback_round()
+    model = record.global_before  # logit -10 on every row, all labels 0
+    test = ctx.test
+    assert certified_rows(model, test.features, test.labels, ctx.attack).all()
+    rows = counting_pgd(monkeypatch)
+    clean = predict_batch(model, test.features)
+    assert evaluate(model, Metric.RES, ctx, clean) == ref_evaluate(model, Metric.RES, ctx) == 1.0
+    assert rows == []
+
+
+def test_res_with_no_row_certified_attacks_every_row(monkeypatch):
+    # margins of 0.001 to 0.099 against a reach of 0.05 per coordinate: on
+    # this linear model the bound is exact, and PGD flips every row
+    model, x, y = linear_sigmoid_rows(np.linspace(0.001, 0.099, 30))
+    test = Dataset(x, y, np.arange(30) % 2 == 0, 2)
+    ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 1), AttackSpec(0.3, 0.01, 5))
+    assert not certified_rows(model, x, y, ctx.attack).any()
+    rows = counting_pgd(monkeypatch)
+    clean = predict_batch(model, x)
+    value = evaluate(model, Metric.RES, ctx, clean)
+    assert value == ref_evaluate(model, Metric.RES, ctx) == 0.0
+    assert rows == [30]

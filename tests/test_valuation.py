@@ -45,16 +45,23 @@ def additive_game(costs):
     return lambda ids: sum(costs[c] for c in ids)
 
 
+def on_masks(clients, u):
+    """The game ``u`` over client-id tuples, asked by bitmask over the sorted
+    ``clients`` as the scheme cores ask."""
+    ids = sorted(clients)
+    return lambda mask: u(tuple(c for i, c in enumerate(ids) if mask >> i & 1))
+
+
 class TestExactCore:
     def test_two_client_hand_oracle(self):
         # enumerating both orderings by hand gives (0.35, 0.15)
-        sv = exact_shapley_values((1, 2), game(TWO_CLIENT_GAME))
+        sv = exact_shapley_values((1, 2), on_masks((1, 2), game(TWO_CLIENT_GAME)))
         assert sv[1] == pytest.approx(0.35, abs=1e-15)
         assert sv[2] == pytest.approx(0.15, abs=1e-15)
 
     def test_additive_game_recovers_costs(self):
         costs = {0: 0.4, 1: -0.1, 2: 0.25, 3: 0.0}
-        sv = exact_shapley_values(range(4), additive_game(costs))
+        sv = exact_shapley_values(range(4), on_masks(range(4), additive_game(costs)))
         for c, value in costs.items():
             assert sv[c] == pytest.approx(value, abs=1e-12)
 
@@ -65,7 +72,7 @@ class TestExactCore:
             for r in range(5)
             for s in all_perms(range(4), r)
         }
-        sv = exact_shapley_values(range(4), game(table))
+        sv = exact_shapley_values(range(4), on_masks(range(4), game(table)))
         assert sum(sv.values()) == pytest.approx(
             table[(0, 1, 2, 3)] - table[()], abs=1e-12
         )
@@ -73,7 +80,7 @@ class TestExactCore:
     def test_symmetry_of_interchangeable_clients(self):
         # utility depends only on coalition size: all clients symmetric
         u = lambda ids: float(len(ids)) ** 0.5
-        sv = exact_shapley_values(range(4), u)
+        sv = exact_shapley_values(range(4), on_masks(range(4), u))
         assert max(sv.values()) - min(sv.values()) < 1e-12
 
     def test_dummy_client(self):
@@ -83,7 +90,7 @@ class TestExactCore:
         def u(ids):
             return base[tuple(sorted(set(ids) - {9}))]
 
-        sv = exact_shapley_values((1, 2, 9), u)
+        sv = exact_shapley_values((1, 2, 9), on_masks((1, 2, 9), u))
         assert abs(sv[9]) < 1e-12
 
 
@@ -91,27 +98,27 @@ def test_all_schemes_rank_additive_game_identically():
     # value agreement is not expected across schemes, rank agreement is
     costs = {0: 0.4, 1: -0.1, 2: 0.25, 3: 0.05}
     u = additive_game(costs)
-    sv = exact_shapley_values(range(4), u)
-    gtg = gtg_shapley_values(range(4), u, 2, ValuationConfig(eps1=0.0, eps2=1.0, eps3=0.0))
-    loo = loo_values(range(4), u)
+    sv = exact_shapley_values(range(4), on_masks(range(4), u))
+    gtg = gtg_shapley_values(range(4), on_masks(range(4), u), 2, ValuationConfig(eps1=0.0, eps2=1.0, eps3=0.0))
+    loo = loo_values(range(4), on_masks(range(4), u))
     rank = lambda scores: sorted(scores, key=scores.get)
     assert rank(sv) == rank(gtg) == rank(loo) == [1, 3, 2, 0]
 
 
 class TestLooCore:
     def test_two_client_hand_oracle(self):
-        loo = loo_values((1, 2), game(TWO_CLIENT_GAME))
+        loo = loo_values((1, 2), on_masks((1, 2), game(TWO_CLIENT_GAME)))
         assert loo[1] == pytest.approx(0.4, abs=1e-15)
         assert loo[2] == pytest.approx(0.2, abs=1e-15)
 
     def test_no_efficiency_on_toy(self):
-        loo = loo_values((1, 2), game(TWO_CLIENT_GAME))
+        loo = loo_values((1, 2), on_masks((1, 2), game(TWO_CLIENT_GAME)))
         assert sum(loo.values()) == pytest.approx(0.6, abs=1e-15)
         assert sum(loo.values()) != pytest.approx(0.5, abs=1e-12)
 
     def test_additive_game(self):
         costs = {0: 0.4, 1: -0.1, 2: 0.25}
-        loo = loo_values(range(3), additive_game(costs))
+        loo = loo_values(range(3), on_masks(range(3), additive_game(costs)))
         for c, value in costs.items():
             assert loo[c] == pytest.approx(value, abs=1e-12)
 
@@ -146,14 +153,14 @@ class TestGtgCore:
             for s in all_perms(range(4), r)
         }
         vcfg = ValuationConfig(eps1=0.0, eps2=1.0, eps3=0.0)
-        gtg = gtg_shapley_values(range(4), game(table), 2, vcfg)
-        sv = exact_shapley_values(range(4), game(table))
+        gtg = gtg_shapley_values(range(4), on_masks(range(4), game(table)), 2, vcfg)
+        sv = exact_shapley_values(range(4), on_masks(range(4), game(table)))
         for c in range(4):
             assert gtg[c] == pytest.approx(sv[c], abs=1e-12)
 
     def test_round_skip_zeroes_everything(self):
         vcfg = ValuationConfig(eps1=1.5, eps2=1.0, eps3=0.0)  # eps1 > any gap
-        gtg = gtg_shapley_values((1, 2), game(TWO_CLIENT_GAME), 2, vcfg)
+        gtg = gtg_shapley_values((1, 2), on_masks((1, 2), game(TWO_CLIENT_GAME)), 2, vcfg)
         assert gtg == {1: 0.0, 2: 0.0}
 
     def test_prefix_truncation_saves_evaluations(self):
@@ -166,7 +173,7 @@ class TestGtgCore:
             return 0.0 if not ids else 1.0
 
         vcfg = ValuationConfig(eps1=0.0, eps2=0.05, eps3=0.01)
-        gtg = gtg_shapley_values(range(4), u, 2, vcfg)
+        gtg = gtg_shapley_values(range(4), on_masks(range(4), u), 2, vcfg)
         evaluated = set(calls)
         assert all(len(ids) <= 1 for ids in evaluated - {(0, 1, 2, 3)})
         # each permutation credits its lead with the whole jump

@@ -40,6 +40,7 @@ from .nn import (
     check_labels,
     forward_layers,
     input_gradient_from,
+    input_rows,
     predicted_classes,
     unpack_layers,
 )
@@ -89,13 +90,8 @@ def _rows(
     model: ModelParams, inputs: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``inputs`` as float64 rows of the model's width, ``labels`` aligned."""
-    x0 = np.asarray(inputs, dtype=np.float64)
+    x0 = input_rows(model, inputs)
     y = np.asarray(labels, dtype=np.int64)
-    if x0.ndim != 2 or x0.shape[1] != model.architecture.input_dim:
-        raise InputError(
-            f"inputs shape {x0.shape} does not match feature dim "
-            f"{model.architecture.input_dim}"
-        )
     if y.shape != (x0.shape[0],):
         raise InputError("labels must align with input rows")
     return x0, y

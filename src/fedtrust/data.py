@@ -113,16 +113,14 @@ def generate_synthetic(
 class CsvSchema:
     """Column roles for :func:`load_csv`.
 
-    ``feature_columns=None`` means every non-label, non-sensitive column is a
-    feature. Feature columns whose cells all parse as floats are min-max
-    normalized; any other column is one-hot expanded over its sorted distinct
-    values.
+    Every non-label, non-sensitive column is a feature. Feature columns
+    whose cells all parse as floats are min-max normalized; any other column
+    is one-hot expanded over its sorted distinct values.
     """
 
     label: str
     sensitive: str
     positive_sensitive_value: str
-    feature_columns: tuple[str, ...] | None = None
 
 
 def normalize_minmax(column: np.ndarray) -> np.ndarray:
@@ -158,16 +156,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     for role, name in (("label", schema.label), ("sensitive", schema.sensitive)):
         if name not in col_index:
             raise SchemaError(f"{path}: declared {role} column {name!r} not in header")
-    feature_names = (
-        list(schema.feature_columns)
-        if schema.feature_columns is not None
-        else [c for c in header if c not in (schema.label, schema.sensitive)]
-    )
+    feature_names = [c for c in header if c not in (schema.label, schema.sensitive)]
     if not feature_names:
         raise SchemaError(f"{path}: schema declares no feature columns")
-    for name in feature_names:
-        if name not in col_index:
-            raise SchemaError(f"{path}: declared feature column {name!r} not in header")
 
     def cell(row_i: int, name: str) -> str:
         value = body[row_i][col_index[name]].strip()

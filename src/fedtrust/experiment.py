@@ -13,7 +13,9 @@ the remaining folds; if every fold fails, the run raises the first fold's
 error class, so it exits with that fold's code. A rerun into the same
 directory first removes the score files of every fold_<f> there, including
 folds past this run's count, and drops a stale failures.json, so
-``analyze`` reads no scores an earlier run left; checkpoints stay.
+``analyze`` reads no scores an earlier run left. Each fold this run writes
+also drops its round_<t> checkpoints past ``training.rounds``; the
+checkpoints of folds past this run's count stay.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import shutil
 from pathlib import Path
 
 from . import nn
@@ -77,6 +80,10 @@ def run_fold(
 ) -> ScoreTable:
     """Run one repetition and persist every stage into ``fold_dir``."""
     fold_dir = Path(fold_dir)
+    for stale in fold_dir.glob("round_*"):
+        match = re.fullmatch(r"round_(\d+)", stale.name)
+        if match and int(match[1]) > cfg.rounds:
+            shutil.rmtree(stale)
     fold_seed = cfg.fold_seed(fold)
     data = _fold_dataset(cfg, fold_seed, source)
     train, test = train_test_split(data, cfg.test_fraction, derive_seed(fold_seed, "split"))

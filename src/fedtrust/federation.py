@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
+from .atomic import atomic_open
 from .data import Dataset
 from .errors import ConfigError, InputError, NumericError
 from .nn import ModelParams
@@ -104,19 +105,12 @@ def local_train(
     cfg: TrainingConfig,
     round_idx: int,
     client_id: int,
-    shuffle_seed: int | None = None,
 ) -> ClientUpdate:
-    """Mini-batch local optimization starting from the global model.
-
-    ``shuffle_seed`` overrides the derived (seed, round, client) stream; two
-    clients given the same override and the same data produce identical
-    updates.
-    """
+    """Mini-batch local optimization starting from the global model, shuffled
+    by the client's (seed, round, client) stream."""
     if len(data) == 0:
         raise InputError(f"client {client_id} has no training data")
-    if shuffle_seed is None:
-        shuffle_seed = derive_seed(cfg.seed, "local", round_idx, client_id)
-    rng = np.random.default_rng(shuffle_seed)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, client_id))
     arch = global_params.architecture
     activation = arch.output_activation
     nn.check_labels(arch, data.labels)
@@ -212,7 +206,7 @@ class RunWriter:
             "aggregation": "fedavg",
             "weighting": "sample_count",
         }
-        with open(round_dir / "meta.json", "w", encoding="utf-8") as fh:
+        with atomic_open(round_dir / "meta.json") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 

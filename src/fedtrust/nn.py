@@ -30,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, InputError, NumericError
 
 LOG_CLAMP = 1e-12
@@ -184,14 +185,20 @@ def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.nda
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
-def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Predicted class index per row; argmax ties resolve to the lowest index."""
+def input_rows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as float64 (n, d) rows of the model's input width."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.architecture.input_dim:
         raise InputError(
             f"inputs shape {inputs.shape} does not match feature dim "
             f"{params.architecture.input_dim}"
         )
+    return inputs
+
+
+def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Predicted class index per row; argmax ties resolve to the lowest index."""
+    inputs = input_rows(params, inputs)
     with np.errstate(over="ignore"):
         _, _, probs = _forward(params, inputs)
     return predicted_classes(params.architecture.output_activation, probs)
@@ -307,13 +314,8 @@ def input_gradient_batch(
     params: ModelParams, inputs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Row-wise gradient of each sample's own loss w.r.t. its input vector."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = input_rows(params, inputs)
     labels = np.asarray(labels, dtype=np.int64)
-    if inputs.ndim != 2 or inputs.shape[1] != params.architecture.input_dim:
-        raise InputError(
-            f"inputs shape {inputs.shape} does not match feature dim "
-            f"{params.architecture.input_dim}"
-        )
     arch = params.architecture
     check_labels(arch, labels)
     layers = unpack_layers(arch, params.values)
@@ -424,7 +426,7 @@ def loads_params(text: str) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write(dumps_params(params))
 
 

@@ -19,16 +19,16 @@ its clean test predictions across the four metrics; utilities are memoized
 per (round, coalition, metric) and computed only when a scheme asks, so
 evaluation counts are the honest cost measure of a scheme. Each round
 wrapper records the (round, coalition, metric) keys its scheme asked for in
-the cache's ``requested[scheme]``; without a cache a wrapper call uses a
-private one.
+the cache's ``requested[scheme]``.
 
 The scheme cores carry coalitions as int bitmasks over the round's sorted
-client ids, and the memo is keyed by mask. The cache keeps the latest
-round's table from mask to coalition (built on first use, so GTG's K may be
-too large for a 2^K list); each request looks its mask up there and hands
-that coalition to :func:`coalition_utility`, which takes it without sorting
-or checking it again. A request the memo answers thus costs a few dict
-lookups; a subset from any other caller is sorted and checked as before.
+client ids; everywhere else a coalition is the sorted tuple of its ids. A
+round wrapper maps each mask to its tuple through the cache's table of the
+round's coalitions (one dict, built on first use, so GTG's K may be too
+large for a 2^K list), and the memo is keyed by that tuple. The cache looks
+a subset up as given, so a repeated request costs one dict lookup; a subset
+the memo does not know is sorted and checked before it is looked up again
+or computed.
 """
 
 from __future__ import annotations
@@ -88,70 +88,40 @@ class ValuationConfig:
             raise ConfigError("eps2 must lie in (0, 1]")
 
 
-class _Members(tuple):
-    """A coalition's sorted client ids; ``mask`` is its bitmask in its round."""
-
-    mask: int
-
-
-class _Coalitions(dict):
-    """One round's coalitions by bitmask, each built on first use.
-
-    Bit i stands for the i-th of the round's sorted client ids; a request
-    whose subset is one of these objects needs no sorting or checking.
-    """
-
-    def __init__(self, client_ids: Iterable[int]) -> None:
-        super().__init__()
-        self.ids = tuple(sorted(client_ids))
-        self.bits = {c: 1 << i for i, c in enumerate(self.ids)}
-
-    def __missing__(self, mask: int) -> _Members:
-        members = _Members(c for i, c in enumerate(self.ids) if mask >> i & 1)
-        members.mask = mask
-        self[mask] = members
-        return members
-
-    def of(self, subset: Iterable[int], round_idx: int) -> _Members:
-        """The coalition of any iterable of the round's client ids."""
-        ids = set(subset)
-        unknown = ids.difference(self.bits)
-        if unknown:
-            raise InputError(f"unknown clients {sorted(unknown)} in round {round_idx}")
-        return self[sum(self.bits[c] for c in ids)]
-
-
 class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
     A fold has one record per round, so a round number names its record.
-    Each (round, coalition) is aggregated and run forward on the clean test
-    inputs once; the aggregate and its predictions are kept for the latest
-    round only and shared by every metric. A (round, coalition, metric)
-    utility is computed on its first request and memoized by the
-    coalition's bitmask: ``evaluations`` counts the utilities computed,
-    ``hits`` the requests answered from the memo and ``undefined`` the
-    computed utilities that fell back to the empty coalition.
-    ``requested[scheme]`` holds the (round, coalition, metric) keys the
-    round wrappers of that scheme asked for; the fallback's read of the
-    empty coalition is not a request.
+    A coalition is the sorted tuple of its client ids. Each (round,
+    coalition) is aggregated and run forward on the clean test inputs once;
+    the aggregate and its predictions are kept for the latest round only and
+    shared by every metric, beside that round's table from bitmask to
+    coalition (see :meth:`coalitions`). A (round, coalition, metric) utility
+    is computed on its first request and memoized: ``evaluations`` counts
+    the utilities computed, ``hits`` the requests answered from the memo and
+    ``undefined`` the computed utilities that fell back to the empty
+    coalition. ``requested[scheme]`` holds the (round, coalition, metric)
+    keys the round wrappers of that scheme asked for; the fallback's read of
+    the empty coalition is not a request.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[int, Metric, int], float] = {}
+        self._memo: dict[tuple[int, Metric, Coalition], float] = {}
         self._round: int | None = None
-        self._coalitions = _Coalitions(())
-        self._aggregates: dict[int, tuple[ModelParams, np.ndarray]] = {}
+        self._coalitions: dict[int, Coalition] = {}
+        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
         self.hits = 0
         self.undefined = 0
 
-    def coalitions(self, record: RoundRecord) -> _Coalitions:
-        """The coalitions of ``record``'s round; a new round replaces them."""
+    def coalitions(self, record: RoundRecord) -> dict[int, Coalition]:
+        """The table from bitmask to coalition of ``record``'s round, which
+        :func:`_utility_fn` fills; a new round starts an empty one, so the
+        round's metrics and schemes share one tuple per coalition."""
         if record.round != self._round:
             self._round = record.round
-            self._coalitions = _Coalitions(record.client_ids)
+            self._coalitions = {}
             self._aggregates = {}
         return self._coalitions
 
@@ -159,12 +129,22 @@ class CoalitionCache:
         self, record: RoundRecord, subset: Iterable[int], metric: Metric, ctx: EvalContext
     ) -> float:
         # A GTG round of 8 clients makes about 16k requests per metric, so a
-        # request for one of the round's own coalitions is answered inline.
-        coalitions = self._coalitions if record.round == self._round else self.coalitions(record)
-        members = subset
-        if members.__class__ is not _Members or coalitions.get(members.mask) is not members:
-            members = coalitions.of(subset, record.round)
-        key = (record.round, metric, members.mask)
+        # subset is first looked up as given: a repeated request for a sorted
+        # tuple costs one dict lookup. Only a subset the memo does not know
+        # is sorted and checked.
+        try:
+            value = self._memo.get((record.round, metric, subset))
+        except TypeError:  # an unhashable subset, such as a list
+            value = None
+        if value is not None:
+            self.hits += 1
+            return value
+        ids = set(subset)
+        unknown = ids.difference(record.client_ids)
+        if unknown:
+            raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
+        members = tuple(sorted(map(int, ids)))
+        key = (record.round, metric, members)
         value = self._memo.get(key)
         if value is not None:
             self.hits += 1
@@ -178,7 +158,7 @@ class CoalitionCache:
             logger.warning(
                 "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
                 record.round,
-                tuple(members),
+                members,
                 metric.value,
                 exc,
             )
@@ -189,12 +169,13 @@ class CoalitionCache:
         return value
 
     def _aggregate(
-        self, record: RoundRecord, members: _Members, ctx: EvalContext
+        self, record: RoundRecord, members: Coalition, ctx: EvalContext
     ) -> tuple[ModelParams, np.ndarray]:
-        if members.mask not in self._aggregates:
+        self.coalitions(record)  # a new round drops the previous round's aggregates
+        if members not in self._aggregates:
             model = fedavg(record.global_before, [record.update_for(k) for k in members])
-            self._aggregates[members.mask] = (model, predict_batch(model, ctx.test.features))
-        return self._aggregates[members.mask]
+            self._aggregates[members] = (model, predict_batch(model, ctx.test.features))
+        return self._aggregates[members]
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -205,17 +186,15 @@ def coalition_utility(
     subset: Iterable[int],
     metric: Metric,
     ctx: EvalContext,
-    cache: CoalitionCache | None = None,
+    cache: CoalitionCache,
 ) -> float:
     """Metric value of the coalition's aggregate on the round's base model.
 
     Metric-undefined coalitions fall back to the empty-coalition utility
-    (with a logged warning). Without a ``cache`` a private one serves this
-    call. A subset handed out by the cache's round table (the scheme cores'
-    requests) is taken as it is; any other is sorted and checked.
+    (with a logged warning). ``subset`` is any iterable of the round's
+    client ids; the cache answers a sorted tuple it has memoized at once
+    and sorts and checks any other subset first.
     """
-    if cache is None:
-        cache = CoalitionCache()
     if metric.__class__ is not Metric:
         metric = Metric(metric)
     return cache.utility(record, subset, metric, ctx)
@@ -225,24 +204,26 @@ def _utility_fn(
     record: RoundRecord,
     metric: Metric,
     ctx: EvalContext,
-    cache: CoalitionCache | None,
+    cache: CoalitionCache,
     scheme: Scheme,
 ) -> UtilityFn:
     """The round's utility game over bitmasks, recording each request as
     ``scheme``'s.
 
-    Each mask is looked up in the cache's table of the round's coalitions,
-    and that object enters :func:`coalition_utility`, so a request costs a
-    few dict lookups.
+    Each mask maps to its sorted tuple of client ids through the cache's
+    table of the round's coalitions, and that tuple enters
+    :func:`coalition_utility`, whose memo answers a repeated request.
     """
-    if cache is None:
-        cache = CoalitionCache()
+    ids = sorted(record.client_ids)
     coalitions = cache.coalitions(record)
     requested = cache.requested.setdefault(scheme.value, set())
     seen: set[int] = set()
 
     def u(mask: int) -> float:
-        members = coalitions[mask]
+        members = coalitions.get(mask)
+        if members is None:
+            members = tuple(c for i, c in enumerate(ids) if mask >> i & 1)
+            coalitions[mask] = members
         if mask not in seen:
             seen.add(mask)
             requested.add((record.round, members, metric))
@@ -377,7 +358,7 @@ def exact_shapley_round(
     record: RoundRecord,
     metric: Metric,
     ctx: EvalContext,
-    cache: CoalitionCache | None = None,
+    cache: CoalitionCache,
 ) -> dict[int, float]:
     if len(record.updates) > EXACT_CLIENT_LIMIT:
         raise ConfigError(
@@ -394,7 +375,7 @@ def gtg_shapley_round(
     metric: Metric,
     ctx: EvalContext,
     vcfg: ValuationConfig,
-    cache: CoalitionCache | None = None,
+    cache: CoalitionCache,
 ) -> dict[int, float]:
     return gtg_shapley_values(
         record.client_ids,
@@ -408,7 +389,7 @@ def loo_round(
     record: RoundRecord,
     metric: Metric,
     ctx: EvalContext,
-    cache: CoalitionCache | None = None,
+    cache: CoalitionCache,
 ) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
@@ -493,7 +474,7 @@ def score_rounds(
     metrics: Sequence[Metric],
     ctx: EvalContext,
     vcfg: ValuationConfig,
-    cache: CoalitionCache | None = None,
+    cache: CoalitionCache,
 ) -> ScoreTable:
     """Score every round (including the excluded round 1) for all schemes."""
     table = ScoreTable()

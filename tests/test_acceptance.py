@@ -191,7 +191,7 @@ def test_criterion_3_shapley_axioms():
             base.round, base.global_before, updates, fedavg(base.global_before, updates)
         )
         for metric in Metric:
-            sv = exact_shapley_round(record, metric, ctx)
+            sv = exact_shapley_round(record, metric, ctx, CoalitionCache())
             assert abs(sv[1] - sv[2]) < 1e-12
 
 

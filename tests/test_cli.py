@@ -338,3 +338,22 @@ class TestExperimentMachinery:
             assert not (out_dir / "fold_2" / name).exists()
         assert (out_dir / "fold_2" / "round_2").is_dir()
         assert analyze_run_dir(out_dir).folds == 2
+
+    def test_rerun_with_fewer_rounds_drops_the_later_rounds(self, tmp_path):
+        out_dir = tmp_path / "shorter"
+        main(["run", str(write_smoke_config(tmp_path, out_dir, "training.rounds = 4"))])
+        assert (out_dir / "fold_0" / "round_4").is_dir()
+        assert main(["run", str(write_smoke_config(tmp_path, out_dir))]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(write_smoke_config(tmp_path, fresh))]) == 0
+
+        def files(root):
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        # the rerun's fold matches a fresh two-round run file for file
+        assert files(out_dir / "fold_0") == files(fresh / "fold_0")
+        assert not (out_dir / "fold_0" / "round_3").exists()

@@ -103,13 +103,6 @@ class TestLocalTrain:
         assert np.array_equal(update.params.values, init.values)
         assert update.sample_count == len(parts[0])
 
-    def test_identical_data_and_seed_override_identical_updates(self):
-        init, parts = small_setup()
-        cfg = TrainingConfig(rounds=2, local_epochs=1, seed=1)
-        a = local_train(init, parts[0], cfg, 1, 0, shuffle_seed=77)
-        b = local_train(init, parts[0], cfg, 2, 1, shuffle_seed=77)
-        assert np.array_equal(a.params.values, b.params.values)
-
     def test_descent_on_separable_toy(self):
         rng = np.random.default_rng(5)
         x = np.vstack([rng.random((40, 2)) * 0.3, rng.random((40, 2)) * 0.3 + 0.7])

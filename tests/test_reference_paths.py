@@ -455,7 +455,7 @@ def test_undefined_metric_fallback_matches_reference(metric):
     for ids in [(0,), (0, 1), (), (1,)]:
         got = coalition_utility(record, ids, metric, ctx, cache)
         assert got == ref_coalition_utility(record, ids, metric, ctx)
-        assert coalition_utility(record, ids, metric, ctx) == got
+        assert coalition_utility(record, ids, metric, ctx, CoalitionCache()) == got
     # fair is undefined on a one-sided test set for every coalition; res only
     # where the aggregate gets nothing right
     expected = {Metric.FAIR: 4, Metric.RES: 1}.get(metric, 0)

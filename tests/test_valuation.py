@@ -202,7 +202,7 @@ class TestCoalitionUtility:
         record = records[1]
         from fedtrust.metrics import perf
 
-        value = coalition_utility(record, (), Metric.PERF, ctx)
+        value = coalition_utility(record, (), Metric.PERF, ctx, CoalitionCache())
         assert value == perf(predict_batch(record.global_before, ctx.test.features), ctx.test)
 
     def test_full_subset_is_new_global(self):
@@ -210,7 +210,7 @@ class TestCoalitionUtility:
         record = records[1]
         from fedtrust.metrics import perf
 
-        value = coalition_utility(record, record.client_ids, Metric.PERF, ctx)
+        value = coalition_utility(record, record.client_ids, Metric.PERF, ctx, CoalitionCache())
         assert value == perf(predict_batch(record.global_after, ctx.test.features), ctx.test)
 
     def test_cache_hit_is_bit_identical(self):
@@ -221,10 +221,34 @@ class TestCoalitionUtility:
         assert first == again
         assert cache.evaluations == 1 and cache.hits == 1
 
+    @pytest.mark.parametrize(
+        "subset",
+        [[2, 0], (2, 0), (0, 2, 0), (np.int64(0), np.int64(2))],
+        ids=["list", "unsorted", "repeated", "np-int64"],
+    )
+    def test_any_form_of_a_subset_is_its_sorted_tuple(self, subset):
+        records, ctx = trained_records()
+        record = records[1]
+        expected = coalition_utility(record, (0, 2), Metric.REL, ctx, CoalitionCache())
+        cache = CoalitionCache()
+        assert coalition_utility(record, subset, Metric.REL, ctx, cache) == expected
+        assert (cache.evaluations, cache.hits) == (1, 0)
+        # once memoized, every request is a hit and computes nothing
+        for ids in (subset, subset, (0, 2)):
+            assert coalition_utility(record, ids, Metric.REL, ctx, cache) == expected
+        assert (cache.evaluations, cache.hits) == (1, 3)
+        # a warm memo still checks what it does not know
+        for unknown in ((0, 9), [9, 2], (2, 0, 9)):
+            with pytest.raises(InputError, match=r"unknown clients \[9\] in round 2"):
+                coalition_utility(record, unknown, Metric.REL, ctx, cache)
+        assert (cache.evaluations, cache.hits) == (1, 3)
+        loo_round(record, Metric.REL, ctx, cache)
+        assert all(type(ids) is tuple for _, ids, _ in cache.requested["loo"])
+
     def test_unknown_client_rejected(self):
         records, ctx = trained_records()
         with pytest.raises(InputError):
-            coalition_utility(records[0], (0, 9), Metric.PERF, ctx)
+            coalition_utility(records[0], (0, 9), Metric.PERF, ctx, CoalitionCache())
 
     def test_metric_undefined_falls_back_to_empty_utility(self, caplog):
         # client 0 predicts everything wrong, so res is undefined for the
@@ -245,7 +269,7 @@ class TestCoalitionUtility:
         )
         ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 1), AttackSpec(0.1, 0.02, 3))
         with caplog.at_level(logging.WARNING, logger="fedtrust.valuation"):
-            value = coalition_utility(record, (0,), Metric.RES, ctx)
+            value = coalition_utility(record, (0,), Metric.RES, ctx, CoalitionCache())
         assert value == evaluate(always_zero, Metric.RES, ctx, predict_batch(always_zero, test.features))
         assert any("undefined" in message for message in caplog.messages)
         # the fallback's read of the empty coalition is computed, not requested
@@ -263,11 +287,13 @@ class TestRoundWrappers:
         record = RoundRecord(1, params, updates, params)
         ctx = None  # never reached
         with pytest.raises(ConfigError, match="gtg"):
-            exact_shapley_round(record, Metric.PERF, ctx)
+            exact_shapley_round(record, Metric.PERF, ctx, CoalitionCache())
 
     def test_gtg_round_one_needs_no_prev(self):
         records, ctx = trained_records()
-        scores = gtg_shapley_round(records[0], Metric.PERF, ctx, ValuationConfig())
+        scores = gtg_shapley_round(
+            records[0], Metric.PERF, ctx, ValuationConfig(), CoalitionCache()
+        )
         assert set(scores) == {0, 1, 2, 3}
 
     def test_exact_efficiency_on_real_round(self):
@@ -287,9 +313,9 @@ class TestRoundWrappers:
         updates = tuple(ClientUpdate(i, 1, clone, 20) for i in range(4))
         record = RoundRecord(1, base.global_before, updates, clone)
         for metric in (Metric.PERF, Metric.FAIR):
-            sv = exact_shapley_round(record, metric, ctx)
+            sv = exact_shapley_round(record, metric, ctx, CoalitionCache())
             assert max(sv.values()) - min(sv.values()) < 1e-12
-            loo = loo_round(record, metric, ctx)
+            loo = loo_round(record, metric, ctx, CoalitionCache())
             assert all(abs(v) < 1e-12 for v in loo.values())
 
     def test_gtg_requests_fewer_coalitions_than_exact_under_shared_cache(self):
@@ -314,7 +340,7 @@ class TestRoundWrappers:
 
         monkeypatch.setattr(valuation, "rng_from", counting_rng_from)
         gtg_permutations.cache_clear()
-        score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg)
+        score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, CoalitionCache())
         # each round's four metrics share one sample of `budget` shuffles
         budget = permutation_budget(4, vcfg.eps2)
         assert streams == [("perm", t, r) for t in (1, 2, 3) for r in range(budget)]
@@ -325,7 +351,17 @@ class TestRoundWrappers:
         with_cache = score_rounds(
             records, list(Scheme), list(Metric), ctx, vcfg, CoalitionCache()
         )
-        without_cache = score_rounds(records, list(Scheme), list(Metric), ctx, vcfg, None)
+        # a fresh cache per wrapper call shares nothing between calls
+        without_cache = ScoreTable()
+        for record in records:
+            for metric in Metric:
+                rounds = {
+                    Scheme.EXACT: exact_shapley_round(record, metric, ctx, CoalitionCache()),
+                    Scheme.GTG: gtg_shapley_round(record, metric, ctx, vcfg, CoalitionCache()),
+                    Scheme.LOO: loo_round(record, metric, ctx, CoalitionCache()),
+                }
+                for scheme, scores in rounds.items():
+                    without_cache.add_round_scores(scheme, metric, record.round, scores)
         assert with_cache.entries == without_cache.entries
 
 
@@ -370,7 +406,9 @@ class TestAccumulate:
 
     def test_matches_independent_resummation_over_ten_rounds(self):
         records, ctx = trained_records(rounds=10)
-        table = score_rounds(records, [Scheme.LOO], [Metric.PERF], ctx, ValuationConfig())
+        table = score_rounds(
+            records, [Scheme.LOO], [Metric.PERF], ctx, ValuationConfig(), CoalitionCache()
+        )
         totals = accumulate(table, 10)
         for client in table.clients():
             oracle = sum(table.value("loo", "perf", client, t) for t in range(2, 11))

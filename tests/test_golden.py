@@ -1,5 +1,9 @@
 """Golden sha256 digests of every output file of the shipped configs.
 
+One more config pins a net the shipped configs do not build: the smoke keys
+with a softmax output over two hidden layers, on enough data, clients,
+rounds and PGD steps that the attack flips rows (see ``VARIANTS``).
+
 Each fold's scores.csv, scores_total.csv and valuation_meta.json are pinned,
 and so are the run's report.json, report.csv and heatmap.csv. Each fold's
 training checkpoints are pinned by one digest over every round_<t>/* file:
@@ -21,6 +25,24 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FOLD_FILES = ("scores.csv", "scores_total.csv", "valuation_meta.json")
 RUN_FILES = ("report.json", "report.csv", "heatmap.csv")
+
+# Configs that are not files: a shipped config's keys with some replaced.
+VARIANTS = {
+    "smoke_softmax_8_8": (
+        "smoke",
+        dict(
+            output_activation="softmax",
+            hidden_sizes=(8, 8),
+            synthetic_n=300,
+            clients=3,
+            rounds=3,
+            learning_rate=0.01,
+            attack_steps=10,
+            attack_step_size=0.03,
+            folds=2,
+        ),
+    ),
+}
 
 # Per fold: the digests of FOLD_FILES in order; then RUN_FILES in order;
 # then one checkpoint digest per fold (see checkpoint_digest).
@@ -83,7 +105,35 @@ GOLDEN = {
             "fa188f45513cf5b4b9640524555b73354450e48ede4c9eed4d05a251eb1a6d29",
         ],
     },
+    "smoke_softmax_8_8": {
+        "folds": [
+            (
+                "7534be8d4962297729d74db1fc0c5a597ec596df5b3579bef652b279a8f4a244",
+                "212b6475a6f43873944e9a122b72c6d5fdfda1ebe12db73ddbcc2e49a6279468",
+                "58694dc5c7bf640e9a0d5fff5ab17159cc03c863af1e9b20704678bf55309635",
+            ),
+            (
+                "693a307dc758a3401fc13c360c58e809bf6f1396c3319c4d66984149bf25012a",
+                "b80a904eed79f063c5bf3efd8b0ca91bc83cfa1c9eb2bea7efe4e94e882d545c",
+                "335160bd467d252f97210b2a6c11b95394080cd2248670ac74e221098c63a5e5",
+            ),
+        ],
+        "run": (
+            "1591d5621752256eb84f892914bbe56fb6d26c000f5c05846c0e478371b20108",
+            "28a1679804360778995ae04fb717d8f8a5d76bb27ed1ee05e417971e3036072b",
+            "9c9afb691afc1060c98ce982fedd1fa1d50b1c0fdb1271ee459ec9696ab87d29",
+        ),
+        "checkpoints": [
+            "c4dd37315fc08fb48fafb2753fd52cd691f828aa794591b24eb5b36df2ea5f59",
+            "f73df46f029367dc4f43c9edef9898a808fd83ae77d04c841145a8879e6f9a2c",
+        ],
+    },
 }
+
+
+def golden_config(name: str):
+    base, keys = VARIANTS.get(name, (name, {}))
+    return dataclasses.replace(parse_config_file(CONFIGS / f"{base}.txt"), **keys)
 
 
 def digest(path: Path) -> str:
@@ -101,8 +151,8 @@ def checkpoint_digest(fold_dir: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_scores_digests(name, tmp_path):
-    cfg = parse_config_file(CONFIGS / f"{name}.txt")
-    run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    cfg = dataclasses.replace(golden_config(name), output_dir=str(tmp_path))
+    run_experiment(cfg)
     folds = [
         tuple(digest(tmp_path / f"fold_{f}" / file) for file in FOLD_FILES)
         for f in range(cfg.folds)

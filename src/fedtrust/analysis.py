@@ -218,6 +218,10 @@ def build_report(tables: Sequence[ScoreTable], last_round: int) -> AnalysisRepor
     )
 
 
+# The files write_report writes into the run directory.
+REPORT_FILES = ("report.json", "report.csv", "heatmap.csv")
+
+
 def write_report(report: AnalysisReport, out_dir) -> None:
     """Emit report.json, report.csv (vs-perf table) and heatmap.csv."""
     out_dir = Path(out_dir)

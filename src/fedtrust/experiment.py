@@ -12,10 +12,11 @@ A failing fold is recorded in <output_dir>/failures.json and does not stop
 the remaining folds; if every fold fails, the run raises the first fold's
 error class, so it exits with that fold's code. A rerun into the same
 directory first removes the score files of every fold_<f> there, including
-folds past this run's count, and drops a stale failures.json, so
-``analyze`` reads no scores an earlier run left. Each fold this run writes
-also drops its round_<t> checkpoints past ``training.rounds``; the
-checkpoints of folds past this run's count stay.
+folds past this run's count, and the run's report files, and drops a stale
+failures.json, so neither ``analyze`` nor a reader of a failed rerun finds
+scores or a report an earlier run left. Each fold this run trains first
+drops all of its round_<t> checkpoints, so a fold that fails keeps only the
+rounds it reached; the checkpoints of folds past this run's count stay.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import shutil
 from pathlib import Path
 
 from . import nn
-from .analysis import AnalysisReport, build_report, write_report
+from .analysis import REPORT_FILES, AnalysisReport, build_report, write_report
 from .atomic import atomic_open
 from .config import ExperimentConfig
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
@@ -81,8 +82,7 @@ def run_fold(
     """Run one repetition and persist every stage into ``fold_dir``."""
     fold_dir = Path(fold_dir)
     for stale in fold_dir.glob("round_*"):
-        match = re.fullmatch(r"round_(\d+)", stale.name)
-        if match and int(match[1]) > cfg.rounds:
+        if re.fullmatch(r"round_\d+", stale.name):
             shutil.rmtree(stale)
     fold_seed = cfg.fold_seed(fold)
     data = _fold_dataset(cfg, fold_seed, source)
@@ -142,6 +142,8 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
     for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
         for stale in out_dir.glob(f"fold_*/{name}"):
             stale.unlink()
+    for name in REPORT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
     first_error: FedTrustError | None = None

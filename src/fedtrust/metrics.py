@@ -8,20 +8,27 @@ input noise (accuracy-independent by construction: it compares predictions
 with predictions, never with labels), and ``res`` is one minus the
 adversarial attack success rate on the correctly classified test samples.
 
-:func:`evaluate` is the one function here that runs a model. Its caller
-passes the model's clean predictions on the test set: the valuation stage
-aggregates each (round, coalition) once, runs one clean forward pass on the
-aggregate and hands that prediction to every metric it evaluates there.
-``rel`` adds one forward pass on the noisy test inputs, which depend only on
-the noise spec and the test set, so :class:`EvalContext` builds them once,
-that is once per fold, and keeps them read-only. ``res`` first certifies
-the correctly classified samples that no PGD iterate can flip
+:func:`evaluate` and :func:`adversarial_predictions` are the functions here
+that run a model. The caller of :func:`evaluate` passes the model's clean
+predictions on the test set: the valuation stage aggregates each (round,
+coalition) once, runs one clean forward pass on the aggregate and hands
+that prediction to every metric it evaluates there. ``rel`` adds one
+forward pass on the noisy test inputs, which depend only on the noise spec
+and the test set, so :class:`EvalContext` builds them once, that is once
+per fold, and keeps them read-only.
+
+``res`` scores a model's adversarial predictions on its correctly
+classified samples. :func:`adversarial_predictions` makes them for many
+models at once: it first certifies the rows that no PGD iterate can flip
 (:func:`fedtrust.attacks.certified_rows`, a linear bound on each row's
-margin); their adversarial prediction is their label. Only the other rows
-are attacked with PGD, which runs one forward pass per iterate (see
-:mod:`fedtrust.attacks`), and predicted on the result. ``res`` then scores
-the same full-length arrays as with every row attacked, so it has the same
-bits.
+margin), whose adversarial prediction is their label, and then attacks the
+other rows of all the models in PGD groups of about ``ATTACK_GROUP_ROWS``
+rows (:func:`fedtrust.attacks.pgd_predictions`), which return each row's
+class at its final iterate. The valuation stage calls it ahead of the
+``res`` requests of a round and hands each model's predictions to
+:func:`evaluate`; without them, :func:`evaluate` attacks the model as a
+group of one. ``res`` then scores the same full-length arrays as with every
+row attacked on its own, so it has the same bits.
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, certified_rows, pgd_batch
+from .attacks import AttackSpec, certified_rows, pgd_predictions
 from .data import Dataset
 from .errors import ConfigError, InputError, MetricUndefinedError
 from .nn import ModelParams, predict_batch
 from .seeding import rng_from
+
+
+# Rows of open (uncertified) res samples that one PGD loop attacks at most,
+# unless one model has more. A step's cost is mostly per-call overhead up to
+# a few hundred rows; on the default config's res work, groups of 512 rows
+# took 1.17x the time of 1,024, and 2,048 was no faster, with larger arrays.
+ATTACK_GROUP_ROWS = 1024
 
 
 class Metric(str, Enum):
@@ -138,8 +153,70 @@ class EvalContext:
         return noisy
 
 
-def evaluate(model: ModelParams, metric: Metric, ctx: EvalContext, clean: np.ndarray) -> float:
-    """One metric of ``model``; ``clean`` is its prediction on ``ctx.test``."""
+def adversarial_predictions(
+    models: Sequence[ModelParams], cleans: Sequence[np.ndarray], ctx: EvalContext
+) -> list[np.ndarray | None]:
+    """Each model's predictions on the adversarial inputs of ``res``.
+
+    ``cleans[j]`` is model ``j``'s prediction on ``ctx.test``. The result
+    for a model holds one class per test sample it classifies correctly, in
+    test order, or is None when it classifies none. A certified row keeps
+    its label at every point PGD can reach; the other rows of all the
+    models are attacked together, in groups of at most ``ATTACK_GROUP_ROWS``
+    rows unless one model has more.
+    """
+    test, spec = ctx.test, ctx.attack
+    results: list[np.ndarray | None] = []
+    # per model of the group: the model, its result, its open rows, and their
+    # inputs and labels
+    group: list[tuple[ModelParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    group_rows = 0
+
+    def attack() -> None:
+        models, targets, open_rows, inputs, labels = zip(*group)
+        counts = [len(y) for y in labels]
+        verdicts = pgd_predictions(
+            models, np.concatenate(inputs), np.concatenate(labels), counts, spec
+        )
+        for target, rows, part in zip(targets, open_rows, np.split(verdicts, np.cumsum(counts))):
+            target[rows] = part
+        group.clear()
+
+    for model, clean in zip(models, cleans):
+        correct = clean == test.labels
+        if not correct.any():
+            results.append(None)
+            continue
+        inputs, labels = test.features[correct], test.labels[correct]
+        adversarial = labels.copy()
+        results.append(adversarial)
+        open_rows = ~certified_rows(model, inputs, labels, spec)
+        rows = int(np.count_nonzero(open_rows))
+        if not rows:
+            continue
+        if group and group_rows + rows > ATTACK_GROUP_ROWS:
+            attack()
+            group_rows = 0
+        group.append((model, adversarial, open_rows, inputs[open_rows], labels[open_rows]))
+        group_rows += rows
+    if group:
+        attack()
+    return results
+
+
+def evaluate(
+    model: ModelParams,
+    metric: Metric,
+    ctx: EvalContext,
+    clean: np.ndarray,
+    adversarial: np.ndarray | None = None,
+) -> float:
+    """One metric of ``model``; ``clean`` is its prediction on ``ctx.test``.
+
+    ``adversarial`` is the model's :func:`adversarial_predictions`, which
+    only ``res`` reads; when it is None, ``res`` makes them with a group of
+    one model.
+    """
     metric = Metric(metric)
     test = ctx.test
     if metric is Metric.PERF:
@@ -153,12 +230,6 @@ def evaluate(model: ModelParams, metric: Metric, ctx: EvalContext, clean: np.nda
         raise MetricUndefinedError(
             "res is undefined: no test sample is correctly classified"
         )
-    inputs, labels = test.features[correct], test.labels[correct]
-    # A certified row keeps its label at every point PGD can reach, so only
-    # the other rows are attacked; res sees the same full-length arrays.
-    adversarial = labels.copy()
-    open_rows = ~certified_rows(model, inputs, labels, ctx.attack)
-    if open_rows.any():
-        attacked = pgd_batch(model, inputs[open_rows], labels[open_rows], ctx.attack)
-        adversarial[open_rows] = predict_batch(model, attacked)
-    return res(labels, adversarial)
+    if adversarial is None:
+        (adversarial,) = adversarial_predictions([model], [clean], ctx)
+    return res(test.labels[correct], adversarial)

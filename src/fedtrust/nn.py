@@ -156,9 +156,16 @@ def forward_layers(
         if i < last:
             a = np.maximum(z, 0.0)
             activations.append(a)
-    # The probabilities are built in one fresh buffer, in place; the
-    # operations and their order are those of the textbook formulas.
-    z_out = pre_acts[-1]
+    return activations, pre_acts, output_probs(activation, pre_acts[-1])
+
+
+def output_probs(activation: OutputActivation, z_out: np.ndarray) -> np.ndarray:
+    """Output probabilities from the last layer's (n, C) pre-activations.
+
+    (n, C) rows for softmax, an (n,) positive-class column for sigmoid. They
+    are built in one fresh buffer, in place; the operations and their order
+    are those of the textbook formulas.
+    """
     if activation is OutputActivation.SOFTMAX:
         probs = z_out - z_out.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
@@ -168,7 +175,7 @@ def forward_layers(
         np.exp(probs, out=probs)
         probs += 1.0
         np.divide(1.0, probs, out=probs)
-    return activations, pre_acts, probs
+    return probs
 
 
 def _forward(
@@ -221,7 +228,7 @@ def _true_class_prob(
     return np.where(labels, probs, 1.0 - probs)
 
 
-def _output_delta(
+def output_delta(
     activation: OutputActivation,
     probs: np.ndarray,
     labels: np.ndarray,
@@ -299,7 +306,7 @@ def loss_and_param_grads(
     if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
     activations, pre_acts, probs = forward_layers(layers, activation, inputs)
-    delta = _output_delta(activation, probs, labels)
+    delta = output_delta(activation, probs, labels)
     delta /= len(labels)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
@@ -322,24 +329,7 @@ def input_gradient_batch(
     activation = arch.output_activation
     with np.errstate(over="ignore"):
         _, pre_acts, probs = forward_layers(layers, activation, inputs)
-        return input_gradient_from(layers, activation, pre_acts, probs, labels)
-
-
-def input_gradient_from(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activation: OutputActivation,
-    pre_acts: list[np.ndarray],
-    probs: np.ndarray,
-    labels: np.ndarray,
-    clamp: bool = True,
-) -> np.ndarray:
-    """Row-wise input gradient from the outputs of :func:`forward_layers`.
-
-    ``probs`` is used up (the output delta is built in it); ``labels``
-    passed :func:`check_labels`, and ``clamp`` is passed on to
-    :func:`_output_delta`.
-    """
-    delta = _output_delta(activation, probs, labels, clamp)
+    delta = output_delta(activation, probs, labels)
     for i in range(len(layers) - 1, -1, -1):
         delta = _back_through(delta, layers[i][0])
         if i > 0:

@@ -21,6 +21,17 @@ evaluation counts are the honest cost measure of a scheme. Each round
 wrapper records the (round, coalition, metric) keys its scheme asked for in
 the cache's ``requested[scheme]``.
 
+The ``res`` utility of a coalition runs PGD on its aggregate, which is most
+of the cost. Exact Shapley and LOO know every coalition their core will
+ask for, so before the core runs on ``res`` their round wrappers hand the
+cache those bitmasks (:meth:`CoalitionCache.prefetch_res`): the cache then
+attacks together, in PGD groups (``metrics.adversarial_predictions``), the
+coalitions whose ``res`` utility it has not memoized, and keeps their
+adversarial predictions beside their aggregates. Each utility is still
+computed when the core asks for it. GTG's requests depend on its
+truncation, so it asks one coalition at a time, and ``evaluate`` attacks
+such a coalition as a group of one.
+
 The scheme cores carry coalitions as int bitmasks over the round's sorted
 client ids; everywhere else a coalition is the sorted tuple of its ids. A
 round wrapper maps each mask to its tuple through the cache's table of the
@@ -49,7 +60,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
-from .metrics import EvalContext, Metric, evaluate
+from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
 from .nn import ModelParams, predict_batch
 from .seeding import rng_from
 
@@ -88,28 +99,50 @@ class ValuationConfig:
             raise ConfigError("eps2 must lie in (0, 1]")
 
 
+@dataclass(eq=False)
+class _Aggregate:
+    """A coalition's model, its clean test predictions and, once
+    :meth:`CoalitionCache.prefetch_res` has attacked it, its ``res``
+    adversarial predictions (still None when the model classifies no test
+    sample correctly: ``res`` is undefined there)."""
+
+    model: ModelParams
+    clean: np.ndarray
+    adversarial: np.ndarray | None = None
+
+
 class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
     A fold has one record per round, so a round number names its record.
     A coalition is the sorted tuple of its client ids. Each (round,
     coalition) is aggregated and run forward on the clean test inputs once;
-    the aggregate and its predictions are kept for the latest round only and
-    shared by every metric, beside that round's table from bitmask to
-    coalition (see :meth:`coalitions`). A (round, coalition, metric) utility
-    is computed on its first request and memoized: ``evaluations`` counts
-    the utilities computed, ``hits`` the requests answered from the memo and
-    ``undefined`` the computed utilities that fell back to the empty
-    coalition. ``requested[scheme]`` holds the (round, coalition, metric)
-    keys the round wrappers of that scheme asked for; the fallback's read of
-    the empty coalition is not a request.
+    the aggregate, its predictions and its ``res`` adversarial predictions
+    are kept for the latest round only and shared by every metric, beside
+    that round's table from bitmask to coalition (see :meth:`coalitions`).
+    The adversarial predictions come from :meth:`prefetch_res`, which
+    attacks many coalitions in PGD groups; ``evaluate`` attacks a coalition
+    without them alone. A new round keeps the previous round's grand
+    coalition, whose aggregate is the new round's base model: the empty
+    coalition reuses its predictions when the two models are equal bit for
+    bit.
+
+    A (round, coalition, metric) utility is computed on its first request
+    and memoized: ``evaluations`` counts the utilities computed, ``hits``
+    the requests answered from the memo and ``undefined`` the computed
+    utilities that fell back to the empty coalition. ``requested[scheme]``
+    holds the (round, coalition, metric) keys the round wrappers of that
+    scheme asked for; the fallback's read of the empty coalition is not a
+    request, and neither is a prefetch.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, Metric, Coalition], float] = {}
         self._round: int | None = None
+        self._grand: Coalition | None = None
+        self._carried: _Aggregate | None = None
         self._coalitions: dict[int, Coalition] = {}
-        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
+        self._aggregates: dict[Coalition, _Aggregate] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
         self.hits = 0
@@ -120,7 +153,9 @@ class CoalitionCache:
         :func:`_utility_fn` fills; a new round starts an empty one, so the
         round's metrics and schemes share one tuple per coalition."""
         if record.round != self._round:
+            self._carried = self._aggregates.get(self._grand)
             self._round = record.round
+            self._grand = tuple(sorted(record.client_ids))
             self._coalitions = {}
             self._aggregates = {}
         return self._coalitions
@@ -149,9 +184,9 @@ class CoalitionCache:
         if value is not None:
             self.hits += 1
             return value
-        model, clean = self._aggregate(record, members, ctx)
+        aggregate = self._aggregate(record, members, ctx)
         try:
-            value = evaluate(model, metric, ctx, clean)
+            value = evaluate(aggregate.model, metric, ctx, aggregate.clean, aggregate.adversarial)
         except MetricUndefinedError as exc:
             # Substituting the empty-coalition utility rather than dropping
             # the coalition keeps the marginals around it unbiased.
@@ -168,14 +203,41 @@ class CoalitionCache:
         self._memo[key] = value
         return value
 
-    def _aggregate(
-        self, record: RoundRecord, members: Coalition, ctx: EvalContext
-    ) -> tuple[ModelParams, np.ndarray]:
+    def prefetch_res(self, record: RoundRecord, masks: Iterable[int], ctx: EvalContext) -> None:
+        """Attack together the coalitions of ``masks`` (bitmasks over the
+        round's sorted client ids) whose ``res`` utility is neither memoized
+        nor already attacked; computes no utility and counts nothing."""
+        clients = sorted(record.client_ids)
+        pending = []
+        for mask in masks:
+            members = _coalition_of(clients, mask)
+            if (record.round, Metric.RES, members) not in self._memo:
+                aggregate = self._aggregate(record, members, ctx)
+                if aggregate.adversarial is None:
+                    pending.append(aggregate)
+        predictions = adversarial_predictions(
+            [a.model for a in pending], [a.clean for a in pending], ctx
+        )
+        for aggregate, adversarial in zip(pending, predictions):
+            aggregate.adversarial = adversarial
+
+    def _aggregate(self, record: RoundRecord, members: Coalition, ctx: EvalContext) -> _Aggregate:
         self.coalitions(record)  # a new round drops the previous round's aggregates
-        if members not in self._aggregates:
+        aggregate = self._aggregates.get(members)
+        if aggregate is None:
             model = fedavg(record.global_before, [record.update_for(k) for k in members])
-            self._aggregates[members] = (model, predict_batch(model, ctx.test.features))
-        return self._aggregates[members]
+            carried = self._carried
+            if (
+                not members
+                and carried is not None
+                and carried.model.architecture == model.architecture
+                and np.array_equal(carried.model.values, model.values)
+            ):
+                aggregate = carried
+            else:
+                aggregate = _Aggregate(model, predict_batch(model, ctx.test.features))
+            self._aggregates[members] = aggregate
+        return aggregate
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -200,6 +262,11 @@ def coalition_utility(
     return cache.utility(record, subset, metric, ctx)
 
 
+def _coalition_of(clients: Sequence[int], mask: int) -> Coalition:
+    """The coalition of bitmask ``mask`` over the sorted ``clients``."""
+    return tuple(c for i, c in enumerate(clients) if mask >> i & 1)
+
+
 def _utility_fn(
     record: RoundRecord,
     metric: Metric,
@@ -222,8 +289,7 @@ def _utility_fn(
     def u(mask: int) -> float:
         members = coalitions.get(mask)
         if members is None:
-            members = tuple(c for i, c in enumerate(ids) if mask >> i & 1)
-            coalitions[mask] = members
+            members = coalitions[mask] = _coalition_of(ids, mask)
         if mask not in seen:
             seen.add(mask)
             requested.add((record.round, members, metric))
@@ -365,6 +431,8 @@ def exact_shapley_round(
             f"exact Shapley enumerates 2^K utilities; K={len(record.updates)} "
             f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
         )
+    if metric is Metric.RES:
+        cache.prefetch_res(record, range(1 << len(record.client_ids)), ctx)
     return exact_shapley_values(
         record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.EXACT)
     )
@@ -393,6 +461,10 @@ def loo_round(
 ) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
+    if metric is Metric.RES:
+        everyone = (1 << len(record.client_ids)) - 1
+        masks = [everyone] + [everyone ^ 1 << i for i in range(len(record.client_ids))]
+        cache.prefetch_res(record, masks, ctx)
     return loo_values(record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.LOO))
 
 

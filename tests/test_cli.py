@@ -357,3 +357,16 @@ class TestExperimentMachinery:
         # the rerun's fold matches a fresh two-round run file for file
         assert files(out_dir / "fold_0") == files(fresh / "fold_0")
         assert not (out_dir / "fold_0" / "round_3").exists()
+
+    def test_failed_rerun_keeps_no_earlier_report_or_checkpoints(self, tmp_path, capsys):
+        out_dir = tmp_path / "diverged"
+        assert main(["run", str(write_smoke_config(tmp_path, out_dir, "training.rounds = 4"))]) == 0
+        assert (out_dir / "report.json").exists()
+        assert (out_dir / "fold_0" / "round_4").is_dir()
+        diverging = "training.rounds = 4\ntraining.learning_rate = 1e300"
+        assert main(["run", str(write_smoke_config(tmp_path, out_dir, diverging))]) == 4
+        for name in ("report.json", "report.csv", "heatmap.csv"):
+            assert not (out_dir / name).exists()
+        # the fold diverged in round 2: it keeps the one round it reached
+        assert "round 2" in json.loads((out_dir / "failures.json").read_text())[0]["error"]
+        assert [p.name for p in (out_dir / "fold_0").glob("round_*")] == ["round_1"]

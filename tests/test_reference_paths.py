@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from fedtrust import metrics, valuation
-from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
+from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch, pgd_predictions
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
-from fedtrust.errors import MetricUndefinedError
+from fedtrust.errors import InputError, MetricUndefinedError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
@@ -32,7 +32,7 @@ from fedtrust.nn import (
     unpack_layers,
 )
 from fedtrust.seeding import derive_seed, rng_from
-from fedtrust.valuation import CoalitionCache, coalition_utility
+from fedtrust.valuation import CoalitionCache, coalition_utility, exact_shapley_round
 
 # --- reference path ---
 
@@ -285,6 +285,112 @@ def test_pgd_flip_timing_extremes_match_reference(margins, flip_step):
     assert np.array_equal(pgd_batch(model, x, y, spec), ref_pgd(model, x, y, spec))
 
 
+# --- grouped PGD ---
+
+
+def ref_pgd_predictions(models, x, y, counts, spec):
+    """Each model's rows attacked and predicted on their own, in order."""
+    out, start = [], 0
+    for model, n in zip(models, counts):
+        rows = slice(start, start + n)
+        out.append(ref_predict(model, ref_pgd(model, x[rows], y[rows], spec)))
+        start += n
+    return np.concatenate(out)
+
+
+def random_group(seed, activation, hidden_layers, counts, mislabelled=False):
+    """Models of one architecture with ``counts`` rows each, labelled by
+    their model's clean prediction (or at random when ``mislabelled``)."""
+    models, xs, ys = [], [], []
+    for j, n in enumerate(counts):
+        model, rng = random_model(100 * seed + j, activation, hidden_layers)
+        x = rng.random((n, 5))
+        classes = model.architecture.class_count
+        models.append(model)
+        xs.append(x)
+        ys.append(rng.integers(0, classes, size=n) if mislabelled else ref_predict(model, x))
+    return models, np.concatenate(xs), np.concatenate(ys).astype(np.int64)
+
+
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+def test_grouped_pgd_matches_reference_per_model(activation, hidden_layers):
+    spec = AttackSpec(epsilon=0.4, step_size=0.03, steps=15)
+    # the second model has no row in the group
+    counts = [23, 0, 41, 7, 30]
+    flips = []
+    for seed in range(4):
+        for mislabelled in (False, True):
+            models, x, y = random_group(seed, activation, hidden_layers, counts, mislabelled)
+            expected = ref_pgd_predictions(models, x, y, counts, spec)
+            assert np.array_equal(pgd_predictions(models, x, y, counts, spec), expected)
+            flips.append(expected != y)
+            # every model alone, as a group of one
+            start = 0
+            for model, n in zip(models, counts):
+                rows = slice(start, start + n)
+                got = pgd_predictions([model], x[rows], y[rows], [n], spec)
+                assert np.array_equal(got, expected[rows])
+                start += n
+    flips = np.concatenate(flips)
+    assert 0 < flips.sum() < flips.size
+
+
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize(
+    "spec",
+    [AttackSpec(epsilon=0.0), AttackSpec(epsilon=0.3, step_size=0.1, steps=1)],
+    ids=["epsilon0", "steps1"],
+)
+def test_grouped_pgd_degenerate_specs_match_reference(activation, spec):
+    counts = [12, 30, 0, 18]
+    for mislabelled in (False, True):
+        models, x, y = random_group(5, activation, 1, counts, mislabelled)
+        got = pgd_predictions(models, x, y, counts, spec)
+        assert np.array_equal(got, ref_pgd_predictions(models, x, y, counts, spec))
+
+
+@pytest.mark.parametrize(
+    "margin_sets, flip_steps",
+    [
+        ([np.linspace(0.001, 0.015, 20), np.linspace(0.081, 0.099, 20)], {1, 5}),
+        ([np.linspace(0.001, 0.015, 20), np.linspace(0.002, 0.012, 9)], {1}),
+    ],
+    ids=["first_and_last_step", "every_row_flips_early"],
+)
+def test_grouped_pgd_flip_timing_extremes_match_reference(margin_sets, flip_steps):
+    # two models, z = x0 - x1 and z = 2 (x0 - x1): rows that flip after the
+    # first step with rows that flip only at the last one, or a group whose
+    # rows all flip before the last step
+    spec = AttackSpec(epsilon=0.3, step_size=0.01, steps=5)
+    models, xs, ys, steps = [], [], [], []
+    for scale, margins in zip((1.0, 2.0), margin_sets):
+        model, x, y = linear_sigmoid_rows(margins)
+        model = ModelParams(model.architecture, model.values * scale)
+        steps.append(first_flip_steps(model, x, y, spec))
+        models.append(model)
+        xs.append(x)
+        ys.append(y)
+    assert set(np.concatenate(steps)) == flip_steps
+    x, y, counts = np.concatenate(xs), np.concatenate(ys), [len(v) for v in ys]
+    got = pgd_predictions(models, x, y, counts, spec)
+    assert np.array_equal(got, ref_pgd_predictions(models, x, y, counts, spec))
+    assert (got != y).all()
+
+
+def test_grouped_pgd_rejects_mismatched_groups():
+    sigmoid, rng = random_model(0, OutputActivation.SIGMOID, 1)
+    softmax, _ = random_model(0, OutputActivation.SOFTMAX, 1)
+    x, y = rng.random((4, 5)), np.zeros(4, dtype=np.int64)
+    spec = AttackSpec()
+    with pytest.raises(InputError):
+        pgd_predictions([sigmoid, softmax], x, y, [2, 2], spec)
+    with pytest.raises(InputError):
+        pgd_predictions([sigmoid, sigmoid], x, y, [2, 3], spec)
+    with pytest.raises(InputError):
+        pgd_predictions([], x, y, [], spec)
+
+
 def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivation.SIGMOID)):
     data = generate_synthetic(500, 8, 0.3, seed=seed)
     train, test = train_test_split(data, 0.2, seed=seed)
@@ -493,11 +599,11 @@ def counting_pgd(monkeypatch):
     """Replace the attack ``evaluate`` runs by one that records its row counts."""
     rows = []
 
-    def counted(model, inputs, labels, spec):
+    def counted(models, inputs, labels, counts, spec):
         rows.append(len(labels))
-        return pgd_batch(model, inputs, labels, spec)
+        return pgd_predictions(models, inputs, labels, counts, spec)
 
-    monkeypatch.setattr(metrics, "pgd_batch", counted)
+    monkeypatch.setattr(metrics, "pgd_predictions", counted)
     return rows
 
 
@@ -524,3 +630,100 @@ def test_res_with_no_row_certified_attacks_every_row(monkeypatch):
     value = evaluate(model, Metric.RES, ctx, clean)
     assert value == ref_evaluate(model, Metric.RES, ctx) == 0.0
     assert rows == [30]
+
+
+# --- res attacked in groups ---
+
+
+def counting_groups(monkeypatch):
+    """Record the model count of every PGD group ``metrics`` runs."""
+    groups = []
+
+    def counted(models, inputs, labels, counts, spec):
+        groups.append(len(models))
+        return pgd_predictions(models, inputs, labels, counts, spec)
+
+    monkeypatch.setattr(metrics, "pgd_predictions", counted)
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(RES_ARCHITECTURES))
+def test_adversarial_predictions_in_groups_match_reference(name, monkeypatch):
+    records, ctx = trained_setup(arch=RES_ARCHITECTURES[name])
+    test = ctx.test
+    # small groups: a round's 16 aggregates fill several of them
+    monkeypatch.setattr(metrics, "ATTACK_GROUP_ROWS", 150)
+    groups = counting_groups(monkeypatch)
+    for record in records:
+        models = [
+            fedavg(record.global_before, [record.update_for(k) for k in ids])
+            for ids in all_coalitions(record.client_ids)
+        ]
+        cleans = [predict_batch(model, test.features) for model in models]
+        predictions = metrics.adversarial_predictions(models, cleans, ctx)
+        for model, clean, adversarial in zip(models, cleans, predictions):
+            got = evaluate(model, Metric.RES, ctx, clean, adversarial)
+            assert got == ref_evaluate(model, Metric.RES, ctx)
+    assert max(groups) > 1
+
+
+def test_adversarial_predictions_skip_models_without_open_rows(monkeypatch):
+    # the base model certifies every row, the other one none; a model that
+    # gets nothing right has no res rows at all
+    record, ctx = fallback_round()
+    everything_right = record.global_before
+    nothing_right = record.updates[0].params
+    test = ctx.test
+    groups = counting_groups(monkeypatch)
+    models = [everything_right, nothing_right, everything_right]
+    cleans = [predict_batch(model, test.features) for model in models]
+    first, second, third = metrics.adversarial_predictions(models, cleans, ctx)
+    assert second is None
+    assert np.array_equal(first, test.labels) and np.array_equal(third, test.labels)
+    assert groups == []
+
+
+def score_fold(records, ctx, prefetch, monkeypatch):
+    """Score every scheme and metric with a fresh cache; without
+    ``prefetch`` every res coalition is attacked when it is requested."""
+    with monkeypatch.context() as patch:
+        groups = counting_groups(patch)
+        if not prefetch:
+            patch.setattr(CoalitionCache, "prefetch_res", lambda self, *args: None)
+        cache = CoalitionCache()
+        vcfg = valuation.ValuationConfig(eps1=0.0)
+        table = valuation.score_rounds(records, list(valuation.Scheme), list(Metric), ctx, vcfg, cache)
+    counts = (cache.evaluations, cache.hits, len(cache), cache.undefined, cache.requested)
+    return table.entries, counts, groups
+
+
+def test_prefetched_fold_matches_one_request_at_a_time(monkeypatch):
+    records, ctx = trained_setup(rounds=4)
+    grouped = score_fold(records, ctx, True, monkeypatch)
+    alone = score_fold(records, ctx, False, monkeypatch)
+    assert grouped[:2] == alone[:2]
+    assert max(grouped[2]) > 1 and set(alone[2]) == {1}
+    assert len(grouped[2]) < len(alone[2])
+
+
+def test_next_rounds_empty_coalition_reuses_the_grand_attack(monkeypatch):
+    records, ctx = trained_setup(rounds=4)
+    attacked = []
+
+    def counted(models, cleans, ctx):
+        attacked.extend(models)
+        return adversarial_predictions(models, cleans, ctx)
+
+    adversarial_predictions = metrics.adversarial_predictions
+    monkeypatch.setattr(valuation, "adversarial_predictions", counted)
+    cache = CoalitionCache()
+    for record in records:
+        exact_shapley_round(record, Metric.RES, ctx, cache)
+    # round t + 1's base model is round t's grand aggregate, bit for bit
+    for before, after in zip(records, records[1:]):
+        grand = fedavg(before.global_before, list(before.updates))
+        assert np.array_equal(after.global_before.values, grand.values)
+    coalitions = 2 ** len(records[0].client_ids)
+    assert len(attacked) == len(records) * coalitions - (len(records) - 1)
+    assert cache.evaluations == len(records) * coalitions
+    assert len(cache.requested["exact_shapley"]) == len(records) * coalitions

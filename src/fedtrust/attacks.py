@@ -6,18 +6,13 @@ and after every step projects onto the intersection of the epsilon ball and
 the valid feature box. Samples whose prediction has already flipped are
 frozen early; their final iterate still satisfies both containment bounds.
 
-:func:`pgd_predictions` is the one step loop. It attacks the rows of a
-group of models of one architecture at once, and returns each row's class
-at its final iterate: the attack flipped the row where that class differs
-from its label. A step costs about as much on one row as on a thousand,
-since the time goes on per-call overhead, so ``metrics`` hands it the
-``res`` rows of many coalition models together. Per step, each layer's
-matmul runs once per model on that model's slice of rows, as it would for
-the model alone, so every row keeps its bits. Every elementwise operation
-runs once over all rows, with per-row copies of the biases and of a
-one-unit layer's weights (whose backward pass is a broadcast product, not a
-matmul). :func:`pgd_batch` runs the same loop on one model and returns the
-iterates.
+:func:`pgd_batch` is the one step loop. It attacks the rows of one model,
+or of a :class:`~fedtrust.nn.ModelGroup` of models of one architecture at
+once, each row on its own model. A step costs about as much on one row as
+on a thousand, since the time goes on per-call overhead, so ``metrics``
+hands it the ``res`` rows of many coalition models as one group. Every row
+keeps the bits it gets when its model is attacked alone (see
+``ModelGroup``).
 
 Each step runs one forward pass, on the new iterate: its predictions decide
 which rows freeze, and its pre-activations give the next step's input
@@ -26,11 +21,10 @@ The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
 A row that flips is written out on that step and marked inactive; inactive
 rows leave the working arrays only once they are at least half of them.
-Rows still active after the last step get one more forward pass, whose
-classes are their verdicts. ``np.errstate`` (the sigmoid's exp overflow) is
-entered once around the step loop. Every iterate equals that of the plain
-loop (an input-gradient pass, a clipped step and a prediction pass per
-step, one model at a time), bit for bit.
+``np.errstate`` (the sigmoid's exp overflow) is entered once around the
+step loop. Every iterate equals that of the plain loop (an input-gradient
+pass, a clipped step and a prediction pass per step, one model at a time),
+bit for bit.
 
 :func:`certified_rows` says, before any attack, which rows PGD cannot flip:
 it bounds each row's true-class margin from below over a box that holds
@@ -45,18 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .nn import (
+    ModelGroup,
     ModelParams,
     OutputActivation,
+    as_group,
     check_labels,
     input_rows,
-    output_delta,
-    output_probs,
     predicted_classes,
     unpack_layers,
 )
@@ -103,7 +96,7 @@ class AttackSpec:
 
 
 def _rows(
-    model: ModelParams, inputs: np.ndarray, labels: np.ndarray
+    model: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``inputs`` as float64 rows of the model's width, ``labels`` aligned."""
     x0 = input_rows(model, inputs)
@@ -113,109 +106,31 @@ def _rows(
     return x0, y
 
 
-class _Group:
-    """The passes of one or more models of one architecture over stacked rows.
-
-    Model ``j`` owns the working rows ``bounds[j]:bounds[j + 1]``. A group
-    of one model adds its bias vectors and multiplies by a one-unit layer's
-    weight column as they are; a larger group holds per-row copies of them,
-    which :meth:`keep` drops rows from along with the bounds.
-    """
-
-    def __init__(self, models: Sequence[ModelParams], counts: Sequence[int]) -> None:
-        arch = models[0].architecture
-        self.activation = arch.output_activation
-        # per layer, each model's (weights, biases)
-        layers = list(zip(*(unpack_layers(arch, m.values) for m in models)))
-        self.weights = [[w for w, _ in layer] for layer in layers]
-        self.backward = [[w.T for w, _ in layer] for layer in layers]
-        self.bounds = np.cumsum([0, *counts])
-        one_unit = [layer[0][0].shape[1] == 1 for layer in layers]
-        if len(models) == 1:
-            self.biases = [layer[0][1] for layer in layers]
-            self.units = [w[0][:, 0] if unit else None for w, unit in zip(self.weights, one_unit)]
-            return
-        counts = np.asarray(counts)
-        self.biases = [np.repeat(np.stack([b for _, b in layer]), counts, axis=0) for layer in layers]
-        self.units = [
-            np.repeat(np.stack([w[:, 0] for w in weights]), counts, axis=0) if unit else None
-            for weights, unit in zip(self.weights, one_unit)
-        ]
-
-    def _matmul(self, a: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
-        """``a @ w`` with each model's ``w`` on that model's rows."""
-        if len(weights) == 1:
-            return a @ weights[0]
-        out = np.empty((a.shape[0], weights[0].shape[1]))
-        bounds = self.bounds
-        for j, w in enumerate(weights):
-            start, stop = bounds[j], bounds[j + 1]
-            if start < stop:
-                np.matmul(a[start:stop], w, out=out[start:stop])
-        return out
-
-    def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Every layer's pre-activations and the output probabilities
-        (see ``nn.forward_layers``)."""
-        pre_acts = []
-        a = x
-        last = len(self.biases) - 1
-        for i, (weights, b) in enumerate(zip(self.weights, self.biases)):
-            z = self._matmul(a, weights)
-            z += b
-            pre_acts.append(z)
-            if i < last:
-                a = np.maximum(z, 0.0)
-        return pre_acts, output_probs(self.activation, pre_acts[-1])
-
-    def input_gradient(
-        self, pre_acts: list[np.ndarray], probs: np.ndarray, y: np.ndarray, clamp: bool
-    ) -> np.ndarray:
-        """Each row's loss gradient w.r.t. its input; ``probs`` is used up
-        (see ``nn.input_gradient_batch``)."""
-        delta = output_delta(self.activation, probs, y, clamp)
-        for i in range(len(self.units) - 1, -1, -1):
-            unit = self.units[i]
-            # Over a one-unit layer there is no sum to round, so the
-            # broadcast product gives the bits of the matmul.
-            delta = delta * unit if unit is not None else self._matmul(delta, self.backward[i])
-            if i > 0:
-                delta *= pre_acts[i - 1] > 0.0
-        return delta
-
-    def keep(self, active: np.ndarray) -> None:
-        """Drop the working rows that ``active`` marks False."""
-        if len(self.weights[0]) == 1:
-            return
-        self.bounds = np.concatenate(([0], np.cumsum(active)))[self.bounds]
-        self.biases = [b[active] for b in self.biases]
-        self.units = [u if u is None else u[active] for u in self.units]
-
-
-def _attack(
-    group: _Group,
-    x0: np.ndarray,
-    y: np.ndarray,
-    spec: AttackSpec,
-    iterates: np.ndarray | None,
+def pgd_batch(
+    model: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray, spec: AttackSpec
 ) -> np.ndarray:
-    """The step loop of :func:`pgd_predictions`; writes each row's final
-    iterate into ``iterates`` when it is given."""
-    n = x0.shape[0]
-    verdicts = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return verdicts
+    """Attack each row independently; rows never influence one another.
+
+    ``model`` is one model, or a :class:`~fedtrust.nn.ModelGroup` whose
+    models each attack their own rows. Returns the final iterates.
+    """
+    x0, y = _rows(model, inputs, labels)
+    group = as_group(model, x0.shape[0])
+    if spec.epsilon == 0.0:
+        return x0.copy()
+    activation = group.architecture.output_activation
+    check_labels(group.architecture, y)
+    x_adv = x0.copy()
     # Working arrays: rows[i] is the input row of working row i. A row that
-    # flips is written out and marked inactive at once, but it stays in the
-    # working arrays (stepping on, unread) until inactive rows are at least
-    # half of them, since dropping rows costs a copy of each array.
-    rows = np.arange(n)
+    # flips is written to x_adv and marked inactive at once, but it stays
+    # in the working arrays (stepping on, unread) until inactive rows are
+    # at least half of them, since dropping rows costs a copy of each array.
+    rows = np.arange(x0.shape[0])
     x = x0.copy()
     lower = np.maximum(x0 - spec.epsilon, spec.clip_min)
     upper = np.minimum(x0 + spec.epsilon, spec.clip_max)
-    active = np.ones(n, dtype=bool)
+    active = np.ones(rows.size, dtype=bool)
     inactive = 0
-    activation = group.activation
     with np.errstate(over="ignore"):
         pre_acts, probs = group.forward(x)
         for step in range(spec.steps):
@@ -228,86 +143,30 @@ def _attack(
             # np.clip(x, lower, upper) without the cost of its Python wrapper
             np.maximum(x, lower, out=x)
             np.minimum(x, upper, out=x)
-            pre_acts, probs = group.forward(x)
             if step == spec.steps - 1:
                 break
-            classes = predicted_classes(activation, probs)
-            flipped = classes != y
+            pre_acts, probs = group.forward(x)
+            flipped = predicted_classes(activation, probs) != y
             if inactive:
                 flipped &= active
             if not flipped.any():
                 continue
-            verdicts[rows[flipped]] = classes[flipped]
-            if iterates is not None:
-                iterates[rows[flipped]] = x[flipped]
+            x_adv[rows[flipped]] = x[flipped]
             active &= ~flipped
             inactive += np.count_nonzero(flipped)
             if inactive == rows.size:
-                return verdicts
+                return x_adv
             if 2 * inactive >= rows.size:
                 rows, x, lower, upper, y, probs = (
                     rows[active], x[active], lower[active], upper[active], y[active], probs[active]
                 )
                 pre_acts = [z[active] for z in pre_acts]
-                group.keep(active)
+                group = group.take(active)
                 active = np.ones(rows.size, dtype=bool)
                 inactive = 0
-    # The last forward pass gives the verdicts of the rows still active.
-    classes = predicted_classes(activation, probs)
     if inactive:
-        rows, x, classes = rows[active], x[active], classes[active]
-    verdicts[rows] = classes
-    if iterates is not None:
-        iterates[rows] = x
-    return verdicts
-
-
-def pgd_predictions(
-    models: Sequence[ModelParams],
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    counts: Sequence[int],
-    spec: AttackSpec,
-) -> np.ndarray:
-    """Each row's class at its final PGD iterate, for a group of models.
-
-    ``inputs`` and ``labels`` stack the rows of every model in order: model
-    ``j`` owns the next ``counts[j]`` of them. The models share one
-    architecture. Each row is attacked on its own model, and the result is
-    ``predict_batch(model, pgd_batch(model, rows, labels, spec))`` for each
-    model's rows, bit for bit.
-    """
-    if not models or len(counts) != len(models):
-        raise InputError("a PGD group needs one row count per model, and a model")
-    arch = models[0].architecture
-    if any(m.architecture != arch for m in models):
-        raise InputError("the models of a PGD group must share one architecture")
-    x0, y = _rows(models[0], inputs, labels)
-    if sum(counts) != x0.shape[0] or min(counts) < 0:
-        raise InputError("row counts must be non-negative and cover the input rows")
-    check_labels(arch, y)
-    group = _Group(models, counts)
-    if spec.epsilon == 0.0:
-        with np.errstate(over="ignore"):
-            _, probs = group.forward(x0)
-        return predicted_classes(arch.output_activation, probs)
-    return _attack(group, x0, y, spec, None)
-
-
-def pgd_batch(
-    model: ModelParams, inputs: np.ndarray, labels: np.ndarray, spec: AttackSpec
-) -> np.ndarray:
-    """Attack each row independently; rows never influence one another.
-
-    Returns the final iterates: :func:`pgd_predictions`'s loop on a group
-    of one model.
-    """
-    x0, y = _rows(model, inputs, labels)
-    if spec.epsilon == 0.0:
-        return x0.copy()
-    check_labels(model.architecture, y)
-    x_adv = x0.copy()
-    _attack(_Group([model], [x0.shape[0]]), x0, y, spec, x_adv)
+        rows, x = rows[active], x[active]
+    x_adv[rows] = x
     return x_adv
 
 

@@ -22,13 +22,13 @@ classified samples. :func:`adversarial_predictions` makes them for many
 models at once: it first certifies the rows that no PGD iterate can flip
 (:func:`fedtrust.attacks.certified_rows`, a linear bound on each row's
 margin), whose adversarial prediction is their label, and then attacks the
-other rows of all the models in PGD groups of about ``ATTACK_GROUP_ROWS``
-rows (:func:`fedtrust.attacks.pgd_predictions`), which return each row's
-class at its final iterate. The valuation stage calls it ahead of the
-``res`` requests of a round and hands each model's predictions to
-:func:`evaluate`; without them, :func:`evaluate` attacks the model as a
-group of one. ``res`` then scores the same full-length arrays as with every
-row attacked on its own, so it has the same bits.
+other rows of all the models in groups of about ``ATTACK_GROUP_ROWS`` rows
+(:func:`fedtrust.attacks.pgd_batch` on a :class:`fedtrust.nn.ModelGroup`)
+and predicts each group's iterates in one pass. The valuation stage calls
+it ahead of the ``res`` requests of a round and hands each model's
+predictions to :func:`evaluate`; without them, :func:`evaluate` attacks the
+model as a group of one. ``res`` then scores the same full-length arrays as
+with every row attacked on its own, so it has the same bits.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, certified_rows, pgd_predictions
+from .attacks import AttackSpec, certified_rows, pgd_batch
 from .data import Dataset
 from .errors import ConfigError, InputError, MetricUndefinedError
-from .nn import ModelParams, predict_batch
+from .nn import ModelGroup, ModelParams, predict_batch
 from .seeding import rng_from
 
 
@@ -167,20 +167,19 @@ def adversarial_predictions(
     """
     test, spec = ctx.test, ctx.attack
     results: list[np.ndarray | None] = []
-    # per model of the group: the model, its result, its open rows, and their
-    # inputs and labels
-    group: list[tuple[ModelParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    group_rows = 0
+    # per model of the next group: the model, its result, its open rows, and
+    # their inputs and labels
+    pending: list[tuple[ModelParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    pending_rows = 0
 
     def attack() -> None:
-        models, targets, open_rows, inputs, labels = zip(*group)
-        counts = [len(y) for y in labels]
-        verdicts = pgd_predictions(
-            models, np.concatenate(inputs), np.concatenate(labels), counts, spec
-        )
-        for target, rows, part in zip(targets, open_rows, np.split(verdicts, np.cumsum(counts))):
+        models, targets, open_rows, inputs, labels = zip(*pending)
+        group = ModelGroup(models, [len(y) for y in labels])
+        attacked = pgd_batch(group, np.concatenate(inputs), np.concatenate(labels), spec)
+        classes = predict_batch(group, attacked)
+        for target, rows, part in zip(targets, open_rows, np.split(classes, group.bounds[1:-1])):
             target[rows] = part
-        group.clear()
+        pending.clear()
 
     for model, clean in zip(models, cleans):
         correct = clean == test.labels
@@ -194,12 +193,12 @@ def adversarial_predictions(
         rows = int(np.count_nonzero(open_rows))
         if not rows:
             continue
-        if group and group_rows + rows > ATTACK_GROUP_ROWS:
+        if pending and pending_rows + rows > ATTACK_GROUP_ROWS:
             attack()
-            group_rows = 0
-        group.append((model, adversarial, open_rows, inputs[open_rows], labels[open_rows]))
-        group_rows += rows
-    if group:
+            pending_rows = 0
+        pending.append((model, adversarial, open_rows, inputs[open_rows], labels[open_rows]))
+        pending_rows += rows
+    if pending:
         attack()
     return results
 

@@ -11,12 +11,19 @@ allocates them once per client update and wraps the parameters in a
 ``ModelParams`` when it is done. The training step computes no loss value;
 :func:`cross_entropy` gives the loss whose gradient it is.
 
-The passes themselves (:func:`forward_layers`, :func:`loss_and_param_grads`)
-do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
-for logits below about -709 (1 / (1 + inf) is then the correct probability
-0.0), so their callers silence that overflow once: :func:`predict_batch`,
-:func:`input_gradient_batch` and :func:`cross_entropy` per call, PGD around
-its step loop and local training around its epochs.
+The input gradient and PGD run a :class:`ModelGroup`: one or more models
+of one architecture, each on its own slice of one stacked batch of rows,
+so that many small batches cost one pass; a single model is a group of
+one. :func:`predict_batch` runs a group the same way, and a single model
+through :func:`forward_layers`, the forward pass of local training.
+
+The passes themselves (:func:`forward_layers`, :func:`loss_and_param_grads`,
+``ModelGroup.forward``) do not enter ``np.errstate``. A sigmoid output's
+``exp`` overflows to inf for logits below about -709 (1 / (1 + inf) is then
+the correct probability 0.0), so their callers silence that overflow once:
+:func:`predict_batch`, :func:`input_gradient_batch` and
+:func:`cross_entropy` per call, PGD around its step loop and local training
+around its epochs.
 
 Parameter layout: for each layer l, the weight matrix W_l (fan_in x fan_out,
 row-major) followed by the bias vector b_l. Keeping parameters flat makes
@@ -25,8 +32,11 @@ model averaging an elementwise vector operation.
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -178,11 +188,114 @@ def output_probs(activation: OutputActivation, z_out: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _forward(
-    params: ModelParams, x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    arch = params.architecture
-    return forward_layers(unpack_layers(arch, params.values), arch.output_activation, x)
+class ModelGroup:
+    """Models of one architecture over one stacked batch of rows.
+
+    Model ``j`` owns rows ``bounds[j]:bounds[j + 1]`` of every batch the
+    group runs, the next ``counts[j]`` of them. Per layer, the matmul runs
+    once per model on that model's rows, as it would for the model alone,
+    so every row keeps its bits. Every elementwise operation runs once over
+    all rows, with per-row copies of the biases and of a one-unit layer's
+    weight column (whose backward pass is a broadcast product, see
+    :func:`_back_through`); a group of one broadcasts its model's own. A pass costs about as much on one row as on a
+    thousand, since the time goes on per-call overhead, so PGD attacks the
+    rows of many models as one group.
+    """
+
+    def __init__(self, models: Sequence[ModelParams], counts: Sequence[int]) -> None:
+        if not models or len(counts) != len(models):
+            raise InputError("a model group needs a model, and one row count per model")
+        arch = models[0].architecture
+        if any(m.architecture != arch for m in models):
+            raise InputError("the models of a group must share one architecture")
+        if min(counts) < 0:
+            raise InputError("row counts must be non-negative")
+        self.architecture = arch
+        self.bounds = [0, *itertools.accumulate(int(c) for c in counts)]
+        # per layer, each model's (weights, biases)
+        layers = list(zip(*(unpack_layers(arch, m.values) for m in models)))
+        self._weights = [[w for w, _ in layer] for layer in layers]
+        self._transposed = [[w.T for w in weights] for weights in self._weights]
+        units = [weights[0].shape[1] == 1 for weights in self._weights]
+        # Per-row copies and a matmul per slice cost a group of one about
+        # 0.2 ms per PGD call: 2% of the run time of a workload whose
+        # attacks are all single-model.
+        if len(models) == 1:
+            self._biases = [layer[0][1] for layer in layers]
+            self._units = [w[0][:, 0] if unit else None for w, unit in zip(self._weights, units)]
+            return
+        self._biases = [np.repeat(np.stack([b for _, b in layer]), counts, axis=0) for layer in layers]
+        self._units = [
+            np.repeat(np.stack([w[:, 0] for w in weights]), counts, axis=0) if unit else None
+            for weights, unit in zip(self._weights, units)
+        ]
+
+    @property
+    def rows(self) -> int:
+        return self.bounds[-1]
+
+    def _matmul(self, a: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+        """``a @ w`` with each model's ``w`` on that model's rows."""
+        if len(weights) == 1:
+            return a @ weights[0]
+        out = np.empty((a.shape[0], weights[0].shape[1]))
+        bounds = self.bounds
+        for j, w in enumerate(weights):
+            start, stop = bounds[j], bounds[j + 1]
+            if start < stop:
+                np.matmul(a[start:stop], w, out=out[start:stop])
+        return out
+
+    def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Every layer's pre-activations and the output probabilities of the
+        float64 (n, d) batch ``x`` (see :func:`forward_layers`)."""
+        pre_acts = []
+        a = x
+        last = len(self._biases) - 1
+        for i, (weights, b) in enumerate(zip(self._weights, self._biases)):
+            z = self._matmul(a, weights)
+            z += b
+            pre_acts.append(z)
+            if i < last:
+                a = np.maximum(z, 0.0)
+        return pre_acts, output_probs(self.architecture.output_activation, pre_acts[-1])
+
+    def input_gradient(
+        self,
+        pre_acts: list[np.ndarray],
+        probs: np.ndarray,
+        labels: np.ndarray,
+        clamp: bool = True,
+    ) -> np.ndarray:
+        """Each row's loss gradient w.r.t. its input, from the outputs of
+        :meth:`forward`. ``probs`` is used up; ``labels`` passed
+        :func:`check_labels`, and ``clamp`` is passed on to
+        :func:`output_delta`."""
+        delta = output_delta(self.architecture.output_activation, probs, labels, clamp)
+        for i in range(len(self._units) - 1, -1, -1):
+            unit = self._units[i]
+            delta = delta * unit if unit is not None else self._matmul(delta, self._transposed[i])
+            if i > 0:
+                delta *= pre_acts[i - 1] > 0.0
+        return delta
+
+    def take(self, keep: np.ndarray) -> ModelGroup:
+        """The group over the rows that the boolean mask ``keep`` marks."""
+        group = copy.copy(self)
+        group.bounds = np.concatenate(([0], np.cumsum(keep)))[self.bounds].tolist()
+        if len(self._weights[0]) > 1:
+            group._biases = [b[keep] for b in self._biases]
+            group._units = [u if u is None else u[keep] for u in self._units]
+        return group
+
+
+def as_group(params: ModelParams | ModelGroup, rows: int) -> ModelGroup:
+    """``params`` over a batch of ``rows`` rows: a model is a group of one."""
+    if not isinstance(params, ModelGroup):
+        return ModelGroup([params], [rows])
+    if params.rows != rows:
+        raise InputError(f"a group over {params.rows} rows was given {rows}")
+    return params
 
 
 def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.ndarray:
@@ -192,7 +305,7 @@ def predicted_classes(activation: OutputActivation, probs: np.ndarray) -> np.nda
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
-def input_rows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+def input_rows(params: ModelParams | ModelGroup, inputs: np.ndarray) -> np.ndarray:
     """``inputs`` as float64 (n, d) rows of the model's input width."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.architecture.input_dim:
@@ -203,11 +316,20 @@ def input_rows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Predicted class index per row; argmax ties resolve to the lowest index."""
+def predict_batch(params: ModelParams | ModelGroup, inputs: np.ndarray) -> np.ndarray:
+    """Predicted class index per row; argmax ties resolve to the lowest index.
+
+    ``params`` is one model, or a :class:`ModelGroup` whose models each
+    predict their own rows.
+    """
     inputs = input_rows(params, inputs)
     with np.errstate(over="ignore"):
-        _, _, probs = _forward(params, inputs)
+        if isinstance(params, ModelGroup):
+            _, probs = as_group(params, inputs.shape[0]).forward(inputs)
+        else:
+            # the pass local training runs, without a group to build
+            layers = unpack_layers(params.architecture, params.values)
+            _, _, probs = forward_layers(layers, params.architecture.output_activation, inputs)
     return predicted_classes(params.architecture.output_activation, probs)
 
 
@@ -318,23 +440,20 @@ def loss_and_param_grads(
 
 
 def input_gradient_batch(
-    params: ModelParams, inputs: np.ndarray, labels: np.ndarray
+    params: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Row-wise gradient of each sample's own loss w.r.t. its input vector."""
+    """Row-wise gradient of each sample's own loss w.r.t. its input vector.
+
+    ``params`` is one model, or a :class:`ModelGroup` whose models each
+    take their own rows; PGD runs the same pass.
+    """
     inputs = input_rows(params, inputs)
     labels = np.asarray(labels, dtype=np.int64)
-    arch = params.architecture
-    check_labels(arch, labels)
-    layers = unpack_layers(arch, params.values)
-    activation = arch.output_activation
+    group = as_group(params, inputs.shape[0])
+    check_labels(group.architecture, labels)
     with np.errstate(over="ignore"):
-        _, pre_acts, probs = forward_layers(layers, activation, inputs)
-    delta = output_delta(activation, probs, labels)
-    for i in range(len(layers) - 1, -1, -1):
-        delta = _back_through(delta, layers[i][0])
-        if i > 0:
-            delta *= pre_acts[i - 1] > 0.0
-    return delta
+        pre_acts, probs = group.forward(inputs)
+    return group.input_gradient(pre_acts, probs, labels)
 
 
 def sgd_step(values: np.ndarray, gradient: np.ndarray, learning_rate: float) -> None:

@@ -122,10 +122,7 @@ class CoalitionCache:
     that round's table from bitmask to coalition (see :meth:`coalitions`).
     The adversarial predictions come from :meth:`prefetch_res`, which
     attacks many coalitions in PGD groups; ``evaluate`` attacks a coalition
-    without them alone. A new round keeps the previous round's grand
-    coalition, whose aggregate is the new round's base model: the empty
-    coalition reuses its predictions when the two models are equal bit for
-    bit.
+    without them alone.
 
     A (round, coalition, metric) utility is computed on its first request
     and memoized: ``evaluations`` counts the utilities computed, ``hits``
@@ -139,8 +136,6 @@ class CoalitionCache:
     def __init__(self) -> None:
         self._memo: dict[tuple[int, Metric, Coalition], float] = {}
         self._round: int | None = None
-        self._grand: Coalition | None = None
-        self._carried: _Aggregate | None = None
         self._coalitions: dict[int, Coalition] = {}
         self._aggregates: dict[Coalition, _Aggregate] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
@@ -153,9 +148,7 @@ class CoalitionCache:
         :func:`_utility_fn` fills; a new round starts an empty one, so the
         round's metrics and schemes share one tuple per coalition."""
         if record.round != self._round:
-            self._carried = self._aggregates.get(self._grand)
             self._round = record.round
-            self._grand = tuple(sorted(record.client_ids))
             self._coalitions = {}
             self._aggregates = {}
         return self._coalitions
@@ -226,17 +219,9 @@ class CoalitionCache:
         aggregate = self._aggregates.get(members)
         if aggregate is None:
             model = fedavg(record.global_before, [record.update_for(k) for k in members])
-            carried = self._carried
-            if (
-                not members
-                and carried is not None
-                and carried.model.architecture == model.architecture
-                and np.array_equal(carried.model.values, model.values)
-            ):
-                aggregate = carried
-            else:
-                aggregate = _Aggregate(model, predict_batch(model, ctx.test.features))
-            self._aggregates[members] = aggregate
+            aggregate = self._aggregates[members] = _Aggregate(
+                model, predict_batch(model, ctx.test.features)
+            )
         return aggregate
 
     def __len__(self) -> int:

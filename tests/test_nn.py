@@ -235,7 +235,7 @@ class TestLoss:
             params, x, y = random_case(rng)
             loss, _ = loss_and_grad(params, x, y)
             assert loss >= 0.0
-            _, _, probs = nn._forward(params, x)
+            _, probs = nn.as_group(params, len(x)).forward(x)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -248,7 +248,7 @@ class TestInputGradient:
         x = rng.random(4)
         y = 1
         w = params.values[:12].reshape(4, 3)
-        _, _, probs = nn._forward(params, x[None, :])
+        _, probs = nn.as_group(params, 1).forward(x[None, :])
         onehot = np.eye(3)[y]
         expected = w @ (probs[0] - onehot)
         got = input_gradient_batch(params, x[None, :], np.array([y]))[0]

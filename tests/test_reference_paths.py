@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fedtrust import metrics, valuation
-from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch, pgd_predictions
+from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
 from fedtrust.errors import InputError, MetricUndefinedError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
@@ -24,6 +24,7 @@ from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evalu
 from fedtrust.nn import (
     LOG_CLAMP,
     Architecture,
+    ModelGroup,
     ModelParams,
     OutputActivation,
     init_params,
@@ -32,7 +33,7 @@ from fedtrust.nn import (
     unpack_layers,
 )
 from fedtrust.seeding import derive_seed, rng_from
-from fedtrust.valuation import CoalitionCache, coalition_utility, exact_shapley_round
+from fedtrust.valuation import CoalitionCache, coalition_utility
 
 # --- reference path ---
 
@@ -288,14 +289,31 @@ def test_pgd_flip_timing_extremes_match_reference(margins, flip_step):
 # --- grouped PGD ---
 
 
-def ref_pgd_predictions(models, x, y, counts, spec):
-    """Each model's rows attacked and predicted on their own, in order."""
-    out, start = [], 0
+def ref_grouped(models, x, y, counts, spec):
+    """Each model's rows attacked, and predicted, on their own, in order."""
+    attacked, classes, start = [], [], 0
     for model, n in zip(models, counts):
         rows = slice(start, start + n)
-        out.append(ref_predict(model, ref_pgd(model, x[rows], y[rows], spec)))
+        attacked.append(ref_pgd(model, x[rows], y[rows], spec))
+        classes.append(ref_predict(model, attacked[-1]))
         start += n
-    return np.concatenate(out)
+    return np.concatenate(attacked), np.concatenate(classes)
+
+
+def grouped(models, x, y, counts, spec):
+    """The group's iterates and its predictions on them."""
+    group = ModelGroup(models, counts)
+    attacked = pgd_batch(group, x, y, spec)
+    return attacked, predict_batch(group, attacked)
+
+
+def assert_grouped_matches_reference(models, x, y, counts, spec):
+    """Returns the reference classes, after an exact comparison."""
+    attacked, classes = grouped(models, x, y, counts, spec)
+    ref_attacked, ref_classes = ref_grouped(models, x, y, counts, spec)
+    assert np.array_equal(attacked, ref_attacked)
+    assert np.array_equal(classes, ref_classes)
+    return ref_classes
 
 
 def random_group(seed, activation, hidden_layers, counts, mislabelled=False):
@@ -322,15 +340,13 @@ def test_grouped_pgd_matches_reference_per_model(activation, hidden_layers):
     for seed in range(4):
         for mislabelled in (False, True):
             models, x, y = random_group(seed, activation, hidden_layers, counts, mislabelled)
-            expected = ref_pgd_predictions(models, x, y, counts, spec)
-            assert np.array_equal(pgd_predictions(models, x, y, counts, spec), expected)
+            expected = assert_grouped_matches_reference(models, x, y, counts, spec)
             flips.append(expected != y)
             # every model alone, as a group of one
             start = 0
             for model, n in zip(models, counts):
                 rows = slice(start, start + n)
-                got = pgd_predictions([model], x[rows], y[rows], [n], spec)
-                assert np.array_equal(got, expected[rows])
+                assert_grouped_matches_reference([model], x[rows], y[rows], [n], spec)
                 start += n
     flips = np.concatenate(flips)
     assert 0 < flips.sum() < flips.size
@@ -346,8 +362,7 @@ def test_grouped_pgd_degenerate_specs_match_reference(activation, spec):
     counts = [12, 30, 0, 18]
     for mislabelled in (False, True):
         models, x, y = random_group(5, activation, 1, counts, mislabelled)
-        got = pgd_predictions(models, x, y, counts, spec)
-        assert np.array_equal(got, ref_pgd_predictions(models, x, y, counts, spec))
+        assert_grouped_matches_reference(models, x, y, counts, spec)
 
 
 @pytest.mark.parametrize(
@@ -373,22 +388,38 @@ def test_grouped_pgd_flip_timing_extremes_match_reference(margin_sets, flip_step
         ys.append(y)
     assert set(np.concatenate(steps)) == flip_steps
     x, y, counts = np.concatenate(xs), np.concatenate(ys), [len(v) for v in ys]
-    got = pgd_predictions(models, x, y, counts, spec)
-    assert np.array_equal(got, ref_pgd_predictions(models, x, y, counts, spec))
-    assert (got != y).all()
+    expected = assert_grouped_matches_reference(models, x, y, counts, spec)
+    assert (expected != y).all()
 
 
-def test_grouped_pgd_rejects_mismatched_groups():
+def test_grouped_input_gradient_matches_reference_per_model():
+    for activation in OutputActivation:
+        counts = [9, 0, 14]
+        models, x, y = random_group(3, activation, 2, counts, mislabelled=True)
+        got = input_gradient_batch(ModelGroup(models, counts), x, y)
+        bounds = np.cumsum([0, *counts])
+        for j, model in enumerate(models):
+            rows = slice(bounds[j], bounds[j + 1])
+            assert np.array_equal(got[rows], ref_input_gradient(model, x[rows], y[rows]))
+
+
+def test_model_group_rejects_mismatched_groups():
     sigmoid, rng = random_model(0, OutputActivation.SIGMOID, 1)
     softmax, _ = random_model(0, OutputActivation.SOFTMAX, 1)
     x, y = rng.random((4, 5)), np.zeros(4, dtype=np.int64)
     spec = AttackSpec()
     with pytest.raises(InputError):
-        pgd_predictions([sigmoid, softmax], x, y, [2, 2], spec)
+        ModelGroup([sigmoid, softmax], [2, 2])
     with pytest.raises(InputError):
-        pgd_predictions([sigmoid, sigmoid], x, y, [2, 3], spec)
+        ModelGroup([], [])
     with pytest.raises(InputError):
-        pgd_predictions([], x, y, [], spec)
+        ModelGroup([sigmoid, sigmoid], [2])
+    with pytest.raises(InputError):
+        ModelGroup([sigmoid, sigmoid], [5, -1])
+    with pytest.raises(InputError):
+        pgd_batch(ModelGroup([sigmoid, sigmoid], [2, 3]), x, y, spec)
+    with pytest.raises(InputError):
+        predict_batch(ModelGroup([sigmoid], [3]), x)
 
 
 def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivation.SIGMOID)):
@@ -599,11 +630,11 @@ def counting_pgd(monkeypatch):
     """Replace the attack ``evaluate`` runs by one that records its row counts."""
     rows = []
 
-    def counted(models, inputs, labels, counts, spec):
+    def counted(model, inputs, labels, spec):
         rows.append(len(labels))
-        return pgd_predictions(models, inputs, labels, counts, spec)
+        return pgd_batch(model, inputs, labels, spec)
 
-    monkeypatch.setattr(metrics, "pgd_predictions", counted)
+    monkeypatch.setattr(metrics, "pgd_batch", counted)
     return rows
 
 
@@ -639,11 +670,11 @@ def counting_groups(monkeypatch):
     """Record the model count of every PGD group ``metrics`` runs."""
     groups = []
 
-    def counted(models, inputs, labels, counts, spec):
-        groups.append(len(models))
-        return pgd_predictions(models, inputs, labels, counts, spec)
+    def counted(group, inputs, labels, spec):
+        groups.append(len(group.bounds) - 1)
+        return pgd_batch(group, inputs, labels, spec)
 
-    monkeypatch.setattr(metrics, "pgd_predictions", counted)
+    monkeypatch.setattr(metrics, "pgd_batch", counted)
     return groups
 
 
@@ -704,26 +735,3 @@ def test_prefetched_fold_matches_one_request_at_a_time(monkeypatch):
     assert grouped[:2] == alone[:2]
     assert max(grouped[2]) > 1 and set(alone[2]) == {1}
     assert len(grouped[2]) < len(alone[2])
-
-
-def test_next_rounds_empty_coalition_reuses_the_grand_attack(monkeypatch):
-    records, ctx = trained_setup(rounds=4)
-    attacked = []
-
-    def counted(models, cleans, ctx):
-        attacked.extend(models)
-        return adversarial_predictions(models, cleans, ctx)
-
-    adversarial_predictions = metrics.adversarial_predictions
-    monkeypatch.setattr(valuation, "adversarial_predictions", counted)
-    cache = CoalitionCache()
-    for record in records:
-        exact_shapley_round(record, Metric.RES, ctx, cache)
-    # round t + 1's base model is round t's grand aggregate, bit for bit
-    for before, after in zip(records, records[1:]):
-        grand = fedavg(before.global_before, list(before.updates))
-        assert np.array_equal(after.global_before.values, grand.values)
-    coalitions = 2 ** len(records[0].client_ids)
-    assert len(attacked) == len(records) * coalitions - (len(records) - 1)
-    assert cache.evaluations == len(records) * coalitions
-    assert len(cache.requested["exact_shapley"]) == len(records) * coalitions

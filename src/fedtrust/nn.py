@@ -197,9 +197,10 @@ class ModelGroup:
     so every row keeps its bits. Every elementwise operation runs once over
     all rows, with per-row copies of the biases and of a one-unit layer's
     weight column (whose backward pass is a broadcast product, see
-    :func:`_back_through`); a group of one broadcasts its model's own. A pass costs about as much on one row as on a
-    thousand, since the time goes on per-call overhead, so PGD attacks the
-    rows of many models as one group.
+    :func:`_back_through`); a group of one broadcasts its model's own. A
+    pass costs about as much on one row as on a thousand, since the time
+    goes on per-call overhead, so PGD attacks the rows of many models as
+    one group.
     """
 
     def __init__(self, models: Sequence[ModelParams], counts: Sequence[int]) -> None:

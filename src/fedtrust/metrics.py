@@ -15,7 +15,8 @@ coalition) once, runs one clean forward pass on the aggregate and hands
 that prediction to every metric it evaluates there. ``rel`` adds one
 forward pass on the noisy test inputs, which depend only on the noise spec
 and the test set, so :class:`EvalContext` builds them once, that is once
-per fold, and keeps them read-only.
+per fold, from one seeded stream per test sample
+(:func:`fedtrust.seeding.rng_streams`), and keeps them read-only.
 
 ``res`` scores a model's adversarial predictions on its correctly
 classified samples. :func:`adversarial_predictions` makes them for many
@@ -25,10 +26,11 @@ margin), whose adversarial prediction is their label, and then attacks the
 other rows of all the models in groups of about ``ATTACK_GROUP_ROWS`` rows
 (:func:`fedtrust.attacks.pgd_batch` on a :class:`fedtrust.nn.ModelGroup`)
 and predicts each group's iterates in one pass. The valuation stage calls
-it ahead of the ``res`` requests of a round and hands each model's
-predictions to :func:`evaluate`; without them, :func:`evaluate` attacks the
-model as a group of one. ``res`` then scores the same full-length arrays as
-with every row attacked on its own, so it has the same bits.
+it on each list of ``res`` requests a scheme makes (GTG makes one per scan
+position) and hands each model's predictions to :func:`evaluate`; without
+them, :func:`evaluate` attacks the model as a group of one. ``res`` then
+scores the same full-length arrays as with every row attacked on its own,
+so it has the same bits.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .attacks import AttackSpec, certified_rows, pgd_batch
 from .data import Dataset
 from .errors import ConfigError, InputError, MetricUndefinedError
 from .nn import ModelGroup, ModelParams, predict_batch
-from .seeding import rng_from
+from .seeding import rng_streams
 
 
 # Rows of open (uncertified) res samples that one PGD loop attacks at most,
@@ -146,8 +148,8 @@ class EvalContext:
         noise = np.empty((n, d))
         # One stream per sample index: evaluation order and batching cannot
         # change which noise vector a sample receives.
-        for i in range(n):
-            noise[i] = rng_from(self.noise.noise_seed, "noise", i).standard_normal(d)
+        for i, rng in enumerate(rng_streams(self.noise.noise_seed, "noise", indices=range(n))):
+            noise[i] = rng.standard_normal(d)
         noisy = self.test.features + noise * self.noise.sigma
         noisy.flags.writeable = False
         return noisy

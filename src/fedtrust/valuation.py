@@ -21,20 +21,24 @@ evaluation counts are the honest cost measure of a scheme. Each round
 wrapper records the (round, coalition, metric) keys its scheme asked for in
 the cache's ``requested[scheme]``.
 
+Each scheme core asks its utility game for a list of coalitions at a
+time and gets their utilities back in order: exact Shapley asks for all its
+requests in one list, LOO for the grand coalition and the K leave-one-outs,
+and GTG for the empty and full coalitions and then, per scan position, for
+the next prefix of every permutation it has not truncated. Each element of
+a list is still one request.
+
 The ``res`` utility of a coalition runs PGD on its aggregate, which is most
-of the cost. Exact Shapley and LOO know every coalition their core will
-ask for, so before the core runs on ``res`` their round wrappers hand the
-cache those bitmasks (:meth:`CoalitionCache.prefetch_res`): the cache then
-attacks together, in PGD groups (``metrics.adversarial_predictions``), the
-coalitions whose ``res`` utility it has not memoized, and keeps their
-adversarial predictions beside their aggregates. Each utility is still
-computed when the core asks for it. GTG's requests depend on its
-truncation, so it asks one coalition at a time, and ``evaluate`` attacks
-such a coalition as a group of one.
+of the cost. So on ``res`` the utility game first hands the cache the whole
+list (:meth:`CoalitionCache.prefetch_res`): the cache attacks together, in
+PGD groups (``metrics.adversarial_predictions``), the list's coalitions
+whose ``res`` utility it has not memoized, and keeps their adversarial
+predictions beside their aggregates until their utility is computed, which
+happens before the list's utilities are returned.
 
 The scheme cores carry coalitions as int bitmasks over the round's sorted
-client ids; everywhere else a coalition is the sorted tuple of its ids. A
-round wrapper maps each mask to its tuple through the cache's table of the
+client ids; everywhere else a coalition is the sorted tuple of its ids. The
+utility game maps each mask to its tuple through the cache's table of the
 round's coalitions (one dict, built on first use, so GTG's K may be too
 large for a 2^K list), and the memo is keyed by that tuple. The cache looks
 a subset up as given, so a repeated request costs one dict lookup; a subset
@@ -62,7 +66,7 @@ from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
 from .nn import ModelParams, predict_batch
-from .seeding import rng_from
+from .seeding import rng_streams
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +75,10 @@ _SUFFIX_ENUM_LIMIT = 1_000_000
 _PERMUTATION_SCAN_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
-# A scheme core's utility game: the utility of a coalition given as a
-# bitmask over the round's sorted client ids (bit i: the i-th id is in).
-UtilityFn = Callable[[int], float]
+# A scheme core's utility game: the utilities, in order, of a list of
+# coalitions given as bitmasks over the round's sorted client ids (bit i:
+# the i-th id is in).
+UtilityFn = Callable[[Sequence[int]], list[float]]
 
 
 class Scheme(str, Enum):
@@ -101,10 +106,11 @@ class ValuationConfig:
 
 @dataclass(eq=False)
 class _Aggregate:
-    """A coalition's model, its clean test predictions and, once
-    :meth:`CoalitionCache.prefetch_res` has attacked it, its ``res``
-    adversarial predictions (still None when the model classifies no test
-    sample correctly: ``res`` is undefined there)."""
+    """A coalition's model, its clean test predictions and, from
+    :meth:`CoalitionCache.prefetch_res` until its ``res`` utility is
+    computed, its ``res`` adversarial predictions (None otherwise, and when
+    the model classifies no test sample correctly: ``res`` is undefined
+    there)."""
 
     model: ModelParams
     clean: np.ndarray
@@ -117,12 +123,12 @@ class CoalitionCache:
     A fold has one record per round, so a round number names its record.
     A coalition is the sorted tuple of its client ids. Each (round,
     coalition) is aggregated and run forward on the clean test inputs once;
-    the aggregate, its predictions and its ``res`` adversarial predictions
-    are kept for the latest round only and shared by every metric, beside
-    that round's table from bitmask to coalition (see :meth:`coalitions`).
-    The adversarial predictions come from :meth:`prefetch_res`, which
-    attacks many coalitions in PGD groups; ``evaluate`` attacks a coalition
-    without them alone.
+    the aggregate and its predictions are kept for the latest round only and
+    shared by every metric, beside that round's table from bitmask to
+    coalition (see :meth:`coalitions`). Its ``res`` adversarial predictions
+    come from :meth:`prefetch_res`, which attacks many coalitions in PGD
+    groups, and are dropped once its ``res`` utility is memoized;
+    ``evaluate`` attacks a coalition without them alone.
 
     A (round, coalition, metric) utility is computed on its first request
     and memoized: ``evaluations`` counts the utilities computed, ``hits``
@@ -178,8 +184,12 @@ class CoalitionCache:
             self.hits += 1
             return value
         aggregate = self._aggregate(record, members, ctx)
+        adversarial = None
+        if metric is Metric.RES:
+            # read once: from here on the memo answers this coalition's res
+            adversarial, aggregate.adversarial = aggregate.adversarial, None
         try:
-            value = evaluate(aggregate.model, metric, ctx, aggregate.clean, aggregate.adversarial)
+            value = evaluate(aggregate.model, metric, ctx, aggregate.clean, adversarial)
         except MetricUndefinedError as exc:
             # Substituting the empty-coalition utility rather than dropping
             # the coalition keeps the marginals around it unbiased.
@@ -196,22 +206,24 @@ class CoalitionCache:
         self._memo[key] = value
         return value
 
-    def prefetch_res(self, record: RoundRecord, masks: Iterable[int], ctx: EvalContext) -> None:
-        """Attack together the coalitions of ``masks`` (bitmasks over the
-        round's sorted client ids) whose ``res`` utility is neither memoized
-        nor already attacked; computes no utility and counts nothing."""
-        clients = sorted(record.client_ids)
-        pending = []
-        for mask in masks:
-            members = _coalition_of(clients, mask)
-            if (record.round, Metric.RES, members) not in self._memo:
+    def prefetch_res(
+        self, record: RoundRecord, coalitions: Iterable[Coalition], ctx: EvalContext
+    ) -> None:
+        """Attack together the ``coalitions`` (sorted tuples of the round's
+        client ids; repeats are attacked once) whose ``res`` utility is
+        neither memoized nor already attacked; computes no utility and
+        counts nothing."""
+        pending: dict[Coalition, _Aggregate] = {}
+        for members in coalitions:
+            if members not in pending and (record.round, Metric.RES, members) not in self._memo:
                 aggregate = self._aggregate(record, members, ctx)
                 if aggregate.adversarial is None:
-                    pending.append(aggregate)
+                    pending[members] = aggregate
+        aggregates = list(pending.values())
         predictions = adversarial_predictions(
-            [a.model for a in pending], [a.clean for a in pending], ctx
+            [a.model for a in aggregates], [a.clean for a in aggregates], ctx
         )
-        for aggregate, adversarial in zip(pending, predictions):
+        for aggregate, adversarial in zip(aggregates, predictions):
             aggregate.adversarial = adversarial
 
     def _aggregate(self, record: RoundRecord, members: Coalition, ctx: EvalContext) -> _Aggregate:
@@ -259,26 +271,34 @@ def _utility_fn(
     cache: CoalitionCache,
     scheme: Scheme,
 ) -> UtilityFn:
-    """The round's utility game over bitmasks, recording each request as
-    ``scheme``'s.
+    """The round's utility game over lists of bitmasks, recording each
+    request as ``scheme``'s.
 
     Each mask maps to its sorted tuple of client ids through the cache's
-    table of the round's coalitions, and that tuple enters
-    :func:`coalition_utility`, whose memo answers a repeated request.
+    table of the round's coalitions, and each tuple of the list enters
+    :func:`coalition_utility`, whose memo answers a repeated request. On
+    ``res`` the cache first attacks the list's coalitions together
+    (:meth:`CoalitionCache.prefetch_res`).
     """
+    metric = Metric(metric)
     ids = sorted(record.client_ids)
     coalitions = cache.coalitions(record)
     requested = cache.requested.setdefault(scheme.value, set())
     seen: set[int] = set()
 
-    def u(mask: int) -> float:
-        members = coalitions.get(mask)
-        if members is None:
-            members = coalitions[mask] = _coalition_of(ids, mask)
-        if mask not in seen:
-            seen.add(mask)
-            requested.add((record.round, members, metric))
-        return coalition_utility(record, members, metric, ctx, cache)
+    def u(masks: Sequence[int]) -> list[float]:
+        members = []
+        for mask in masks:
+            coalition = coalitions.get(mask)
+            if coalition is None:
+                coalition = coalitions[mask] = _coalition_of(ids, mask)
+            if mask not in seen:
+                seen.add(mask)
+                requested.add((record.round, coalition, metric))
+            members.append(coalition)
+        if metric is Metric.RES:
+            cache.prefetch_res(record, members, ctx)
+        return [coalition_utility(record, m, metric, ctx, cache) for m in members]
 
     return u
 
@@ -288,6 +308,7 @@ def _utility_fn(
 # Each core carries coalitions as bitmasks over its sorted ``clients`` (see
 # ``UtilityFn``): the coalition of the first i clients of a permutation is
 # one OR per step, and a memo keyed by mask answers a repeated request.
+# A core asks for lists of masks, each as large as its scan allows.
 
 
 def exact_shapley_values(clients: Sequence[int], u: UtilityFn) -> dict[int, float]:
@@ -295,21 +316,31 @@ def exact_shapley_values(clients: Sequence[int], u: UtilityFn) -> dict[int, floa
 
     Equivalent to averaging marginals over every permutation; the permutation
     sum is collapsed into the subset-weighted closed form so only the 2^K
-    distinct coalition utilities are touched.
+    distinct coalition utilities are touched. Every request goes in one
+    list: per client and coalition of the others, with the client and then
+    without.
     """
     clients = tuple(sorted(clients))
     k = len(clients)
     fact = [math.factorial(i) for i in range(k + 1)]
     weights = [fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)]
     bits = [1 << i for i in range(k)]
-    values: dict[int, float] = {}
-    for i, client in enumerate(clients):
+    masks: list[int] = []
+    for i in range(k):
         others = bits[:i] + bits[i + 1 :]
-        total = 0.0
         for size in range(k):
             for combo in combinations(others, size):
                 without = sum(combo)
-                total += weights[size] * (u(without | bits[i]) - u(without))
+                masks += (without | bits[i], without)
+    utilities = u(masks)
+    values: dict[int, float] = {}
+    j = 0
+    for client in clients:
+        total = 0.0
+        for size in range(k):
+            for _ in range(math.comb(k - 1, size)):
+                total += weights[size] * (utilities[j] - utilities[j + 1])
+                j += 2
         values[client] = total
     return values
 
@@ -318,8 +349,8 @@ def loo_values(clients: Sequence[int], u: UtilityFn) -> dict[int, float]:
     """Leave-one-out: utility of everyone minus utility without the client."""
     clients = tuple(sorted(clients))
     everyone = (1 << len(clients)) - 1
-    full = u(everyone)
-    return {c: full - u(everyone ^ 1 << i) for i, c in enumerate(clients)}
+    full, *without = u([everyone] + [everyone ^ 1 << i for i in range(len(clients))])
+    return {c: full - v for c, v in zip(clients, without)}
 
 
 def permutation_budget(client_count: int, eps2: float) -> int:
@@ -342,10 +373,11 @@ def permutation_budget(client_count: int, eps2: float) -> int:
 @lru_cache(maxsize=1)
 def gtg_permutations(
     clients: Sequence[int], budget: int, round_idx: int, vcfg: ValuationConfig
-) -> tuple[Coalition, ...]:
+) -> np.ndarray:
     """Balanced permutation sample: client (r mod K) leads permutation r.
 
-    A lead whose quota covers its whole stratum gets the suffixes by
+    Row r of the read-only (budget, K) array is permutation r, in client
+    ids. A lead whose quota covers its whole stratum gets the suffixes by
     lexicographic enumeration (this is what makes eps2 = 1 reproduce the
     exact permutation set); otherwise suffixes are independent seeded
     shuffles keyed by (perm_seed, round, r). The latest sample is kept, so
@@ -354,24 +386,28 @@ def gtg_permutations(
     clients = tuple(sorted(clients))
     k = len(clients)
     stratum = math.factorial(k - 1)
-    quota = [len(range(i, budget, k)) for i in range(k)]
-    enumerated: dict[int, list[Coalition]] = {}
-    for i in range(k):
-        if quota[i] >= stratum and stratum <= _SUFFIX_ENUM_LIMIT:
-            rest = clients[:i] + clients[i + 1 :]
-            enumerated[i] = [tuple(p) for p in permutations(rest)]
-    perms: list[Coalition] = []
-    for r in range(budget):
-        i = r % k
-        lead = clients[i]
-        if i in enumerated:
-            suffix = enumerated[i][r // k]
-        else:
-            rest = np.array(clients[:i] + clients[i + 1 :])
-            rng = rng_from(vcfg.perm_seed, "perm", round_idx, r)
-            suffix = tuple(int(c) for c in rng.permutation(rest))
-        perms.append((lead,) + suffix)
-    return tuple(perms)
+    leads = np.arange(budget) % k
+    # row i: the positions of every client but the i-th, in order
+    rests = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+    order = np.empty((budget, k), dtype=np.intp)
+    order[:, 0] = leads
+    order[:, 1:] = rests[leads]
+    enumerated = {
+        i
+        for i in range(k)
+        if len(range(i, budget, k)) >= stratum and stratum <= _SUFFIX_ENUM_LIMIT
+    }
+    if enumerated:
+        suffixes = np.array(list(permutations(range(k - 1))), dtype=np.intp)
+        for i in enumerated:
+            rows = np.arange(i, budget, k)
+            order[rows, 1:] = rests[i][suffixes[rows // k]]
+    drawn = [r for r in range(budget) if r % k not in enumerated]
+    for r, rng in zip(drawn, rng_streams(vcfg.perm_seed, "perm", round_idx, indices=drawn)):
+        rng.shuffle(order[r, 1:])
+    perms = np.array(clients)[order]
+    perms.flags.writeable = False
+    return perms
 
 
 def gtg_shapley_values(
@@ -380,26 +416,41 @@ def gtg_shapley_values(
     round_idx: int,
     vcfg: ValuationConfig,
 ) -> dict[int, float]:
-    """GTG-approximate Shapley values for one round's utility game."""
+    """GTG-approximate Shapley values for one round's utility game.
+
+    The permutations are scanned a position at a time: before each
+    position, a permutation whose prefix utility is within eps3 of the full
+    coalition's is truncated, and ``u`` gets one list, the next prefix of
+    every other permutation in permutation order. Each client's marginals
+    are summed in permutation order, as in a scan of one permutation after
+    another.
+    """
     clients = tuple(sorted(clients))
-    bits = {c: 1 << i for i, c in enumerate(clients)}
-    v_empty = u(0)
-    v_full = u((1 << len(clients)) - 1)
+    k = len(clients)
+    v_empty, v_full = u([0, (1 << k) - 1])
     if abs(v_full - v_empty) < vcfg.eps1:
         return {c: 0.0 for c in clients}
-    budget = permutation_budget(len(clients), vcfg.eps2)
-    sums = {c: 0.0 for c in clients}
-    for perm in gtg_permutations(clients, budget, round_idx, vcfg):
-        prefix = 0
-        v_prefix = v_empty
-        for client in perm:
-            if abs(v_full - v_prefix) < vcfg.eps3:
-                break
-            prefix |= bits[client]
-            v_next = u(prefix)
-            sums[client] += v_next - v_prefix
-            v_prefix = v_next
-    return {c: sums[c] / budget for c in clients}
+    budget = permutation_budget(k, vcfg.eps2)
+    order = np.searchsorted(clients, gtg_permutations(clients, budget, round_idx, vcfg))
+    # int64 masks up to 62 clients, Python ints past that
+    bits = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
+    prefixes = np.zeros(budget, dtype=bits.dtype)
+    values = np.full(budget, v_empty, dtype=float)
+    # row r + 1 holds permutation r's marginal per client, 0.0 for a client
+    # its truncated scan never reached; the zero row 0 starts every sum
+    marginals = np.zeros((budget + 1, k))
+    rows = np.arange(budget)
+    for position in range(k):
+        rows = rows[~(np.abs(v_full - values[rows]) < vcfg.eps3)]
+        if not len(rows):
+            break
+        members = order[rows, position]
+        prefixes[rows] |= bits[members]
+        utilities = np.array(u(prefixes[rows].tolist()), dtype=float)
+        marginals[rows + 1, members] = utilities - values[rows]
+        values[rows] = utilities
+    sums = np.add.accumulate(marginals, out=marginals)[-1]
+    return {c: float(total) for c, total in zip(clients, sums / budget)}
 
 
 # --- per-round wrappers over federation records ---
@@ -416,8 +467,6 @@ def exact_shapley_round(
             f"exact Shapley enumerates 2^K utilities; K={len(record.updates)} "
             f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
         )
-    if metric is Metric.RES:
-        cache.prefetch_res(record, range(1 << len(record.client_ids)), ctx)
     return exact_shapley_values(
         record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.EXACT)
     )
@@ -446,10 +495,6 @@ def loo_round(
 ) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
-    if metric is Metric.RES:
-        everyone = (1 << len(record.client_ids)) - 1
-        masks = [everyone] + [everyone ^ 1 << i for i in range(len(record.client_ids))]
-        cache.prefetch_res(record, masks, ctx)
     return loo_values(record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.LOO))
 
 

@@ -10,7 +10,9 @@ training that builds a new model and new optimizer arrays on every step.
 Every comparison is exact.
 """
 
-from itertools import combinations
+import math
+from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -422,10 +424,10 @@ def test_model_group_rejects_mismatched_groups():
         predict_batch(ModelGroup([sigmoid], [3]), x)
 
 
-def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivation.SIGMOID)):
+def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivation.SIGMOID), clients=4):
     data = generate_synthetic(500, 8, 0.3, seed=seed)
     train, test = train_test_split(data, 0.2, seed=seed)
-    parts = partition(train, PartitionSpec(PartitionMode.DIRICHLET, 4, 0.5, seed=seed))
+    parts = partition(train, PartitionSpec(PartitionMode.DIRICHLET, clients, 0.5, seed=seed))
     init = init_params(arch, seed)
     records = run_training(init, parts, TrainingConfig(rounds=rounds, learning_rate=0.01, seed=seed))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
@@ -714,8 +716,8 @@ def test_adversarial_predictions_skip_models_without_open_rows(monkeypatch):
     assert groups == []
 
 
-def score_fold(records, ctx, prefetch, monkeypatch):
-    """Score every scheme and metric with a fresh cache; without
+def score_fold(records, ctx, schemes, prefetch, monkeypatch):
+    """Score ``schemes`` on every metric with a fresh cache; without
     ``prefetch`` every res coalition is attacked when it is requested."""
     with monkeypatch.context() as patch:
         groups = counting_groups(patch)
@@ -723,15 +725,169 @@ def score_fold(records, ctx, prefetch, monkeypatch):
             patch.setattr(CoalitionCache, "prefetch_res", lambda self, *args: None)
         cache = CoalitionCache()
         vcfg = valuation.ValuationConfig(eps1=0.0)
-        table = valuation.score_rounds(records, list(valuation.Scheme), list(Metric), ctx, vcfg, cache)
+        table = valuation.score_rounds(records, schemes, list(Metric), ctx, vcfg, cache)
     counts = (cache.evaluations, cache.hits, len(cache), cache.undefined, cache.requested)
+    # every res utility is memoized, so no aggregate keeps its predictions
+    assert all(a.adversarial is None for a in cache._aggregates.values())
     return table.entries, counts, groups
 
 
 def test_prefetched_fold_matches_one_request_at_a_time(monkeypatch):
-    records, ctx = trained_setup(rounds=4)
-    grouped = score_fold(records, ctx, True, monkeypatch)
-    alone = score_fold(records, ctx, False, monkeypatch)
-    assert grouped[:2] == alone[:2]
-    assert max(grouped[2]) > 1 and set(alone[2]) == {1}
-    assert len(grouped[2]) < len(alone[2])
+    # every scheme on 4 clients, then GTG alone on 8: its coalitions too are
+    # attacked many models to a group
+    for clients, rounds, schemes in [(4, 4, list(valuation.Scheme)), (8, 2, [valuation.Scheme.GTG])]:
+        records, ctx = trained_setup(rounds=rounds, clients=clients)
+        grouped = score_fold(records, ctx, schemes, True, monkeypatch)
+        alone = score_fold(records, ctx, schemes, False, monkeypatch)
+        assert grouped[:2] == alone[:2]
+        assert max(grouped[2]) > 1 and set(alone[2]) == {1}
+        assert len(grouped[2]) < len(alone[2])
+
+
+# --- GTG scanned by position ---
+
+
+def ref_gtg_permutations(clients, budget, round_idx, vcfg):
+    """The balanced sample drawn one ``rng_from`` stream per permutation."""
+    clients = tuple(sorted(clients))
+    k = len(clients)
+    perms = []
+    for r in range(budget):
+        i = r % k
+        rest = clients[:i] + clients[i + 1 :]
+        if len(range(i, budget, k)) >= math.factorial(k - 1):
+            suffix = list(permutations(rest))[r // k]
+        else:
+            rng = rng_from(vcfg.perm_seed, "perm", round_idx, r)
+            suffix = tuple(int(c) for c in rng.permutation(np.array(rest)))
+        perms.append((clients[i],) + suffix)
+    return perms
+
+
+def ref_gtg_values(clients, u, round_idx, vcfg):
+    """GTG scanning one permutation after another, one request at a time;
+    ``u`` takes a sorted tuple of client ids."""
+    clients = tuple(sorted(clients))
+    v_empty = u(())
+    v_full = u(clients)
+    if abs(v_full - v_empty) < vcfg.eps1:
+        return {c: 0.0 for c in clients}
+    budget = valuation.permutation_budget(len(clients), vcfg.eps2)
+    sums = {c: 0.0 for c in clients}
+    for perm in ref_gtg_permutations(clients, budget, round_idx, vcfg):
+        prefix = ()
+        v_prefix = v_empty
+        for client in perm:
+            if abs(v_full - v_prefix) < vcfg.eps3:
+                break
+            prefix = tuple(sorted(prefix + (client,)))
+            v_next = u(prefix)
+            sums[client] += v_next - v_prefix
+            v_prefix = v_next
+    return {c: sums[c] / budget for c in clients}
+
+
+def recorded(table, requests):
+    """The game ``table`` over sorted tuples, each request kept in ``requests``."""
+
+    def u(ids):
+        requests.append(ids)
+        return table[ids]
+
+    return u
+
+
+def on_mask_lists(clients, u):
+    """``u`` over sorted tuples, asked for lists of bitmasks as the cores ask."""
+    ids = sorted(clients)
+    return lambda masks: [u(tuple(c for i, c in enumerate(ids) if mask >> i & 1)) for mask in masks]
+
+
+# eps2 = 5/6 at K = 3 enumerates two leads and draws the third; past K = 5
+# larger eps2 adds time, not cases
+@pytest.mark.parametrize(
+    "k, eps2", [(k, 0.05) for k in range(1, 9)] + [(k, e) for k in range(1, 6) for e in (0.4, 5 / 6, 1.0)]
+)
+def test_gtg_permutations_match_one_stream_per_permutation(k, eps2):
+    clients = tuple(range(10, 10 + 3 * k, 3))
+    vcfg = valuation.ValuationConfig(eps2=eps2, perm_seed=k)
+    budget = valuation.permutation_budget(k, eps2)
+    got = valuation.gtg_permutations(clients, budget, 5, vcfg)
+    assert got.shape == (budget, k) and not got.flags.writeable
+    assert got.tolist() == [list(p) for p in ref_gtg_permutations(clients, budget, 5, vcfg)]
+
+
+GTG_CASES = {
+    # name: (eps1, eps2, eps3), on a random game
+    "full_scan": (0.0, 0.05, 0.0),
+    "eps3_truncates": (0.0, 0.05, 0.2),
+    "eps1_skips": (2.0, 0.05, 0.0),
+    "eps2_1_enumerates": (0.0, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "k, case",
+    [(k, case) for case in sorted(GTG_CASES) for k in range(2, 9) if GTG_CASES[case][1] < 1 or k <= 5],
+)
+def test_gtg_scan_matches_permutation_major_reference(k, case):
+    eps1, eps2, eps3 = GTG_CASES[case]
+    vcfg = valuation.ValuationConfig(eps1=eps1, eps2=eps2, eps3=eps3, perm_seed=k)
+    clients = tuple(range(3, 3 + 2 * k, 2))
+    rng = np.random.default_rng(k)
+    # values on a coarse grid, so prefixes tie with the full coalition too,
+    # but not a binary one, so the summation order shows in the last bits;
+    # and with eps3 > 0 every permutation led by the first client truncates
+    table = {ids: float(rng.integers(0, 8)) / 7 for ids in all_coalitions(clients)}
+    table[clients] = table[clients[:1]] + 1 / 64
+    got_requests, ref_requests = [], []
+    got = valuation.gtg_shapley_values(clients, on_mask_lists(clients, recorded(table, got_requests)), 4, vcfg)
+    want = ref_gtg_values(clients, recorded(table, ref_requests), 4, vcfg)
+    assert got == want  # bit-equal
+    assert Counter(got_requests) == Counter(ref_requests)
+    if case == "eps3_truncates":
+        assert len(ref_requests) < 2 + k * valuation.permutation_budget(k, eps2)
+    if case == "eps1_skips":
+        assert len(ref_requests) == 2
+
+
+@pytest.mark.parametrize("k", [62, 63, 64, 70])
+def test_gtg_scan_past_int64_masks_matches_reference(k):
+    # from 63 clients on, the scan's bitmasks are Python ints
+    clients = tuple(range(k))
+    costs = np.random.default_rng(k).random(k)
+    game = lambda ids: float(sum(costs[list(ids)]))  # noqa: E731
+    vcfg = valuation.ValuationConfig(eps1=0.0, eps2=1e-300, eps3=0.05)
+    got = valuation.gtg_shapley_values(clients, on_mask_lists(clients, game), 1, vcfg)
+    assert got == ref_gtg_values(clients, game, 1, vcfg)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_gtg_round_with_undefined_fallbacks_matches_reference(metric, monkeypatch):
+    record, ctx = fallback_round()
+    vcfg = valuation.ValuationConfig(eps1=0.0, eps2=1.0, eps3=0.0)
+    got_requests = []
+
+    def counting_utility(record, subset, metric, *args):
+        got_requests.append(subset)
+        return coalition_utility(record, subset, metric, *args)
+
+    monkeypatch.setattr(valuation, "coalition_utility", counting_utility)
+    cache = CoalitionCache()
+    got = valuation.gtg_shapley_round(record, metric, ctx, vcfg, cache)
+    memo, ref_requests = {}, []
+
+    def ref_u(ids):
+        ref_requests.append(ids)
+        if ids not in memo:
+            memo[ids] = ref_coalition_utility(record, ids, metric, ctx)
+        return memo[ids]
+
+    assert got == ref_gtg_values(record.client_ids, ref_u, record.round, vcfg)
+    assert Counter(got_requests) == Counter(ref_requests)
+    # the counts of the permutation-major scan through a cache of its own
+    ref_cache = CoalitionCache()
+    ref_gtg_values(record.client_ids, lambda ids: ref_cache.utility(record, ids, metric, ctx), record.round, vcfg)
+    counts = (cache.evaluations, cache.hits, cache.undefined)
+    assert counts == (ref_cache.evaluations, ref_cache.hits, ref_cache.undefined)
+    assert cache.undefined == {Metric.FAIR: 4, Metric.RES: 1}.get(metric, 0)

@@ -11,7 +11,7 @@ from fedtrust.errors import ConfigError, InputError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, predict_batch
-from fedtrust.seeding import rng_from
+from fedtrust.seeding import rng_streams
 from fedtrust.valuation import (
     CoalitionCache,
     Scheme,
@@ -46,10 +46,10 @@ def additive_game(costs):
 
 
 def on_masks(clients, u):
-    """The game ``u`` over client-id tuples, asked by bitmask over the sorted
-    ``clients`` as the scheme cores ask."""
+    """The game ``u`` over client-id tuples, asked for lists of bitmasks
+    over the sorted ``clients`` as the scheme cores ask."""
     ids = sorted(clients)
-    return lambda mask: u(tuple(c for i, c in enumerate(ids) if mask >> i & 1))
+    return lambda masks: [u(tuple(c for i, c in enumerate(ids) if mask >> i & 1)) for mask in masks]
 
 
 class TestExactCore:
@@ -143,7 +143,7 @@ class TestGtgCore:
     def test_full_budget_enumerates_every_permutation(self):
         vcfg = ValuationConfig(eps2=1.0)
         perms = gtg_permutations(range(4), 24, round_idx=3, vcfg=vcfg)
-        assert sorted(perms) == sorted(all_perms(range(4)))
+        assert sorted(map(tuple, perms.tolist())) == sorted(all_perms(range(4)))
 
     def test_equals_exact_when_not_truncated(self):
         rng = np.random.default_rng(7)
@@ -334,11 +334,12 @@ class TestRoundWrappers:
         vcfg = ValuationConfig(eps1=0.0, eps3=0.0)
         streams = []
 
-        def counting_rng_from(seed, *tags):
-            streams.append(tags)
-            return rng_from(seed, *tags)
+        def counting_rng_streams(seed, *tags, indices):
+            for i, rng in zip(indices, rng_streams(seed, *tags, indices=indices)):
+                streams.append(tags + (i,))
+                yield rng
 
-        monkeypatch.setattr(valuation, "rng_from", counting_rng_from)
+        monkeypatch.setattr(valuation, "rng_streams", counting_rng_streams)
         gtg_permutations.cache_clear()
         score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, CoalitionCache())
         # each round's four metrics share one sample of `budget` shuffles

@@ -15,7 +15,7 @@ keeps the bits it gets when its model is attacked alone (see
 ``ModelGroup``).
 
 Each step runs one forward pass, on the new iterate: its predictions decide
-which rows freeze, and its pre-activations give the next step's input
+which rows freeze, and its hidden activations give the next step's input
 gradient. The step and the projection run in place on the working iterate.
 The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
@@ -132,11 +132,11 @@ def pgd_batch(
     active = np.ones(rows.size, dtype=bool)
     inactive = 0
     with np.errstate(over="ignore"):
-        pre_acts, probs = group.forward(x)
+        hidden, probs = group.forward(x)
         for step in range(spec.steps):
             # After step 0 every active row is classified correctly, so its
             # true class has probability >= 1/C and the log clamp cannot fire.
-            grad = group.input_gradient(pre_acts, probs, y, clamp=step == 0)
+            grad = group.input_gradient(hidden, probs, y, clamp=step == 0)
             np.sign(grad, out=grad)
             grad *= spec.step_size
             x += grad
@@ -145,7 +145,7 @@ def pgd_batch(
             np.minimum(x, upper, out=x)
             if step == spec.steps - 1:
                 break
-            pre_acts, probs = group.forward(x)
+            hidden, probs = group.forward(x)
             flipped = predicted_classes(activation, probs) != y
             if inactive:
                 flipped &= active
@@ -160,7 +160,7 @@ def pgd_batch(
                 rows, x, lower, upper, y, probs = (
                     rows[active], x[active], lower[active], upper[active], y[active], probs[active]
                 )
-                pre_acts = [z[active] for z in pre_acts]
+                hidden = [a[active] for a in hidden]
                 group = group.take(active)
                 active = np.ones(rows.size, dtype=bool)
                 inactive = 0

@@ -21,6 +21,7 @@ rounds it reached; the checkpoints of folds past this run's count stay.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -177,8 +178,12 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
 def analyze_run_dir(run_dir) -> AnalysisReport:
     """Rebuild the report from persisted scores only.
 
-    Folds are read in fold order, as ``run_experiment`` builds its report,
-    and every fold must cover the same rounds, clients, schemes and metrics.
+    Folds are read in fold order, as ``run_experiment`` builds its report.
+    Each fold must score every scheme, metric and client it names in every
+    round from 1 to its last, at least 2, and have ``perf`` scores; every
+    fold must cover the same rounds, clients, schemes and metrics. A fold
+    that does not is a ``DataError``, raised before any report file is
+    written.
     """
     run_dir = Path(run_dir)
     folds = {
@@ -192,6 +197,17 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
     if not score_files:
         raise DataError(f"no scores.csv found under {run_dir}")
     tables = [read_scores_csv(p) for p in score_files]
+    for path, table in zip(score_files, tables):
+        rounds = table.rounds()
+        if rounds[-1] < 2:
+            raise DataError(f"{path}: rounds {rounds} hold no scored round (from 2)")
+        if Metric.PERF.value not in table.metrics():
+            raise DataError(f"{path}: no perf scores to compare the other metrics with")
+        grid = itertools.product(
+            table.schemes(), table.metrics(), table.clients(), range(1, rounds[-1] + 1)
+        )
+        if missing := next((key for key in grid if key not in table.entries), None):
+            raise DataError(f"{path}: no score for {'/'.join(map(str, missing))}")
     first = tables[0]
     for path, table in zip(score_files[1:], tables[1:]):
         for axis in ("rounds", "clients", "schemes", "metrics"):

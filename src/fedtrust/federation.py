@@ -10,10 +10,12 @@ artifacts the valuation stage consumes:
 A client's local update trains one working copy of the global parameter
 vector in place (minibatch Adam or SGD) and checks it for non-finite values
 after every step; the finished vector becomes the update's immutable
-``ModelParams``. The gradient vector, Adam's moments and two scratch
-vectors are allocated once per update; each step gathers its minibatch
-rows, has ``nn.loss_and_param_grads`` write the gradient into views of that
-vector (no loss value is computed) and updates the parameters in place.
+``ModelParams``. The gradient vector, Adam's moments, two scratch vectors
+and an ``nn.ModelGroup`` of one over the working vector (views, which
+follow every step) are made once per update; each step gathers its
+minibatch rows, has ``nn.loss_and_param_grads`` run the group and write
+the gradient into views of that vector (no loss value is computed) and
+updates the parameters in place.
 ``np.errstate`` is entered once around the loop. Client shuffling streams
 are derived per (seed, round, client), so a full training run is a pure
 function of its configuration.
@@ -112,10 +114,9 @@ def local_train(
         raise InputError(f"client {client_id} has no training data")
     rng = np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, client_id))
     arch = global_params.architecture
-    activation = arch.output_activation
     nn.check_labels(arch, data.labels)
     values = global_params.values.copy()
-    layers = nn.unpack_layers(arch, values)
+    group = nn.ModelGroup.of_one(arch, values, cfg.batch_size)
     grad = np.empty_like(values)
     grad_layers = nn.unpack_layers(arch, grad)
     m = np.zeros_like(values)
@@ -131,9 +132,7 @@ def local_train(
             order = rng.permutation(len(data))
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                nn.loss_and_param_grads(
-                    layers, activation, data.features[idx], data.labels[idx], grad_layers
-                )
+                nn.loss_and_param_grads(group, data.features[idx], data.labels[idx], grad_layers)
                 step += 1
                 if cfg.optimizer == "adam":
                     nn.adam_step(values, m, v, grad, step, cfg.learning_rate, scratch)

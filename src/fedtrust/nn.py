@@ -11,16 +11,20 @@ allocates them once per client update and wraps the parameters in a
 ``ModelParams`` when it is done. The training step computes no loss value;
 :func:`cross_entropy` gives the loss whose gradient it is.
 
-The input gradient and PGD run a :class:`ModelGroup`: one or more models
-of one architecture, each on its own slice of one stacked batch of rows,
-so that many small batches cost one pass; a single model is a group of
-one. :func:`predict_batch` runs a group the same way, and a single model
-through :func:`forward_layers`, the forward pass of local training.
+Every pass runs a :class:`ModelGroup`: one or more models of one
+architecture, each on its own slice of one stacked batch of rows, so that
+many small batches cost one pass. A single model is a group of one, so
+prediction, the input gradient, PGD and local training share one forward
+pass and one per-layer backward step. A group of one holds views of its
+model's flat vector (weights, their transposes, biases, a one-unit layer's
+weight column) and broadcasts them over its rows: it is cheap to build,
+and one built over the working vector of local training follows every
+in-place optimizer step.
 
-The passes themselves (:func:`forward_layers`, :func:`loss_and_param_grads`,
-``ModelGroup.forward``) do not enter ``np.errstate``. A sigmoid output's
-``exp`` overflows to inf for logits below about -709 (1 / (1 + inf) is then
-the correct probability 0.0), so their callers silence that overflow once:
+The passes themselves (``ModelGroup.forward``, :func:`loss_and_param_grads`)
+do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
+for logits below about -709 (1 / (1 + inf) is then the correct probability
+0.0), so their callers silence that overflow once:
 :func:`predict_batch`, :func:`input_gradient_batch` and
 :func:`cross_entropy` per call, PGD around its step loop and local training
 around its epochs.
@@ -118,8 +122,8 @@ def unpack_layers(
 
     ``values`` is a flat parameter vector of ``arch``: a model's read-only
     ``ModelParams.values``, or the writable vector local training updates in
-    place, whose views then follow every update. Callers that make many
-    passes over one vector (PGD, local training) unpack it once.
+    place, whose views then follow every update. A :class:`ModelGroup`
+    unpacks its vectors once, for all its passes.
     """
     layers = []
     offset = 0
@@ -143,51 +147,6 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(chunks))
 
 
-def forward_layers(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activation: OutputActivation,
-    x: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Forward pass of a (n, d) batch through unpacked layers.
-
-    Returns the post-activation of every layer (activations[0] is the input),
-    the pre-activations of every layer, and the output probabilities: (n, C)
-    rows for softmax, an (n,) positive-class column for sigmoid. The caller
-    silences the sigmoid's ``exp`` overflow (see the module docstring).
-    """
-    activations = [x]
-    pre_acts = []
-    a = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = a @ w
-        z += b
-        pre_acts.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-    return activations, pre_acts, output_probs(activation, pre_acts[-1])
-
-
-def output_probs(activation: OutputActivation, z_out: np.ndarray) -> np.ndarray:
-    """Output probabilities from the last layer's (n, C) pre-activations.
-
-    (n, C) rows for softmax, an (n,) positive-class column for sigmoid. They
-    are built in one fresh buffer, in place; the operations and their order
-    are those of the textbook formulas.
-    """
-    if activation is OutputActivation.SOFTMAX:
-        probs = z_out - z_out.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-    else:
-        probs = np.negative(z_out[:, 0])
-        np.exp(probs, out=probs)
-        probs += 1.0
-        np.divide(1.0, probs, out=probs)
-    return probs
-
-
 class ModelGroup:
     """Models of one architecture over one stacked batch of rows.
 
@@ -196,11 +155,10 @@ class ModelGroup:
     once per model on that model's rows, as it would for the model alone,
     so every row keeps its bits. Every elementwise operation runs once over
     all rows, with per-row copies of the biases and of a one-unit layer's
-    weight column (whose backward pass is a broadcast product, see
-    :func:`_back_through`); a group of one broadcasts its model's own. A
-    pass costs about as much on one row as on a thousand, since the time
-    goes on per-call overhead, so PGD attacks the rows of many models as
-    one group.
+    weight column (see :meth:`back`); a group of one broadcasts views of
+    its model's own (see :meth:`of_one`). A pass costs about as much on one
+    row as on a thousand, since the time goes on per-call overhead, so PGD
+    attacks the rows of many models as one group.
     """
 
     def __init__(self, models: Sequence[ModelParams], counts: Sequence[int]) -> None:
@@ -211,24 +169,34 @@ class ModelGroup:
             raise InputError("the models of a group must share one architecture")
         if min(counts) < 0:
             raise InputError("row counts must be non-negative")
+        self._build(arch, [m.values for m in models], counts)
+
+    @classmethod
+    def of_one(cls, arch: Architecture, values: np.ndarray, rows: int) -> ModelGroup:
+        """The group of one over ``rows`` rows of the flat parameter vector
+        ``values`` of ``arch``, unchecked. It holds views of ``values``, so
+        a group over a writable vector follows every in-place update."""
+        group = cls.__new__(cls)
+        group._build(arch, [values], [rows])
+        return group
+
+    def _build(self, arch: Architecture, vectors: list[np.ndarray], counts: Sequence[int]) -> None:
+        def per_row(arrays: list[np.ndarray]) -> np.ndarray:
+            # a group of one keeps views, which follow its vector's updates
+            if len(arrays) == 1:
+                return arrays[0]
+            return np.repeat(np.stack(arrays), counts, axis=0)
+
         self.architecture = arch
         self.bounds = [0, *itertools.accumulate(int(c) for c in counts)]
         # per layer, each model's (weights, biases)
-        layers = list(zip(*(unpack_layers(arch, m.values) for m in models)))
+        layers = list(zip(*(unpack_layers(arch, v) for v in vectors)))
         self._weights = [[w for w, _ in layer] for layer in layers]
         self._transposed = [[w.T for w in weights] for weights in self._weights]
-        units = [weights[0].shape[1] == 1 for weights in self._weights]
-        # Per-row copies and a matmul per slice cost a group of one about
-        # 0.2 ms per PGD call: 2% of the run time of a workload whose
-        # attacks are all single-model.
-        if len(models) == 1:
-            self._biases = [layer[0][1] for layer in layers]
-            self._units = [w[0][:, 0] if unit else None for w, unit in zip(self._weights, units)]
-            return
-        self._biases = [np.repeat(np.stack([b for _, b in layer]), counts, axis=0) for layer in layers]
+        self._biases = [per_row([b for _, b in layer]) for layer in layers]
         self._units = [
-            np.repeat(np.stack([w[:, 0] for w in weights]), counts, axis=0) if unit else None
-            for weights, unit in zip(self._weights, units)
+            per_row([w[:, 0] for w in weights]) if weights[0].shape[1] == 1 else None
+            for weights in self._weights
         ]
 
     @property
@@ -248,22 +216,45 @@ class ModelGroup:
         return out
 
     def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Every layer's pre-activations and the output probabilities of the
-        float64 (n, d) batch ``x`` (see :func:`forward_layers`)."""
-        pre_acts = []
+        """The hidden layers' activations (after the ReLU) and the output
+        probabilities of the float64 (n, d) batch ``x``: (n, C) rows for
+        softmax, an (n,) positive-class column for sigmoid, built in place
+        with the operations of the textbook formulas, in their order."""
+        hidden = []
         a = x
         last = len(self._biases) - 1
         for i, (weights, b) in enumerate(zip(self._weights, self._biases)):
             z = self._matmul(a, weights)
             z += b
-            pre_acts.append(z)
             if i < last:
-                a = np.maximum(z, 0.0)
-        return pre_acts, output_probs(self.architecture.output_activation, pre_acts[-1])
+                a = np.maximum(z, 0.0, out=z)
+                hidden.append(a)
+        if self.architecture.output_activation is OutputActivation.SOFTMAX:
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+            return hidden, z
+        probs = z[:, 0]
+        np.negative(probs, out=probs)
+        np.exp(probs, out=probs)
+        probs += 1.0
+        return hidden, np.divide(1.0, probs, out=probs)
+
+    def back(self, delta: np.ndarray, hidden: list[np.ndarray], i: int) -> np.ndarray:
+        """A loss gradient at layer ``i``'s output moved to its input:
+        ``delta @ w.T`` with each model's weights on its rows, zeroed where
+        the ReLU below is off (``hidden[i - 1]`` is 0). Over a one-unit layer
+        there is no sum to round, so the broadcast product with the weight
+        column gives the matmul's bits at a fraction of its call cost."""
+        unit = self._units[i]
+        delta = delta * unit if unit is not None else self._matmul(delta, self._transposed[i])
+        if i > 0:
+            delta *= hidden[i - 1] > 0.0
+        return delta
 
     def input_gradient(
         self,
-        pre_acts: list[np.ndarray],
+        hidden: list[np.ndarray],
         probs: np.ndarray,
         labels: np.ndarray,
         clamp: bool = True,
@@ -274,10 +265,7 @@ class ModelGroup:
         :func:`output_delta`."""
         delta = output_delta(self.architecture.output_activation, probs, labels, clamp)
         for i in range(len(self._units) - 1, -1, -1):
-            unit = self._units[i]
-            delta = delta * unit if unit is not None else self._matmul(delta, self._transposed[i])
-            if i > 0:
-                delta *= pre_acts[i - 1] > 0.0
+            delta = self.back(delta, hidden, i)
         return delta
 
     def take(self, keep: np.ndarray) -> ModelGroup:
@@ -293,7 +281,7 @@ class ModelGroup:
 def as_group(params: ModelParams | ModelGroup, rows: int) -> ModelGroup:
     """``params`` over a batch of ``rows`` rows: a model is a group of one."""
     if not isinstance(params, ModelGroup):
-        return ModelGroup([params], [rows])
+        return ModelGroup.of_one(params.architecture, params.values, rows)
     if params.rows != rows:
         raise InputError(f"a group over {params.rows} rows was given {rows}")
     return params
@@ -325,12 +313,7 @@ def predict_batch(params: ModelParams | ModelGroup, inputs: np.ndarray) -> np.nd
     """
     inputs = input_rows(params, inputs)
     with np.errstate(over="ignore"):
-        if isinstance(params, ModelGroup):
-            _, probs = as_group(params, inputs.shape[0]).forward(inputs)
-        else:
-            # the pass local training runs, without a group to build
-            layers = unpack_layers(params.architecture, params.values)
-            _, _, probs = forward_layers(layers, params.architecture.output_activation, inputs)
+        _, probs = as_group(params, inputs.shape[0]).forward(inputs)
     return predicted_classes(params.architecture.output_activation, probs)
 
 
@@ -379,65 +362,55 @@ def output_delta(
     return probs if probs.ndim == 2 else probs[:, None]
 
 
-def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``delta @ w.T``: a delta at a layer's output moved to its input.
-
-    Over a one-unit layer there is no sum to round, so the broadcast product
-    gives the bits of the matmul at a fraction of its call cost.
-    """
-    if w.shape[1] == 1:
-        return delta * w[:, 0]
-    return delta @ w.T
-
-
 def cross_entropy(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activation: OutputActivation,
-    inputs: np.ndarray,
-    labels: np.ndarray,
+    params: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
 ) -> float:
     """Mean cross-entropy of a batch, each log argument clamped at LOG_CLAMP.
 
     The loss whose gradient :func:`loss_and_param_grads` writes; training
-    itself never computes it. Labels must already have passed
-    :func:`check_labels`.
+    itself never computes it. ``inputs`` is a float64 (n, d) array and
+    ``labels`` passed :func:`check_labels`.
     """
     if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
+    group = as_group(params, inputs.shape[0])
     with np.errstate(over="ignore"):
-        _, _, probs = forward_layers(layers, activation, inputs)
-    p_true = _true_class_prob(activation, probs, labels)
+        _, probs = group.forward(inputs)
+    p_true = _true_class_prob(group.architecture.output_activation, probs, labels)
     return float((-np.log(np.maximum(p_true, LOG_CLAMP))).mean())
 
 
 def loss_and_param_grads(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activation: OutputActivation,
+    group: ModelGroup,
     inputs: np.ndarray,
     labels: np.ndarray,
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """Gradient of a batch's mean cross-entropy w.r.t. the flat values.
+    """Gradient of a batch's mean cross-entropy w.r.t. a model's flat values.
 
-    Writes each layer's weight and bias gradient into ``grad_layers``, the
+    ``group`` is a group of one (:func:`as_group`, ``ModelGroup.of_one``),
+    which broadcasts its model over a batch of any size. Writes each
+    layer's weight and bias gradient into ``grad_layers``, the
     :func:`unpack_layers` views of one gradient vector that the caller
     allocates once, so the vector then holds the whole gradient. No loss
     value is computed (see :func:`cross_entropy`). ``inputs`` is a float64
     (n, d) array and ``labels`` passed :func:`check_labels`. The caller
     silences the sigmoid's ``exp`` overflow.
     """
+    if len(group.bounds) != 2:
+        raise InputError("a parameter gradient needs a group of one model")
     if len(labels) == 0:
         raise InputError("cannot evaluate loss on an empty batch")
-    activations, pre_acts, probs = forward_layers(layers, activation, inputs)
-    delta = output_delta(activation, probs, labels)
+    hidden, probs = group.forward(inputs)
+    delta = output_delta(group.architecture.output_activation, probs, labels)
     delta /= len(labels)
-    for i in range(len(layers) - 1, -1, -1):
+    layer_inputs = [inputs, *hidden]
+    for i in range(len(grad_layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.matmul(activations[i].T, delta, out=gw)
+        np.matmul(layer_inputs[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = _back_through(delta, layers[i][0])
-            delta *= pre_acts[i - 1] > 0.0
+            delta = group.back(delta, hidden, i)
 
 
 def input_gradient_batch(
@@ -453,8 +426,8 @@ def input_gradient_batch(
     group = as_group(params, inputs.shape[0])
     check_labels(group.architecture, labels)
     with np.errstate(over="ignore"):
-        pre_acts, probs = group.forward(inputs)
-    return group.input_gradient(pre_acts, probs, labels)
+        hidden, probs = group.forward(inputs)
+    return group.input_gradient(hidden, probs, labels)
 
 
 def sgd_step(values: np.ndarray, gradient: np.ndarray, learning_rate: float) -> None:

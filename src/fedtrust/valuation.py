@@ -623,6 +623,9 @@ def write_totals_csv(table: ScoreTable, last_round: int, path) -> None:
 
 
 def read_scores_csv(path) -> ScoreTable:
+    """The rows of a scores file; a row that is not one new, finite score of
+    a known scheme and metric, a client from 0 and a round from 1, is a
+    ``DataError`` naming its line."""
     table = ScoreTable()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -631,13 +634,21 @@ def read_scores_csv(path) -> ScoreTable:
             if header != SCORES_HEADER:
                 raise DataError(f"{path}: unexpected header {header}")
             for row in reader:
+                line = f"{path}:{reader.line_num}"
                 if len(row) != 5:
-                    raise DataError(f"{path}: malformed row {row}")
-                scheme, metric, client, round_idx, value = row
-                score = float(value)
+                    raise DataError(f"{line}: malformed row {row}")
+                try:
+                    key = (Scheme(row[0]).value, Metric(row[1]).value, int(row[2]), int(row[3]))
+                    score = float(row[4])
+                except ValueError as exc:
+                    raise DataError(f"{line}: {exc}") from exc
+                if key[2] < 0 or key[3] < 1:
+                    raise DataError(f"{line}: no client {key[2]} or no round {key[3]}")
                 if not math.isfinite(score):
-                    raise DataError(f"{path}:{reader.line_num}: non-finite score {value!r}")
-                table.entries[(scheme, metric, int(client), int(round_idx))] = score
+                    raise DataError(f"{line}: non-finite score {row[4]!r}")
+                if key in table.entries:
+                    raise DataError(f"{line}: a second score for {'/'.join(row[:4])}")
+                table.entries[key] = score
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

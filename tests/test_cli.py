@@ -219,6 +219,33 @@ class TestAnalyze:
         assert main(["analyze", str(out_dir)]) == 3
         assert f"{axis} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (lambda rows: rows[:1] + rows, "scores.csv:3: a second score for "),
+            (
+                lambda rows: ["bogus" + rows[0][rows[0].index(",") :], *rows[1:]],
+                "'bogus' is not a valid Scheme",
+            ),
+            (lambda rows: rows[:-1], "no score for "),
+            (lambda rows: [row for row in rows if row.split(",")[1] != "perf"], "no perf scores"),
+            (lambda rows: [row for row in rows if row.split(",")[3] == "1"], "rounds [1] hold no scored round"),
+        ],
+        ids=["duplicate_row", "unknown_scheme", "missing_row", "no_perf", "only_round_1"],
+    )
+    def test_malformed_scores_are_data_error(self, tmp_path, capsys, doctor, message):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir)
+        assert main(["run", str(config)]) == 0
+        for name in ("report.json", "report.csv", "heatmap.csv"):
+            (out_dir / name).unlink()
+        doctored = out_dir / "fold_0" / "scores.csv"
+        header, *rows = doctored.read_text().splitlines()
+        doctored.write_text("\n".join([header, *doctor(rows)]) + "\n")
+        assert main(["analyze", str(out_dir)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
 
 class TestGenerateData:
     def test_shape_and_header(self, tmp_path, capsys):

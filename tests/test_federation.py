@@ -26,14 +26,12 @@ from fedtrust.nn import (
     init_params,
     load_params,
     predict_batch,
-    unpack_layers,
 )
 
 
 def batch_loss(params, x, y):
     """Mean cross-entropy of a model on the batch (x, y)."""
-    arch = params.architecture
-    return cross_entropy(unpack_layers(arch, params.values), arch.output_activation, x, y)
+    return cross_entropy(params, x, y)
 
 
 def make_update(client_id, values, count=10, round_idx=1, arch=None):

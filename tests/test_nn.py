@@ -29,11 +29,10 @@ from fedtrust.nn import (
 def loss_and_grad(params, x, y):
     """Mean cross-entropy of a model on the batch (x, y), and its gradient."""
     arch = params.architecture
-    layers = unpack_layers(arch, params.values)
     y = np.asarray(y)
     grad = np.empty(arch.param_count)
-    loss_and_param_grads(layers, arch.output_activation, x, y, unpack_layers(arch, grad))
-    return cross_entropy(layers, arch.output_activation, x, y), grad
+    loss_and_param_grads(nn.as_group(params, len(x)), x, y, unpack_layers(arch, grad))
+    return cross_entropy(params, x, y), grad
 
 
 def scratch(arch):
@@ -220,6 +219,17 @@ class TestLoss:
         with pytest.raises(InputError):
             loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=int))
 
+    def test_param_grad_needs_a_group_of_one(self):
+        params = init_params(Architecture((2, 2)), 0)
+        grad = np.empty(params.architecture.param_count)
+        with pytest.raises(InputError, match="group of one"):
+            loss_and_param_grads(
+                nn.ModelGroup([params, params], [1, 1]),
+                np.zeros((2, 2)),
+                np.array([0, 1]),
+                unpack_layers(params.architecture, grad),
+            )
+
     @pytest.mark.parametrize("softmax", [True, False])
     def test_param_grad_matches_finite_differences(self, softmax):
         rng = np.random.default_rng(42 if softmax else 43)
@@ -237,6 +247,32 @@ class TestLoss:
             assert loss >= 0.0
             _, probs = nn.as_group(params, len(x)).forward(x)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "sizes, act",
+    [((5, 4, 1), OutputActivation.SIGMOID), ((5, 6, 4, 3), OutputActivation.SOFTMAX)],
+    ids=["one_unit_output", "softmax_two_hidden"],
+)
+def test_group_of_one_follows_in_place_updates(sizes, act):
+    # local training builds one group over its working vector, then steps
+    # the vector in place
+    arch = Architecture(sizes, act)
+    rng = np.random.default_rng(17)
+    values = init_params(arch, 3).values.copy()
+    group = nn.ModelGroup.of_one(arch, values, 8)
+    x, y = rng.random((8, sizes[0])), rng.integers(0, arch.class_count, size=8)
+    grad, fresh_grad = np.empty(arch.param_count), np.empty(arch.param_count)
+    for _ in range(3):
+        sgd_step(values, rng.normal(size=arch.param_count), 0.1)
+        fresh = nn.ModelGroup([ModelParams(arch, values)], [len(x)])
+        (hidden, probs), (fresh_hidden, fresh_probs) = group.forward(x), fresh.forward(x)
+        assert len(hidden) == len(fresh_hidden) == len(sizes) - 2
+        assert all(np.array_equal(a, b) for a, b in zip(hidden, fresh_hidden))
+        assert np.array_equal(probs, fresh_probs)
+        loss_and_param_grads(group, x, y, unpack_layers(arch, grad))
+        loss_and_param_grads(fresh, x, y, unpack_layers(arch, fresh_grad))
+        assert np.array_equal(grad, fresh_grad)
 
 
 class TestInputGradient:
@@ -302,7 +338,7 @@ class TestOptimizers:
         arch = Architecture((2, 2))
         params = init_params(arch, 0)
 
-        def nan_gradient(layers, activation, inputs, labels, grad_layers):
+        def nan_gradient(group, inputs, labels, grad_layers):
             for gw, gb in grad_layers:
                 gw[...] = np.nan
                 gb[...] = np.nan

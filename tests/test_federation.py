@@ -27,6 +27,7 @@ from fedtrust.nn import (
     load_params,
     predict_batch,
 )
+from fedtrust.seeding import derive_seed
 
 
 def batch_loss(params, x, y):
@@ -136,6 +137,37 @@ class TestLocalTrain:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"round 3, client 1"):
                 local_train(init, data, cfg, 3, 1)
+
+
+    def test_divergence_names_the_lowest_client_as_one_at_a_time(self):
+        # Client 2 goes non-finite at its first step and client 1 at its
+        # fifth; trained one client after another, client 1 raises first.
+        arch = Architecture((2, 1, 1), OutputActivation.SIGMOID)
+        start = ModelParams(arch, np.array([1e160, 2e160, 0.0, 0.0, 0.0]))
+        cfg = TrainingConfig(
+            rounds=2, local_epochs=1, batch_size=2, learning_rate=1e150, optimizer="sgd", seed=1
+        )
+        # a batch of zero rows labelled 0 and 1 has a zero gradient; the
+        # rows of test_numeric_failure_names_round_and_client overflow
+        safe = [([0.0, 0.0], 0), ([0.0, 0.0], 1)]
+        overflowing = [([1.0, 0.0], 1), ([0.0, 1.0], 0)]
+        order = np.random.default_rng(derive_seed(cfg.seed, "local", 4, 1)).permutation(10)
+        rows = [None] * 10
+        for position, row in zip(order, safe * 4 + overflowing):
+            rows[position] = row
+
+        def client(rows):
+            x, y = zip(*rows)
+            return Dataset(np.array(x), np.array(y), np.zeros(len(y), bool), 2)
+
+        parts = [client(safe), client(rows), client(overflowing)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                run_round(start, parts, cfg, 4)
+        assert str(err.value).endswith(
+            "training diverged in round 4, client 1: non-finite parameters after step 5"
+        )
 
 
 class TestRounds:

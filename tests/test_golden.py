@@ -1,8 +1,11 @@
 """Golden sha256 digests of every output file of the shipped configs.
 
-One more config pins a net the shipped configs do not build: the smoke keys
-with a softmax output over two hidden layers, on enough data, clients,
-rounds and PGD steps that the attack flips rows (see ``VARIANTS``).
+Two more configs pin what the shipped configs do not build (see
+``VARIANTS``): the smoke keys with a softmax output over two hidden layers,
+on enough data, clients, rounds and PGD steps that the attack flips rows;
+and the smoke keys trained with SGD over four Dirichlet clients in batches
+of 7, whose unequal sizes give the clients unequal step counts and ragged
+epoch ends.
 
 Each fold's scores.csv, scores_total.csv and valuation_meta.json are pinned,
 and so are the run's report.json, report.csv and heatmap.csv. Each fold's
@@ -40,6 +43,19 @@ VARIANTS = {
             attack_steps=10,
             attack_step_size=0.03,
             folds=2,
+        ),
+    ),
+    "smoke_sgd_dirichlet": (
+        "smoke",
+        dict(
+            synthetic_n=200,
+            partition_mode="dirichlet",
+            clients=4,
+            rounds=3,
+            local_epochs=2,
+            batch_size=7,
+            learning_rate=0.05,
+            optimizer="sgd",
         ),
     ),
 }
@@ -126,6 +142,23 @@ GOLDEN = {
         "checkpoints": [
             "c4dd37315fc08fb48fafb2753fd52cd691f828aa794591b24eb5b36df2ea5f59",
             "f73df46f029367dc4f43c9edef9898a808fd83ae77d04c841145a8879e6f9a2c",
+        ],
+    },
+    "smoke_sgd_dirichlet": {
+        "folds": [
+            (
+                "7b9579c1d9134daad2b7ec16370e2623393583f3cd7a81dee5fe695aca145498",
+                "45e8bc97d87b4a416c0548318519c7662055e0175cfa20a9f15a4c2f1085fe9a",
+                "34648f221405853ed6adceac279740c5a7a7040178d2cd6d53c563a07ae18110",
+            ),
+        ],
+        "run": (
+            "5a59f96e66a9ba9dd4edaf9b87ec3f787374860b62f4f591d90aa402abfb3f56",
+            "2c4c44f01c39547fbffbb5d2f8988793a683f362d6fbe0e8ec76225fbfb5d4c2",
+            "4bf5c4d40f55d81be7f560751638b77a3bfe55402ae3cc45f527c0d2df7e4042",
+        ),
+        "checkpoints": [
+            "1312b452bb40a587ba2d5a4c9e4455141ef90d726f4a9cd02d7668dada8ca86a",
         ],
     },
 }

@@ -198,6 +198,39 @@ def test_saturated_logits_warn_nowhere(act):
         assert np.isfinite(update.params.values).all()
 
 
+@pytest.mark.parametrize("rows", [1, 7, 32])
+@pytest.mark.parametrize("fan_in", [1, 16, 64])
+@pytest.mark.parametrize("fan_out", [1, 16, 64])
+def test_stacked_matmul_and_sum_match_per_model_calls(rows, fan_in, fan_out):
+    # Weights and gradients are (m, fan_in, fan_out) views of (m, P) stacks,
+    # batches (m, rows, .) arrays; each model's 2-D calls run on copies, as
+    # they would for that model alone.
+    m, offset = 5, 3
+    size = offset + fan_in * fan_out + fan_out + 2
+    rng = np.random.default_rng(rows * 10_000 + fan_in * 100 + fan_out)
+    stack = rng.normal(scale=0.7, size=(m, size))
+    w = stack[:, offset : offset + fan_in * fan_out].reshape(m, fan_in, fan_out)
+    x = rng.normal(scale=3.0, size=(m, rows, fan_in))
+    delta = rng.normal(scale=1e-3, size=(m, rows, fan_out))
+    grad = np.empty((m, size))
+    gw = grad[:, offset : offset + fan_in * fan_out].reshape(m, fan_in, fan_out)
+    gb = grad[:, offset + fan_in * fan_out : offset + fan_in * fan_out + fan_out]
+
+    z = np.matmul(x, w)
+    back = np.matmul(delta, w.swapaxes(-1, -2))
+    np.matmul(x.swapaxes(-1, -2), delta, out=gw)
+    delta.sum(axis=1, out=gb)
+    for j in range(m):
+        wj, xj, dj = w[j].copy(), x[j].copy(), delta[j].copy()
+        assert np.array_equal(z[j], xj @ wj)
+        assert np.array_equal(back[j], dj @ wj.T)
+        gwj, gbj = np.empty((fan_in, fan_out)), np.empty(fan_out)
+        np.matmul(xj.T, dj, out=gwj)
+        dj.sum(axis=0, out=gbj)
+        assert np.array_equal(gw[j], gwj)
+        assert np.array_equal(gb[j], gbj)
+
+
 class TestLoss:
     def test_zero_params_softmax_is_log2(self):
         arch = Architecture((4, 2))

@@ -21,7 +21,7 @@ from fedtrust import metrics, valuation
 from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
 from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
 from fedtrust.errors import InputError, MetricUndefinedError
-from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_training
+from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_round, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
     LOG_CLAMP,
@@ -528,6 +528,41 @@ def test_local_train_ten_class_softmax_matches_reference(optimizer):
         data = random_client(start, rng, n=60)
         got = local_train(start, data, cfg, 2, seed).params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
+
+
+# A round's client sizes for K = 1..8 clients: equal and very unequal step
+# counts, and one-sample clients.
+ROUND_SIZES = [
+    (13,),
+    (8, 8),
+    (1, 1, 1),
+    (21, 21, 21, 21),
+    (40, 3, 1, 17, 9),
+    (14, 14, 2, 30, 14, 1),
+    (5, 64, 5, 5, 12, 1, 7),
+    (61, 2, 14, 1, 33, 7, 5, 20),
+]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", list(OutputActivation))
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 70], ids=["one_row", "odd", "above_every_client"])
+@pytest.mark.parametrize("local_epochs", [0, 3])
+def test_round_matches_per_client_reference(optimizer, activation, hidden_layers, batch_size, local_epochs):
+    cfg = TrainingConfig(
+        local_epochs=local_epochs, batch_size=batch_size, learning_rate=0.05, optimizer=optimizer, seed=5
+    )
+    for seed, sizes in enumerate(ROUND_SIZES):
+        start, rng = random_model(seed, activation, hidden_layers)
+        start = ModelParams(start.architecture, start.values / 3.0)
+        parts = [random_client(start, rng, n) for n in sizes]
+        record = run_round(start, parts, cfg, 2)
+        assert record.client_ids == tuple(range(len(sizes)))
+        for k, update in enumerate(record.updates):
+            assert update.sample_count == sizes[k]
+            want = ref_local_train(start, parts[k], cfg, 2, k)
+            assert np.array_equal(update.params.values, want.values)
 
 
 # --- rel noise ---

@@ -7,15 +7,20 @@ artifacts the valuation stage consumes:
     <run_dir>/round_<t>/{global_before.txt, global_after.txt,
                          client_<k>.txt, meta.json}
 
-A client's local update trains one working copy of the global parameter
-vector in place (minibatch Adam or SGD) and checks it for non-finite values
-after every step; the finished vector becomes the update's immutable
-``ModelParams``. The gradient vector, Adam's moments, two scratch vectors
-and an ``nn.ModelGroup`` of one over the working vector (views, which
-follow every step) are made once per update; each step gathers its
-minibatch rows, has ``nn.loss_and_param_grads`` run the group and write
-the gradient into views of that vector (no loss value is computed) and
-updates the parameters in place.
+A round's clients train together, in lockstep (minibatch Adam or SGD).
+Row r of each (K, P) working array (parameters, gradient, Adam's moments,
+two scratch arrays) belongs to one client, the clients with the most steps
+first, so the clients that take step t are a prefix of the rows, and each
+array's prefix is a view. Each step gathers every such client's minibatch,
+drawn from its own (seed, round, client) shuffling stream, into one
+preallocated (K, batch, d) buffer; ``nn.loss_and_param_grads`` runs one
+``nn.ModelGroup`` stack over the prefix and writes each client's gradient
+into its row (no loss value is computed); one Adam or SGD step updates the
+prefix in place, and one finiteness check follows. A step at which some
+client's batch is short (an epoch's ragged end) runs each client's group of
+one over its row instead. Every operation does to a client's row what
+training that client alone would do, so each update keeps those bits; the
+finished rows become the updates' immutable ``ModelParams``.
 ``np.errstate`` is entered once around the loop. Client shuffling streams
 are derived per (seed, round, client), so a full training run is a pure
 function of its configuration.
@@ -103,47 +108,104 @@ class RoundRecord:
 
 def local_train(
     global_params: ModelParams,
-    data: Dataset,
+    clients: Sequence[tuple[int, Dataset]],
     cfg: TrainingConfig,
     round_idx: int,
-    client_id: int,
-) -> ClientUpdate:
-    """Mini-batch local optimization starting from the global model, shuffled
-    by the client's (seed, round, client) stream."""
-    if len(data) == 0:
-        raise InputError(f"client {client_id} has no training data")
-    rng = np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, client_id))
+) -> tuple[ClientUpdate, ...]:
+    """Mini-batch local optimization of each ``(client_id, data)`` client
+    from the global model, shuffled by the client's (seed, round, client)
+    stream; the updates, in the order of ``clients``.
+
+    The clients take their steps in lockstep (see the module docstring). A
+    client whose parameters go non-finite stops the round with the
+    ``NumericError`` that training the clients one after another would
+    raise: the first such client in id order, at its first non-finite step.
+    """
     arch = global_params.architecture
-    nn.check_labels(arch, data.labels)
-    values = global_params.values.copy()
-    group = nn.ModelGroup.of_one(arch, values, cfg.batch_size)
+    for client_id, data in clients:
+        if len(data) == 0:
+            raise InputError(f"client {client_id} has no training data")
+        nn.check_labels(arch, data.labels)
+    # Row r trains client order[r]: the largest clients, which take the most
+    # steps, come first, so the clients that take step t are a prefix.
+    order = sorted(range(len(clients)), key=lambda j: -len(clients[j][1]))
+    ids = [clients[j][0] for j in order]
+    parts = [clients[j][1] for j in order]
+    size = cfg.batch_size
+    per_epoch = [-(-len(data) // size) for data in parts]
+    steps = [cfg.local_epochs * n for n in per_epoch]
+    k = len(order)
+    values = np.repeat(global_params.values[None, :], k, axis=0)
     grad = np.empty_like(values)
-    grad_layers = nn.unpack_layers(arch, grad)
     m = np.zeros_like(values)
     v = np.zeros_like(values)
     scratch = (np.empty_like(values), np.empty_like(values))
-    step = 0
-    # A diverging step overflows to inf or nan, which stay non-finite under
-    # every later step: one check after each step stops at the first bad
-    # one, and numpy's overflow warnings on the way (and the sigmoid's exp
-    # overflow) are silenced once for the whole loop.
+    # A batch has at most `width` rows. A step at which every client has
+    # that many runs one stack; any other step (an epoch's ragged end, or a
+    # client training alone) runs each client's group of one on its rows.
+    width = min(size, max((len(data) for data in parts), default=0))
+    xs = np.empty((k, width, arch.input_dim))
+    ys = np.empty((k, width), dtype=np.int64)
+    ones = [nn.ModelGroup.of_one(arch, values[r], width) for r in range(k)]
+    one_grads = [nn.unpack_layers(arch, grad[r]) for r in range(k)]
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, i)) for i in ids]
+    shuffles = [np.empty(0, dtype=np.int64)] * k
+    batch_rows = [0] * k
+    diverged: dict[int, int] = {}
+    active, prefix = k, 0
+    # A diverging step overflows to inf or nan; numpy's overflow warnings on
+    # the way (and the sigmoid's exp overflow) are silenced once for the
+    # whole loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.local_epochs):
-            order = rng.permutation(len(data))
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                nn.loss_and_param_grads(group, data.features[idx], data.labels[idx], grad_layers)
-                step += 1
-                if cfg.optimizer == "adam":
-                    nn.adam_step(values, m, v, grad, step, cfg.learning_rate, scratch)
-                else:
-                    nn.sgd_step(values, grad, cfg.learning_rate)
-                if not np.isfinite(values).all():
-                    raise NumericError(
-                        f"training diverged in round {round_idx}, client {client_id}: "
-                        f"non-finite parameters after step {step}"
-                    )
-    return ClientUpdate(client_id, round_idx, ModelParams(arch, values), len(data))
+        for step in range(1, max(steps, default=0) + 1):
+            while steps[active - 1] < step:
+                active -= 1
+            if active != prefix:
+                prefix = active
+                stack = nn.ModelGroup.stacked(arch, values[:active], width)
+                stack_grads = nn.unpack_layers(arch, grad[:active])
+                stack_x, stack_y = xs[:active], ys[:active]
+                rows, m_rows, v_rows, g_rows = values[:active], m[:active], v[:active], grad[:active]
+                rows_scratch = (scratch[0][:active], scratch[1][:active])
+            full = active > 1
+            for r in range(active):
+                batch = (step - 1) % per_epoch[r]
+                if batch == 0:
+                    shuffles[r] = rngs[r].permutation(len(parts[r]))
+                idx = shuffles[r][batch * size : batch * size + size]
+                c = batch_rows[r] = len(idx)
+                # mode "clip" (the indices are in range) writes straight into
+                # the buffer, which mode "raise" would copy through another
+                parts[r].features.take(idx, 0, xs[r, :c], "clip")
+                parts[r].labels.take(idx, 0, ys[r, :c], "clip")
+                full = full and c == width
+            if full:
+                nn.loss_and_param_grads(stack, stack_x, stack_y, stack_grads)
+            else:
+                for r in range(active):
+                    c = batch_rows[r]
+                    nn.loss_and_param_grads(ones[r], xs[r, :c], ys[r, :c], one_grads[r])
+            if cfg.optimizer == "adam":
+                # every client started at step 1, so they share beta**step
+                nn.adam_step(rows, m_rows, v_rows, g_rows, step, cfg.learning_rate, rows_scratch)
+            else:
+                nn.sgd_step(rows, g_rows, cfg.learning_rate)
+            if not np.isfinite(rows).all():
+                for r in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+                    diverged.setdefault(ids[r], step)
+                # only a client with a lower id, still training, can diverge first
+                if min(ids[:active]) >= min(diverged):
+                    break
+    if diverged:
+        client_id = min(diverged)
+        raise NumericError(
+            f"training diverged in round {round_idx}, client {client_id}: "
+            f"non-finite parameters after step {diverged[client_id]}"
+        )
+    updates: list[ClientUpdate | None] = [None] * k
+    for r, j in enumerate(order):
+        updates[j] = ClientUpdate(ids[r], round_idx, ModelParams(arch, values[r]), len(parts[r]))
+    return tuple(updates)
 
 
 def fedavg(base: ModelParams, updates: Sequence[ClientUpdate]) -> ModelParams:
@@ -174,10 +236,7 @@ def run_round(
     round_idx: int,
 ) -> RoundRecord:
     """Train every client from the current global model and aggregate."""
-    updates = tuple(
-        local_train(global_params, parts[k], cfg, round_idx, k)
-        for k in range(len(parts))
-    )
+    updates = local_train(global_params, list(enumerate(parts)), cfg, round_idx)
     return RoundRecord(round_idx, global_params, updates, fedavg(global_params, updates))
 
 

@@ -5,21 +5,26 @@ are available with respect to both the parameters and the inputs (the latter
 is what the adversarial attack needs). Every function is deterministic: same
 inputs, bit-identical outputs. All are pure except the training step:
 :func:`loss_and_param_grads` writes a batch's gradient into views of one
-gradient vector, and the two optimizer steps update a working parameter
-vector (and Adam's moments) in place. Local training owns those vectors,
-allocates them once per client update and wraps the parameters in a
-``ModelParams`` when it is done. The training step computes no loss value;
-:func:`cross_entropy` gives the loss whose gradient it is.
+gradient vector (or of one row per model of a gradient stack), and the two
+optimizer steps update working parameters (and Adam's moments) in place,
+elementwise, so a step over a stack of clients' rows is each client's own
+step. Local training owns those arrays, allocates them once per round and
+wraps each client's parameters in a ``ModelParams`` when it is done. The
+training step computes no loss value; :func:`cross_entropy` gives the loss
+whose gradient it is.
 
 Every pass runs a :class:`ModelGroup`: one or more models of one
-architecture, each on its own slice of one stacked batch of rows, so that
-many small batches cost one pass. A single model is a group of one, so
-prediction, the input gradient, PGD and local training share one forward
-pass and one per-layer backward step. A group of one holds views of its
-model's flat vector (weights, their transposes, biases, a one-unit layer's
-weight column) and broadcasts them over its rows: it is cheap to build,
-and one built over the working vector of local training follows every
-in-place optimizer step.
+architecture, each on its own part of one batch, so that many small
+batches cost one pass. A single model is a group of one, so prediction,
+the input gradient, PGD and local training share one forward pass and one
+per-layer backward step. A group of one holds views of its model's flat
+vector (weights, their transposes, biases, a one-unit layer's weight
+column) and broadcasts them over its rows: it is cheap to build, and one
+built over the working vector of local training follows every in-place
+optimizer step. A stack is the same over an (m, P) stack of flat vectors:
+model j runs row j of an (m, c, d) batch, and every matmul is one
+``np.matmul`` over all m models, so local training steps a round's clients
+together.
 
 The passes themselves (``ModelGroup.forward``, :func:`loss_and_param_grads`)
 do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
@@ -122,15 +127,18 @@ def unpack_layers(
 
     ``values`` is a flat parameter vector of ``arch``: a model's read-only
     ``ModelParams.values``, or the writable vector local training updates in
-    place, whose views then follow every update. A :class:`ModelGroup`
-    unpacks its vectors once, for all its passes.
+    place, whose views then follow every update. It may also be an (m, P)
+    stack of such vectors, whose views are then (m, fan_in, fan_out)
+    weights and (m, fan_out) biases. A :class:`ModelGroup` unpacks its
+    vectors once, for all its passes.
     """
     layers = []
     offset = 0
+    lead = values.shape[:-1]
     for fan_in, fan_out in zip(arch.layer_sizes[:-1], arch.layer_sizes[1:]):
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
+        b = values[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -148,17 +156,23 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
 
 
 class ModelGroup:
-    """Models of one architecture over one stacked batch of rows.
+    """Models of one architecture run in one pass.
 
     Model ``j`` owns rows ``bounds[j]:bounds[j + 1]`` of every batch the
     group runs, the next ``counts[j]`` of them. Per layer, the matmul runs
     once per model on that model's rows, as it would for the model alone,
     so every row keeps its bits. Every elementwise operation runs once over
     all rows, with per-row copies of the biases and of a one-unit layer's
-    weight column (see :meth:`back`); a group of one broadcasts views of
-    its model's own (see :meth:`of_one`). A pass costs about as much on one
+    weight column (see :meth:`back`). A pass costs about as much on one
     row as on a thousand, since the time goes on per-call overhead, so PGD
     attacks the rows of many models as one group.
+
+    A group of one (:meth:`of_one`) and a stack (:meth:`stacked`) instead
+    broadcast views of their models' own parameters. A stack of m models
+    runs (m, c, d) batches, model j on row j: each layer's matmul is one
+    ``np.matmul`` over (m, fan_in, fan_out) weight views, which gives each
+    model's 2-D matmul's bits, and its biases broadcast as (m, 1, fan_out)
+    views.
     """
 
     def __init__(self, models: Sequence[ModelParams], counts: Sequence[int]) -> None:
@@ -169,22 +183,39 @@ class ModelGroup:
             raise InputError("the models of a group must share one architecture")
         if min(counts) < 0:
             raise InputError("row counts must be non-negative")
-        self._build(arch, [m.values for m in models], counts)
+        if len(models) == 1:
+            self._view(arch, models[0].values, counts[0])
+        else:
+            self._repeat(arch, [m.values for m in models], counts)
 
     @classmethod
     def of_one(cls, arch: Architecture, values: np.ndarray, rows: int) -> ModelGroup:
         """The group of one over ``rows`` rows of the flat parameter vector
         ``values`` of ``arch``, unchecked. It holds views of ``values``, so
         a group over a writable vector follows every in-place update."""
+        return cls.stacked(arch, values, rows)
+
+    @classmethod
+    def stacked(cls, arch: Architecture, values: np.ndarray, rows: int) -> ModelGroup:
+        """The stack over the (m, P) stack ``values`` of flat parameter
+        vectors of ``arch``, model j on row j of (m, rows, d) batches,
+        unchecked. Like a group of one (a flat ``values``), it holds views
+        of ``values`` and follows every in-place update."""
         group = cls.__new__(cls)
-        group._build(arch, [values], [rows])
+        group._view(arch, values, rows)
         return group
 
-    def _build(self, arch: Architecture, vectors: list[np.ndarray], counts: Sequence[int]) -> None:
+    def _view(self, arch: Architecture, values: np.ndarray, rows: int) -> None:
+        self.architecture = arch
+        self.bounds = [rows * j for j in range(values.size // arch.param_count + 1)]
+        layers = unpack_layers(arch, values)
+        self._weights = [[w] for w, _ in layers]
+        self._transposed = [[w.swapaxes(-1, -2)] for w, _ in layers]
+        self._biases = [b[..., None, :] for _, b in layers]
+        self._units = [t if t.shape[-2] == 1 else None for [t] in self._transposed]
+
+    def _repeat(self, arch: Architecture, vectors: list[np.ndarray], counts: Sequence[int]) -> None:
         def per_row(arrays: list[np.ndarray]) -> np.ndarray:
-            # a group of one keeps views, which follow its vector's updates
-            if len(arrays) == 1:
-                return arrays[0]
             return np.repeat(np.stack(arrays), counts, axis=0)
 
         self.architecture = arch
@@ -203,6 +234,12 @@ class ModelGroup:
     def rows(self) -> int:
         return self.bounds[-1]
 
+    @property
+    def per_row(self) -> bool:
+        """Whether the group copies its models' parameters per row (a group
+        of several over one batch of rows) rather than broadcasting them."""
+        return len(self._weights[0]) > 1
+
     def _matmul(self, a: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
         """``a @ w`` with each model's ``w`` on that model's rows."""
         if len(weights) == 1:
@@ -219,7 +256,8 @@ class ModelGroup:
         """The hidden layers' activations (after the ReLU) and the output
         probabilities of the float64 (n, d) batch ``x``: (n, C) rows for
         softmax, an (n,) positive-class column for sigmoid, built in place
-        with the operations of the textbook formulas, in their order."""
+        with the operations of the textbook formulas, in their order. A
+        stack runs an (m, c, d) batch, with (m, c, ...) outputs."""
         hidden = []
         a = x
         last = len(self._biases) - 1
@@ -230,11 +268,11 @@ class ModelGroup:
                 a = np.maximum(z, 0.0, out=z)
                 hidden.append(a)
         if self.architecture.output_activation is OutputActivation.SOFTMAX:
-            z -= z.max(axis=1, keepdims=True)
+            z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
-            z /= z.sum(axis=1, keepdims=True)
+            z /= z.sum(axis=-1, keepdims=True)
             return hidden, z
-        probs = z[:, 0]
+        probs = z[..., 0]
         np.negative(probs, out=probs)
         np.exp(probs, out=probs)
         probs += 1.0
@@ -269,10 +307,11 @@ class ModelGroup:
         return delta
 
     def take(self, keep: np.ndarray) -> ModelGroup:
-        """The group over the rows that the boolean mask ``keep`` marks."""
+        """The group over the rows that the boolean mask ``keep`` marks (not
+        for a stack)."""
         group = copy.copy(self)
         group.bounds = np.concatenate(([0], np.cumsum(keep)))[self.bounds].tolist()
-        if len(self._weights[0]) > 1:
+        if self.per_row:
             group._biases = [b[keep] for b in self._biases]
             group._units = [u if u is None else u[keep] for u in self._units]
         return group
@@ -389,26 +428,36 @@ def loss_and_param_grads(
     """Gradient of a batch's mean cross-entropy w.r.t. a model's flat values.
 
     ``group`` is a group of one (:func:`as_group`, ``ModelGroup.of_one``),
-    which broadcasts its model over a batch of any size. Writes each
+    which broadcasts its model over a float64 (n, d) batch ``inputs`` of
+    any size, or a stack (``ModelGroup.stacked``) of m models over an
+    (m, c, d) batch, each with its own mean over its c rows. Writes each
     layer's weight and bias gradient into ``grad_layers``, the
-    :func:`unpack_layers` views of one gradient vector that the caller
-    allocates once, so the vector then holds the whole gradient. No loss
-    value is computed (see :func:`cross_entropy`). ``inputs`` is a float64
-    (n, d) array and ``labels`` passed :func:`check_labels`. The caller
-    silences the sigmoid's ``exp`` overflow.
+    :func:`unpack_layers` views of one gradient vector (for a stack, of an
+    (m, P) gradient stack) that the caller allocates once, so the vector
+    (row j) then holds the whole gradient (of model j). A stack's matmuls
+    and sums give each model's own calls' bits. No loss value is computed
+    (see :func:`cross_entropy`). ``labels``, (n,) or (m, c), passed
+    :func:`check_labels`. The caller silences the sigmoid's ``exp``
+    overflow.
     """
-    if len(group.bounds) != 2:
-        raise InputError("a parameter gradient needs a group of one model")
-    if len(labels) == 0:
+    if group.per_row:
+        raise InputError("a parameter gradient needs a group of one model or a stack")
+    if labels.size == 0:
         raise InputError("cannot evaluate loss on an empty batch")
     hidden, probs = group.forward(inputs)
-    delta = output_delta(group.architecture.output_activation, probs, labels)
-    delta /= len(labels)
+    activation = group.architecture.output_activation
+    if labels.ndim == 1:
+        delta = output_delta(activation, probs, labels)
+    else:
+        # a stack's (m, c) samples, flattened for output_delta, and back
+        flat = output_delta(activation, probs.reshape(labels.size, *probs.shape[2:]), labels.reshape(-1))
+        delta = flat.reshape(*labels.shape, -1)
+    delta /= labels.shape[-1]
     layer_inputs = [inputs, *hidden]
     for i in range(len(grad_layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.matmul(layer_inputs[i].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.matmul(layer_inputs[i].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
         if i > 0:
             delta = group.back(delta, hidden, i)
 

@@ -98,7 +98,7 @@ class TestLocalTrain:
     def test_zero_epochs_is_identity(self):
         init, parts = small_setup()
         cfg = TrainingConfig(rounds=2, local_epochs=0, seed=1)
-        update = local_train(init, parts[0], cfg, 1, 0)
+        update = local_train(init, [(0, parts[0])], cfg, 1)[0]
         assert np.array_equal(update.params.values, init.values)
         assert update.sample_count == len(parts[0])
 
@@ -110,7 +110,7 @@ class TestLocalTrain:
         init = init_params(Architecture((2, 4, 2)), 3)
         cfg = TrainingConfig(rounds=2, local_epochs=2, learning_rate=1e-3, seed=2)
         before = batch_loss(init, x, y)
-        update = local_train(init, toy, cfg, 1, 0)
+        update = local_train(init, [(0, toy)], cfg, 1)[0]
         after = batch_loss(update.params, x, y)
         assert after <= before
 
@@ -125,7 +125,7 @@ class TestLocalTrain:
             rounds=2, local_epochs=1, batch_size=2, learning_rate=1e150, optimizer="sgd", seed=1
         )
         with pytest.raises(NumericError, match=r"round 4.*client 2"):
-            local_train(start, client, cfg, 4, 2)
+            local_train(start, [(2, client)], cfg, 4)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("hidden, out, activation", [((16,), 1, "sigmoid"), ((4, 4), 2, "softmax")])
@@ -136,7 +136,7 @@ class TestLocalTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"round 3, client 1"):
-                local_train(init, data, cfg, 3, 1)
+                local_train(init, [(1, data)], cfg, 3)
 
 
     def test_divergence_names_the_lowest_client_as_one_at_a_time(self):
@@ -167,6 +167,15 @@ class TestLocalTrain:
                 run_round(start, parts, cfg, 4)
         assert str(err.value).endswith(
             "training diverged in round 4, client 1: non-finite parameters after step 5"
+        )
+
+        # clients 1 and 2 both go non-finite at step 1; the larger client 2
+        # trains in the row before client 1's
+        parts = [client(safe), client(overflowing), client(overflowing * 2)]
+        with pytest.raises(NumericError) as err:
+            run_round(start, parts, cfg, 4)
+        assert str(err.value).endswith(
+            "training diverged in round 4, client 1: non-finite parameters after step 1"
         )
 
 

@@ -161,7 +161,7 @@ class TestRes:
         from fedtrust.federation import TrainingConfig, local_train
 
         cfg = TrainingConfig(rounds=2, local_epochs=3, seed=0)
-        model = local_train(model, train, cfg, 1, 0).params
+        model = local_train(model, [(0, train)], cfg, 1)[0].params
         test = generate_synthetic(120, 4, 0.0, seed=12)
         values = [
             run_metric(model, Metric.RES, test, attack=AttackSpec(eps, 0.007, 40))

@@ -194,7 +194,7 @@ def test_saturated_logits_warn_nowhere(act):
         adv = pgd_batch(params, x, predict_batch(params, x), AttackSpec(0.3, 0.1, 5))
         assert np.isfinite(adv).all()
         data = Dataset(x, y, np.zeros(4, bool), 2)
-        update = local_train(params, data, TrainingConfig(local_epochs=2, batch_size=3), 1, 0)
+        update = local_train(params, [(0, data)], TrainingConfig(local_epochs=2, batch_size=3), 1)[0]
         assert np.isfinite(update.params.values).all()
 
 
@@ -380,7 +380,7 @@ class TestOptimizers:
         data = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3, bool), 2)
         cfg = TrainingConfig(learning_rate=0.1, optimizer="sgd")
         with pytest.raises(NumericError, match=r"round 1, client 0"):
-            local_train(params, data, cfg, 1, 0)
+            local_train(params, [(0, data)], cfg, 1)
 
     def test_adam_first_step_magnitude(self):
         # after bias correction, step 1 moves each coord by ~lr in -sign(g)

@@ -473,7 +473,7 @@ def test_local_train_matches_per_step_reference(optimizer, activation, hidden_la
         start = ModelParams(start.architecture, start.values / 3.0)
         classes = start.architecture.class_count
         data = Dataset(rng.random((37, 5)), rng.integers(0, classes, size=37), np.zeros(37, bool), classes)
-        got = local_train(start, data, cfg, 2, seed).params
+        got = local_train(start, [(seed, data)], cfg, 2)[0].params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
         assert not np.array_equal(got.values, start.values)
 
@@ -502,7 +502,7 @@ def test_local_train_with_clamped_rows_matches_reference(optimizer, activation):
         start = ModelParams(start.architecture, start.values * 40.0)
         data = random_client(start, rng)
         clamped += int(np.count_nonzero(true_class_probs(start, data) < LOG_CLAMP))
-        got = local_train(start, data, cfg, 2, seed).params
+        got = local_train(start, [(seed, data)], cfg, 2)[0].params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
     assert clamped >= 10
 
@@ -514,7 +514,7 @@ def test_local_train_batch_size_extremes_match_reference(activation, batch_size)
     for seed in range(2):
         start, rng = random_model(seed, activation, 1)
         data = random_client(start, rng)
-        got = local_train(start, data, cfg, 2, seed).params
+        got = local_train(start, [(seed, data)], cfg, 2)[0].params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
 
 
@@ -526,7 +526,7 @@ def test_local_train_ten_class_softmax_matches_reference(optimizer):
         arch = Architecture((5, 6, 10), OutputActivation.SOFTMAX)
         start = ModelParams(arch, rng.normal(scale=0.5, size=arch.param_count))
         data = random_client(start, rng, n=60)
-        got = local_train(start, data, cfg, 2, seed).params
+        got = local_train(start, [(seed, data)], cfg, 2)[0].params
         assert np.array_equal(got.values, ref_local_train(start, data, cfg, 2, seed).values)
 
 

@@ -17,8 +17,8 @@ preallocated (K, batch, d) buffer; ``nn.loss_and_param_grads`` runs one
 ``nn.ModelGroup`` stack over the prefix and writes each client's gradient
 into its row (no loss value is computed); one Adam or SGD step updates the
 prefix in place, and one finiteness check follows. A step at which some
-client's batch is short (an epoch's ragged end) runs each client's group of
-one over its row instead. Every operation does to a client's row what
+client's batch is short (an epoch's ragged end), or at which one client is
+left, runs each client's group of one over its row instead. Every operation does to a client's row what
 training that client alone would do, so each update keeps those bits; the
 finished rows become the updates' immutable ``ModelParams``.
 ``np.errstate`` is entered once around the loop. Client shuffling streams

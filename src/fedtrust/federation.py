@@ -17,8 +17,8 @@ preallocated (K, batch, d) buffer; ``nn.loss_and_param_grads`` runs one
 ``nn.ModelGroup`` stack over the prefix and writes each client's gradient
 into its row (no loss value is computed); one Adam or SGD step updates the
 prefix in place, and one finiteness check follows. A step at which some
-client's batch is short (an epoch's ragged end), or at which one client is
-left, runs each client's group of one over its row instead. Every operation does to a client's row what
+client's batch is short (an epoch's ragged end) runs each client's group of
+one over its row instead. Every operation does to a client's row what
 training that client alone would do, so each update keeps those bits; the
 finished rows become the updates' immutable ``ModelParams``.
 ``np.errstate`` is entered once around the loop. Client shuffling streams
@@ -141,12 +141,12 @@ def local_train(
     v = np.zeros_like(values)
     scratch = (np.empty_like(values), np.empty_like(values))
     # A batch has at most `width` rows. A step at which every client has
-    # that many runs one stack; any other step (an epoch's ragged end, or a
-    # client training alone) runs each client's group of one on its rows.
+    # that many runs one stack; any other step (an epoch's ragged end) runs
+    # each client's group of one on its rows.
     width = min(size, max((len(data) for data in parts), default=0))
     xs = np.empty((k, width, arch.input_dim))
     ys = np.empty((k, width), dtype=np.int64)
-    ones = [nn.ModelGroup.of_one(arch, values[r], width) for r in range(k)]
+    ones = [nn.ModelGroup.stacked(arch, values[r], width) for r in range(k)]
     one_grads = [nn.unpack_layers(arch, grad[r]) for r in range(k)]
     rngs = [np.random.default_rng(derive_seed(cfg.seed, "local", round_idx, i)) for i in ids]
     shuffles = [np.empty(0, dtype=np.int64)] * k
@@ -167,7 +167,7 @@ def local_train(
                 stack_x, stack_y = xs[:active], ys[:active]
                 rows, m_rows, v_rows, g_rows = values[:active], m[:active], v[:active], grad[:active]
                 rows_scratch = (scratch[0][:active], scratch[1][:active])
-            full = active > 1
+            full = True
             for r in range(active):
                 batch = (step - 1) % per_epoch[r]
                 if batch == 0:

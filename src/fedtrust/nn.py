@@ -167,7 +167,7 @@ class ModelGroup:
     row as on a thousand, since the time goes on per-call overhead, so PGD
     attacks the rows of many models as one group.
 
-    A group of one (:meth:`of_one`) and a stack (:meth:`stacked`) instead
+    A group of one and a stack (both built by :meth:`stacked`) instead
     broadcast views of their models' own parameters. A stack of m models
     runs (m, c, d) batches, model j on row j: each layer's matmul is one
     ``np.matmul`` over (m, fan_in, fan_out) weight views, which gives each
@@ -189,18 +189,12 @@ class ModelGroup:
             self._repeat(arch, [m.values for m in models], counts)
 
     @classmethod
-    def of_one(cls, arch: Architecture, values: np.ndarray, rows: int) -> ModelGroup:
-        """The group of one over ``rows`` rows of the flat parameter vector
-        ``values`` of ``arch``, unchecked. It holds views of ``values``, so
-        a group over a writable vector follows every in-place update."""
-        return cls.stacked(arch, values, rows)
-
-    @classmethod
     def stacked(cls, arch: Architecture, values: np.ndarray, rows: int) -> ModelGroup:
-        """The stack over the (m, P) stack ``values`` of flat parameter
-        vectors of ``arch``, model j on row j of (m, rows, d) batches,
-        unchecked. Like a group of one (a flat ``values``), it holds views
-        of ``values`` and follows every in-place update."""
+        """The group over ``values``, unchecked: a flat parameter vector of
+        ``arch`` gives the group of one over batches of ``rows`` rows, and an
+        (m, P) stack of them the stack with model j on row j of (m, rows, d)
+        batches. It holds views of ``values``, so a group over a writable
+        array follows every in-place update."""
         group = cls.__new__(cls)
         group._view(arch, values, rows)
         return group
@@ -320,7 +314,7 @@ class ModelGroup:
 def as_group(params: ModelParams | ModelGroup, rows: int) -> ModelGroup:
     """``params`` over a batch of ``rows`` rows: a model is a group of one."""
     if not isinstance(params, ModelGroup):
-        return ModelGroup.of_one(params.architecture, params.values, rows)
+        return ModelGroup.stacked(params.architecture, params.values, rows)
     if params.rows != rows:
         raise InputError(f"a group over {params.rows} rows was given {rows}")
     return params
@@ -427,9 +421,9 @@ def loss_and_param_grads(
 ) -> None:
     """Gradient of a batch's mean cross-entropy w.r.t. a model's flat values.
 
-    ``group`` is a group of one (:func:`as_group`, ``ModelGroup.of_one``),
-    which broadcasts its model over a float64 (n, d) batch ``inputs`` of
-    any size, or a stack (``ModelGroup.stacked``) of m models over an
+    ``group`` is a group of one (:func:`as_group`, or ``ModelGroup.stacked``
+    over a flat vector), which broadcasts its model over a float64 (n, d)
+    batch ``inputs`` of any size, or a stack of m models over an
     (m, c, d) batch, each with its own mean over its c rows. Writes each
     layer's weight and bias gradient into ``grad_layers``, the
     :func:`unpack_layers` views of one gradient vector (for a stack, of an

@@ -293,7 +293,7 @@ def test_group_of_one_follows_in_place_updates(sizes, act):
     arch = Architecture(sizes, act)
     rng = np.random.default_rng(17)
     values = init_params(arch, 3).values.copy()
-    group = nn.ModelGroup.of_one(arch, values, 8)
+    group = nn.ModelGroup.stacked(arch, values, 8)
     x, y = rng.random((8, sizes[0])), rng.integers(0, arch.class_count, size=8)
     grad, fresh_grad = np.empty(arch.param_count), np.empty(arch.param_count)
     for _ in range(3):

@@ -1,19 +1,17 @@
 """Benchmark a parent revision against this checkout in same-seed pairs.
 
-    python3 scripts/bench_pairs.py --pr N --parent REV --change TEXT
-        --workload NAME=FIRST_SEED [--workload ...] [--pairs 10]
-        [--seconds 30] [--trace-seed 3] [--parent-dir DIR]
+    python3 scripts/bench_pairs.py --pr N --parent REV --change TEXT --seed FIRST
 
-Makes a detached ``git worktree`` of REV (or uses the checkout of it at
-``--parent-dir``, such as a ``git archive`` export), then, for each
-workload, runs ``perfbench/run.py --trace 0`` on seeds FIRST_SEED,
-FIRST_SEED + 1, ... in both checkouts, one pair per seed, alternating which
-side runs first, and one ``--trace 1`` run per side at the trace seed. The
-change side is this checkout's working tree. Writes ``BENCH_<N>.json`` at
-the root of this checkout in the shape of the earlier BENCH files: per
-workload and side, each end-to-end metric's median over the ``--trace 0``
-runs, every such run's values, and the traced run's result. The worktree is
-removed when the script ends.
+Exports REV with ``git archive`` into a temporary directory, then, for each
+workload of ``BENCHMARK.json`` (the i-th in its order on seeds
+FIRST + 1000 i, FIRST + 1000 i + 1, ...), runs
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` in both
+checkouts, one pair per seed, alternating which side runs first, and one
+``--trace 1`` run per side at seed 3. The change side is this checkout's
+working tree. Writes ``BENCH_<N>.json`` at the root of this checkout in the
+shape of the earlier BENCH files: per workload and side, each end-to-end
+metric's median over the ``--trace 0`` runs, every such run's values, and
+the traced run's result. The export is removed when the script ends.
 
 A gain is claimed from the pairs (the change better in most of them, by
 more than the parent's own spread), not from this file's medians alone.
@@ -22,19 +20,22 @@ more than the parent's own spread), not from this file's medians alone.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+TRACE_SEED = 3
 END_TO_END = ("run_s", "setup_s", "client_rounds_per_s", "peak_rss_mb", "output_mb")
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0|1"
 DESCRIPTION = (
@@ -44,6 +45,12 @@ DESCRIPTION = (
     "both sides, pairs alternating which side runs first), trace1 the last JSON line of "
     "one --trace 1 run at seed {trace_seed}."
 )
+
+
+def benchmark(root: Path) -> tuple[float, list[str]]:
+    """The run length and the workload names that ``BENCHMARK.json`` fixes."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return float(spec["run_seconds"]), [w["name"] for w in spec["workloads"]]
 
 
 def parse_result(stdout: str) -> dict:
@@ -92,10 +99,10 @@ def side_block(runs: list[dict], trace1: dict) -> dict:
     return {"median_trace0": medians, "trace0_runs": runs, "trace1": trace1}
 
 
-def workload_block(seeds: list[int], trace_seed: int, runs: dict, traces: dict) -> dict:
+def workload_block(seeds: list[int], runs: dict, traces: dict) -> dict:
     """``runs[side]`` holds the side's :func:`run_entry` records and
     ``traces[side]`` its ``--trace 1`` result."""
-    block = {"trace0_seeds": seeds, "trace1_seed": trace_seed}
+    block = {"trace0_seeds": seeds, "trace1_seed": TRACE_SEED}
     for side in SIDES:
         block[side] = side_block(runs[side], traces[side])
     return block
@@ -136,25 +143,14 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 @contextmanager
-def parent_checkout(rev: str, given: str | None):
-    if given is not None:
-        yield Path(given).resolve()
-        return
-    scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    path = scratch / "parent"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(path), rev], check=True)
-    try:
-        yield path
-    finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(path)], check=False)
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
-def workload_seed(text: str) -> tuple[str, int]:
-    name, sep, first = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected NAME=FIRST_SEED, got {text!r}")
-    return name, int(first)
+def parent_checkout(root: Path, rev: str):
+    """The committed files of ``rev`` in the git repository at ``root``,
+    exported into a temporary directory that is removed afterwards."""
+    tar = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev], capture_output=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
+        with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+            archive.extractall(scratch, filter="data")
+        yield Path(scratch)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,32 +158,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", required=True, type=int)
     parser.add_argument("--parent", required=True, help="the parent revision")
     parser.add_argument("--change", required=True, help="what the change does, for the description")
-    parser.add_argument("--workload", required=True, action="append", type=workload_seed)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-seed", type=int, default=3)
-    parser.add_argument("--parent-dir", help="an existing checkout of the parent revision")
+    parser.add_argument("--seed", required=True, type=int, help="the first workload's first seed")
     args = parser.parse_args(argv)
+    seconds, names = benchmark(ROOT)
 
     workloads = {}
-    with parent_checkout(args.parent, args.parent_dir) as parent:
+    with parent_checkout(ROOT, args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
-        for name, first_seed in args.workload:
+        for i, name in enumerate(names):
 
             def run(side: str, seed: int) -> dict:
-                result = bench(checkouts[side], name, seed, args.seconds, 0)
+                result = bench(checkouts[side], name, seed, seconds, 0)
                 rate = result["metrics"].get("client_rounds_per_s", {}).get("value", float("nan"))
                 sys.stderr.write(f"{name} seed {seed} {side}: client_rounds_per_s {rate:.3f}, correct {result['correct']}\n")
                 return result
 
-            seeds = list(range(first_seed, first_seed + args.pairs))
+            first = args.seed + 1000 * i
+            seeds = list(range(first, first + PAIRS))
             runs = paired_runs(seeds, run)
-            traces = {side: bench(checkouts[side], name, args.trace_seed, args.seconds, 1) for side in SIDES}
-            workloads[name] = workload_block(seeds, args.trace_seed, runs, traces)
+            traces = {side: bench(checkouts[side], name, TRACE_SEED, seconds, 1) for side in SIDES}
+            workloads[name] = workload_block(seeds, runs, traces)
 
-    description = DESCRIPTION.format(parent=args.parent, change=args.change, trace_seed=args.trace_seed)
+    description = DESCRIPTION.format(parent=args.parent, change=args.change, trace_seed=TRACE_SEED)
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(assemble(description, args.seconds, machine_info(), workloads), indent=1) + "\n")
+    out.write_text(json.dumps(assemble(description, seconds, machine_info(), workloads), indent=1) + "\n")
     sys.stderr.write(f"wrote {out}\n")
     return 0
 

@@ -3,11 +3,13 @@
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
 ``scheme_agreement`` then checks the methods it calls, and canned result
-lines check how ``bench_pairs`` assembles a BENCH file.
+lines check how ``bench_pairs`` assembles a BENCH file, and a scratch git
+repository how it exports the parent revision.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,7 +83,7 @@ def test_bench_pairs_assembles_runs_in_the_bench_file_shape():
     ]
     committed = json.loads((SCRIPTS.parent / "BENCH_13.json").read_text())
     trace = committed["workloads"]["train_heavy"]["parent"]["trace1"]
-    block = bench.workload_block(seeds, 3, runs, {"parent": trace, "change": trace})
+    block = bench.workload_block(seeds, runs, {"parent": trace, "change": trace})
     machine = {"cpu_count": 2, "cpus_used": 1, "python": "3", "numpy": "2"}
     doc = bench.assemble("text", 30, machine, {"train_heavy": block})
 
@@ -101,3 +103,32 @@ def test_bench_pairs_assembles_runs_in_the_bench_file_shape():
 def test_bench_pairs_rejects_empty_output():
     with pytest.raises(ValueError):
         load("bench_pairs").parse_result("\n")
+
+
+def test_bench_pairs_runs_what_the_benchmark_fixes():
+    seconds, names = load("bench_pairs").benchmark(SCRIPTS.parent)
+    assert seconds > 0
+    assert names and all((SCRIPTS.parent / "perfbench" / "workloads" / f"{n}.txt").is_file() for n in names)
+
+
+def test_bench_pairs_exports_the_parent_revision_and_removes_it(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    run_py = repo / "perfbench" / "run.py"
+    run_py.write_text("parent\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "parent")
+    run_py.write_text("change\n")
+    with load("bench_pairs").parent_checkout(repo, "HEAD") as parent:
+        assert (parent / "perfbench" / "run.py").read_text() == "parent\n"
+        assert not (parent / ".git").exists()
+    assert not parent.exists()
+    # nothing registered in the repository: no worktree, no change to its files
+    assert run_py.read_text() == "change\n"
+    worktrees = subprocess.run(["git", "-C", str(repo), "worktree", "list"], capture_output=True, text=True, check=True)
+    assert len(worktrees.stdout.splitlines()) == 1

@@ -1,6 +1,6 @@
-"""Whole-file replacement for checkpoint, score and report files: a reader
-sees either the previous file or the complete new one, never a partial
-write."""
+"""Whole-file replacement for checkpoint, score, report and dataset files:
+a reader sees either the previous file or the complete new one, never a
+partial write."""
 
 from __future__ import annotations
 

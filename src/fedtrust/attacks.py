@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .nn import (
     ModelGroup,
     ModelParams,
     OutputActivation,
     as_group,
-    check_labels,
-    input_rows,
+    labeled_rows,
     predicted_classes,
     unpack_layers,
 )
@@ -95,17 +94,6 @@ class AttackSpec:
             )
 
 
-def _rows(
-    model: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``inputs`` as float64 rows of the model's width, ``labels`` aligned."""
-    x0 = input_rows(model, inputs)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x0.shape[0],):
-        raise InputError("labels must align with input rows")
-    return x0, y
-
-
 def pgd_batch(
     model: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray, spec: AttackSpec
 ) -> np.ndarray:
@@ -114,12 +102,11 @@ def pgd_batch(
     ``model`` is one model, or a :class:`~fedtrust.nn.ModelGroup` whose
     models each attack their own rows. Returns the final iterates.
     """
-    x0, y = _rows(model, inputs, labels)
+    x0, y = labeled_rows(model, inputs, labels)
     group = as_group(model, x0.shape[0])
     if spec.epsilon == 0.0:
         return x0.copy()
     activation = group.architecture.output_activation
-    check_labels(group.architecture, y)
     x_adv = x0.copy()
     # Working arrays: rows[i] is the input row of working row i. A row that
     # flips is written to x_adv and marked inactive at once, but it stays
@@ -189,9 +176,8 @@ def certified_rows(
     whichever the sign of the margin's coefficient needs. A row is certified
     when that bound exceeds the tolerance (see ``CERTIFY_TOLERANCE``).
     """
-    x0, y = _rows(model, inputs, labels)
+    x0, y = labeled_rows(model, inputs, labels)
     arch = model.architecture
-    check_labels(arch, y)
     n = x0.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)

@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from .config import parse_config_file
-from .data import Dataset, generate_synthetic, save_dataset_csv
+from .data import Dataset, save_dataset_csv
 from .errors import FedTrustError
-from .experiment import analyze_run_dir, run_experiment
+from .experiment import analyze_run_dir, fold_dataset, run_experiment
 from .metrics import FairnessSpec, demographic_parity_gap, fair, perf, res
-from .seeding import derive_seed
 
 
 def _fig1_toy():
@@ -90,12 +89,7 @@ def cmd_analyze(run_dir: str) -> int:
 
 def cmd_generate_data(spec_path: str, out_path: str) -> int:
     cfg = parse_config_file(spec_path)
-    data = generate_synthetic(
-        cfg.synthetic_n,
-        cfg.synthetic_d,
-        cfg.group_imbalance,
-        derive_seed(cfg.master_seed, "fold", 0, "data"),
-    )
+    data = fold_dataset(cfg, cfg.fold_seed(0))
     save_dataset_csv(data, out_path)
     print(f"wrote {len(data)} samples ({data.feature_dim} features) to {out_path}")
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable
 
@@ -21,13 +20,6 @@ from .federation import TrainingConfig
 from .metrics import FairnessSpec, NoiseSpec
 from .seeding import derive_seed
 from .valuation import Scheme, ValuationConfig
-
-
-class TruncationRule(str, Enum):
-    # GTG's one truncation rule (gtg_shapley_values): a permutation scan
-    # stops once the prefix utility is within eps3 of the full coalition's.
-    # The key stays so that configs naming the rule still parse.
-    PREFIX_DISTANCE = "prefix_distance"
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,6 @@ class ExperimentConfig:
     eps1: float = 0.001
     eps2: float = 0.05
     eps3: float = 0.002
-    truncation_rule: TruncationRule = TruncationRule.PREFIX_DISTANCE
     # experiment
     folds: int = 5
     master_seed: int = 42
@@ -84,7 +75,6 @@ class ExperimentConfig:
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
         object.__setattr__(self, "partition_mode", PartitionMode(self.partition_mode))
-        object.__setattr__(self, "truncation_rule", TruncationRule(self.truncation_rule))
         if not self.schemes:
             raise ConfigError("at least one valuation scheme is required")
         # constructing the sub-configs runs their own validation up front
@@ -150,8 +140,17 @@ def _as_schemes(raw: str) -> tuple[Scheme, ...]:
     return tuple(Scheme(p.strip()) for p in raw.split(",") if p.strip())
 
 
-# config key -> (ExperimentConfig field, caster)
-_KEYS: dict[str, tuple[str, Callable]] = {
+def _check_truncation_rule(raw: str) -> None:
+    # GTG's one truncation rule (gtg_shapley_values): a permutation scan
+    # stops once the prefix utility is within eps3 of the full coalition's.
+    # The key stays so that configs naming the rule still parse.
+    if raw != "prefix_distance":
+        raise ValueError("the one truncation rule is 'prefix_distance'")
+
+
+# config key -> (ExperimentConfig field, or None for a key that sets none,
+# caster)
+_KEYS: dict[str, tuple[str | None, Callable]] = {
     "data.source": ("data_source", str),
     "data.n": ("synthetic_n", int),
     "data.d": ("synthetic_d", int),
@@ -180,7 +179,7 @@ _KEYS: dict[str, tuple[str, Callable]] = {
     "valuation.eps1": ("eps1", _as_float),
     "valuation.eps2": ("eps2", _as_float),
     "valuation.eps3": ("eps3", _as_float),
-    "valuation.truncation_rule": ("truncation_rule", TruncationRule),
+    "valuation.truncation_rule": (None, _check_truncation_rule),
     "experiment.folds": ("folds", int),
     "experiment.master_seed": ("master_seed", int),
     "experiment.output_dir": ("output_dir", str),
@@ -200,11 +199,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
         field_name, caster = _KEYS[key]
         try:
-            overrides[field_name] = caster(raw_value)
+            value = caster(raw_value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(
                 f"{origin}:{lineno}: bad value for {key!r}: {raw_value!r} ({exc})"
             ) from exc
+        if field_name is not None:
+            overrides[field_name] = value
     try:
         return ExperimentConfig(**overrides)
     except ConfigError as exc:
@@ -215,6 +216,6 @@ def parse_config_file(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, SchemaError
 from .seeding import rng_from
 
@@ -136,7 +137,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -202,7 +203,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     """Canonical cache format: columns f0..f{d-1}, s, y."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(ds.feature_dim)] + ["s", "y"])
         for i in range(len(ds)):

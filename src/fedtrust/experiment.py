@@ -51,7 +51,9 @@ logger = logging.getLogger(__name__)
 ALL_METRICS = (Metric.PERF, Metric.FAIR, Metric.REL, Metric.RES)
 
 
-def _fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None) -> Dataset:
+def fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None = None) -> Dataset:
+    """The dataset of the fold seeded ``fold_seed``: ``source`` if given,
+    else the fold's own synthetic draw."""
     if source is not None:
         return source
     return generate_synthetic(
@@ -86,7 +88,7 @@ def run_fold(
         if re.fullmatch(r"round_\d+", stale.name):
             shutil.rmtree(stale)
     fold_seed = cfg.fold_seed(fold)
-    data = _fold_dataset(cfg, fold_seed, source)
+    data = fold_dataset(cfg, fold_seed, source)
     train, test = train_test_split(data, cfg.test_fraction, derive_seed(fold_seed, "split"))
     parts = partition(
         train,

@@ -2,7 +2,8 @@
 
 Every round trains all clients from the previous global model, aggregates by
 sample-count-weighted parameter averaging, and (optionally) checkpoints the
-artifacts the valuation stage consumes:
+round's models and metadata; the valuation stage reads the in-memory round
+records, not these files:
 
     <run_dir>/round_<t>/{global_before.txt, global_after.txt,
                          client_<k>.txt, meta.json}
@@ -72,7 +73,6 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: int
-    round: int
     params: ModelParams
     sample_count: int
 
@@ -204,7 +204,7 @@ def local_train(
         )
     updates: list[ClientUpdate | None] = [None] * k
     for r, j in enumerate(order):
-        updates[j] = ClientUpdate(ids[r], round_idx, ModelParams(arch, values[r]), len(parts[r]))
+        updates[j] = ClientUpdate(ids[r], ModelParams(arch, values[r]), len(parts[r]))
     return tuple(updates)
 
 

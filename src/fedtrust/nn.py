@@ -10,8 +10,7 @@ optimizer steps update working parameters (and Adam's moments) in place,
 elementwise, so a step over a stack of clients' rows is each client's own
 step. Local training owns those arrays, allocates them once per round and
 wraps each client's parameters in a ``ModelParams`` when it is done. The
-training step computes no loss value; :func:`cross_entropy` gives the loss
-whose gradient it is.
+training step computes no loss value.
 
 Every pass runs a :class:`ModelGroup`: one or more models of one
 architecture, each on its own part of one batch, so that many small
@@ -30,9 +29,8 @@ The passes themselves (``ModelGroup.forward``, :func:`loss_and_param_grads`)
 do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
 for logits below about -709 (1 / (1 + inf) is then the correct probability
 0.0), so their callers silence that overflow once:
-:func:`predict_batch`, :func:`input_gradient_batch` and
-:func:`cross_entropy` per call, PGD around its step loop and local training
-around its epochs.
+:func:`predict_batch` and :func:`input_gradient_batch` per call, PGD around
+its step loop and local training around its epochs.
 
 Parameter layout: for each layer l, the weight matrix W_l (fan_in x fan_out,
 row-major) followed by the bias vector b_l. Keeping parameters flat makes
@@ -50,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ConfigError, DataError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 
 LOG_CLAMP = 1e-12
 
@@ -357,6 +355,20 @@ def check_labels(arch: Architecture, labels: np.ndarray) -> None:
         raise InputError(f"label out of range for {c} classes")
 
 
+def labeled_rows(
+    params: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``inputs`` as float64 (n, d) rows of the model's input width, and
+    ``labels`` as int64, one class label per row, checked by
+    :func:`check_labels`."""
+    x = input_rows(params, inputs)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (x.shape[0],):
+        raise InputError("labels must align with input rows")
+    check_labels(params.architecture, y)
+    return x, y
+
+
 def _true_class_prob(
     activation: OutputActivation, probs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
@@ -395,24 +407,6 @@ def output_delta(
     return probs if probs.ndim == 2 else probs[:, None]
 
 
-def cross_entropy(
-    params: ModelParams | ModelGroup, inputs: np.ndarray, labels: np.ndarray
-) -> float:
-    """Mean cross-entropy of a batch, each log argument clamped at LOG_CLAMP.
-
-    The loss whose gradient :func:`loss_and_param_grads` writes; training
-    itself never computes it. ``inputs`` is a float64 (n, d) array and
-    ``labels`` passed :func:`check_labels`.
-    """
-    if len(labels) == 0:
-        raise InputError("cannot evaluate loss on an empty batch")
-    group = as_group(params, inputs.shape[0])
-    with np.errstate(over="ignore"):
-        _, probs = group.forward(inputs)
-    p_true = _true_class_prob(group.architecture.output_activation, probs, labels)
-    return float((-np.log(np.maximum(p_true, LOG_CLAMP))).mean())
-
-
 def loss_and_param_grads(
     group: ModelGroup,
     inputs: np.ndarray,
@@ -429,10 +423,9 @@ def loss_and_param_grads(
     :func:`unpack_layers` views of one gradient vector (for a stack, of an
     (m, P) gradient stack) that the caller allocates once, so the vector
     (row j) then holds the whole gradient (of model j). A stack's matmuls
-    and sums give each model's own calls' bits. No loss value is computed
-    (see :func:`cross_entropy`). ``labels``, (n,) or (m, c), passed
-    :func:`check_labels`. The caller silences the sigmoid's ``exp``
-    overflow.
+    and sums give each model's own calls' bits. No loss value is computed.
+    ``labels``, (n,) or (m, c), passed :func:`check_labels`. The caller
+    silences the sigmoid's ``exp`` overflow.
     """
     if group.per_row:
         raise InputError("a parameter gradient needs a group of one model or a stack")
@@ -464,10 +457,8 @@ def input_gradient_batch(
     ``params`` is one model, or a :class:`ModelGroup` whose models each
     take their own rows; PGD runs the same pass.
     """
-    inputs = input_rows(params, inputs)
-    labels = np.asarray(labels, dtype=np.int64)
+    inputs, labels = labeled_rows(params, inputs, labels)
     group = as_group(params, inputs.shape[0])
-    check_labels(group.architecture, labels)
     with np.errstate(over="ignore"):
         hidden, probs = group.forward(inputs)
     return group.input_gradient(hidden, probs, labels)
@@ -535,27 +526,7 @@ def dumps_params(params: ModelParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_params(text: str) -> ModelParams:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataError("empty model text")
-    parts = lines[0].split()
-    if len(parts) != 3 or parts[1] != "relu":
-        raise DataError(f"bad architecture header: {lines[0]!r}")
-    try:
-        sizes = tuple(int(s) for s in parts[0].split(","))
-        arch = Architecture(sizes, OutputActivation(parts[2]))
-        values = np.array([float(v) for v in lines[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"unparseable model text: {exc}") from exc
-    return ModelParams(arch, values)
-
-
 def save_params(params: ModelParams, path) -> None:
     with atomic_open(path) as fh:
         fh.write(dumps_params(params))
 
-
-def load_params(path) -> ModelParams:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_params(fh.read())

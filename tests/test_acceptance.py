@@ -30,7 +30,6 @@ from fedtrust.nn import (
     ModelParams,
     OutputActivation,
     as_group,
-    cross_entropy,
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
@@ -48,6 +47,7 @@ from fedtrust.valuation import (
     score_rounds,
     score_vectors,
 )
+from helpers import cross_entropy
 
 
 class criterion:
@@ -183,7 +183,7 @@ def test_criterion_3_shapley_axioms():
         base = records[1]
         twin = base.updates[0].params
         updates = tuple(
-            ClientUpdate(k, base.round, twin if k in (1, 2) else base.updates[k].params, 60)
+            ClientUpdate(k, twin if k in (1, 2) else base.updates[k].params, 60)
             for k in range(4)
         )
         record = RoundRecord(

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.errors import ConfigError, InputError
-from fedtrust.nn import Architecture, ModelParams, OutputActivation, cross_entropy, predict_batch
+from fedtrust.nn import Architecture, ModelParams, OutputActivation, predict_batch
+from helpers import cross_entropy
 
 
 def batch_loss(params, x, y):

@@ -92,6 +92,22 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfedata.n = 100\n")
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config {bad}")
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        data_path = tmp_path / "input.csv"
+        data_path.write_bytes(b"a,s,y\n1,yes,0\n2,n\xf6,1\n")
+        extra = f"data.source = csv\ndata.csv_path = {data_path}\n"
+        config = write_smoke_config(tmp_path, tmp_path / "out", extra)
+        assert main(["run", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {data_path}")
+
     def test_bad_test_fraction_fails_before_any_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_smoke_config(tmp_path, out_dir, "data.test_fraction = 2\n")

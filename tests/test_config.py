@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedtrust import config
 from fedtrust.attacks import AttackSpec
-from fedtrust.config import ExperimentConfig, TruncationRule, parse_config_file, parse_config_text
+from fedtrust.config import ExperimentConfig, parse_config_file, parse_config_text
 from fedtrust.data import PartitionMode, PartitionSpec
 from fedtrust.errors import ConfigError
 from fedtrust.federation import TrainingConfig
@@ -47,7 +47,6 @@ class TestDefaults:
         assert (cfg.eps1, cfg.eps2, cfg.eps3) == (0.001, 0.05, 0.002)
         assert cfg.dirichlet_alpha == 0.5
         assert cfg.partition_mode is PartitionMode.DIRICHLET
-        assert cfg.truncation_rule is TruncationRule.PREFIX_DISTANCE
 
     def test_fold_seeds_distinct_and_stable(self):
         cfg = ExperimentConfig(master_seed=42)
@@ -135,7 +134,7 @@ class TestParser:
 
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
-        assert cfg.truncation_rule is TruncationRule.PREFIX_DISTANCE
+        assert cfg == ExperimentConfig()
         with pytest.raises(ConfigError, match=r":2.*valuation\.truncation_rule.*marginal_size"):
             parse_config_text("data.n = 100\nvaluation.truncation_rule = marginal_size\n")
 

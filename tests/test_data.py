@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,29 @@ class TestCsv:
         assert back.feature_dim == ds.feature_dim
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.sensitive, ds.sensitive)
+
+    def test_failed_cache_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.csv"
+        path.write_text("old\n")
+        real_writer = csv.writer
+
+        class FailingWriter:
+            """Writes the header and two rows, then fails."""
+
+            def __init__(self, fh):
+                self.writer, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                if self.rows == 3:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset_csv(generate_synthetic(50, 3, 0.2, seed=1), path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.csv"]
 
     def test_normalization_idempotent(self):
         rng = np.random.default_rng(0)

@@ -22,12 +22,11 @@ from fedtrust.nn import (
     Architecture,
     ModelParams,
     OutputActivation,
-    cross_entropy,
     init_params,
-    load_params,
     predict_batch,
 )
 from fedtrust.seeding import derive_seed
+from helpers import cross_entropy, loads_params
 
 
 def batch_loss(params, x, y):
@@ -35,9 +34,9 @@ def batch_loss(params, x, y):
     return cross_entropy(params, x, y)
 
 
-def make_update(client_id, values, count=10, round_idx=1, arch=None):
+def make_update(client_id, values, count=10, arch=None):
     arch = arch or Architecture((2, 2))
-    return ClientUpdate(client_id, round_idx, ModelParams(arch, values), count)
+    return ClientUpdate(client_id, ModelParams(arch, values), count)
 
 
 def small_setup(n=200, k=3, seed=0):
@@ -242,10 +241,10 @@ class TestRounds:
             assert meta["weighting"] == "sample_count"
             assert set(meta["sample_counts"]) == {"0", "1", "2"}
         round_dir = tmp_path / "run" / "round_2"
-        back = load_params(round_dir / "global_after.txt")
+        back = loads_params((round_dir / "global_after.txt").read_text())
         assert np.array_equal(back.values, records[1].global_after.values)
         for k, update in enumerate(records[1].updates):
-            client = load_params(round_dir / f"client_{k}.txt")
+            client = loads_params((round_dir / f"client_{k}.txt").read_text())
             assert np.array_equal(client.values, update.params.values)
         meta = json.loads((round_dir / "meta.json").read_text())
         assert [meta["sample_counts"][str(k)] for k in range(3)] == [len(p) for p in parts]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtrust import nn
-from fedtrust.attacks import AttackSpec, pgd_batch
+from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
 from fedtrust.data import Dataset
 from fedtrust.errors import ConfigError, InputError, NumericError
 from fedtrust.federation import TrainingConfig, local_train
@@ -16,7 +16,6 @@ from fedtrust.nn import (
     ModelParams,
     OutputActivation,
     adam_step,
-    cross_entropy,
     init_params,
     input_gradient_batch,
     loss_and_param_grads,
@@ -24,6 +23,7 @@ from fedtrust.nn import (
     sgd_step,
     unpack_layers,
 )
+from helpers import cross_entropy, loads_params
 
 
 def loss_and_grad(params, x, y):
@@ -419,14 +419,14 @@ class TestSerialization:
     def test_round_trip_exact(self, act):
         sizes = (3, 4, 2) if act is OutputActivation.SOFTMAX else (3, 4, 1)
         params = init_params(Architecture(sizes, act), 99)
-        back = nn.loads_params(nn.dumps_params(params))
+        back = loads_params(nn.dumps_params(params))
         assert back.architecture == params.architecture
         assert np.array_equal(back.values, params.values)
 
     def test_file_round_trip(self, tmp_path):
         params = init_params(Architecture((2, 2)), 5)
         nn.save_params(params, tmp_path / "m.txt")
-        back = nn.load_params(tmp_path / "m.txt")
+        back = loads_params((tmp_path / "m.txt").read_text())
         assert np.array_equal(back.values, params.values)
 
 
@@ -439,3 +439,22 @@ def test_predict_batch_matches_single(seed):
     xs = rng.random((6, 3))
     batch_preds = predict_batch(params, xs)
     assert [int(predict_batch(params, x[None, :])[0]) for x in xs] == list(batch_preds)
+
+
+@pytest.mark.parametrize("act", [OutputActivation.SOFTMAX, OutputActivation.SIGMOID])
+@pytest.mark.parametrize("label_count", [1, 4], ids=["one_label", "n_minus_1_labels"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        input_gradient_batch,
+        lambda params, x, y: pgd_batch(params, x, y, AttackSpec()),
+        lambda params, x, y: certified_rows(params, x, y, AttackSpec()),
+    ],
+    ids=["input_gradient_batch", "pgd_batch", "certified_rows"],
+)
+def test_labels_must_align_with_input_rows(act, label_count, call):
+    sizes = (3, 4, 2) if act is OutputActivation.SOFTMAX else (3, 4, 1)
+    params = init_params(Architecture(sizes, act), 0)
+    x = np.random.default_rng(0).random((5, 3))
+    with pytest.raises(InputError, match="labels must align with input rows"):
+        call(params, x, np.zeros(label_count, dtype=np.int64))

@@ -616,7 +616,7 @@ def fallback_round():
     always_zero = ModelParams(arch, np.array([0.0, 0.0, -10.0]))
     features = np.random.default_rng(0).random((12, 2))
     test = Dataset(features, np.zeros(12, dtype=int), np.zeros(12, dtype=bool), 2)
-    updates = (ClientUpdate(0, 1, always_one, 10), ClientUpdate(1, 1, always_zero, 10))
+    updates = (ClientUpdate(0, always_one, 10), ClientUpdate(1, always_zero, 10))
     record = RoundRecord(1, always_zero, updates, always_zero)
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 1), AttackSpec(0.1, 0.02, 3))
     return record, ctx

@@ -262,8 +262,8 @@ class TestCoalitionUtility:
             1,
             always_zero,
             (
-                ClientUpdate(0, 1, always_one, 10),
-                ClientUpdate(1, 1, always_zero, 10),
+                ClientUpdate(0, always_one, 10),
+                ClientUpdate(1, always_zero, 10),
             ),
             always_zero,
         )
@@ -283,7 +283,7 @@ class TestRoundWrappers:
     def test_exact_guard_redirects_to_gtg(self):
         arch = Architecture((2, 2))
         params = init_params(arch, 0)
-        updates = tuple(ClientUpdate(i, 1, params, 1) for i in range(13))
+        updates = tuple(ClientUpdate(i, params, 1) for i in range(13))
         record = RoundRecord(1, params, updates, params)
         ctx = None  # never reached
         with pytest.raises(ConfigError, match="gtg"):
@@ -310,7 +310,7 @@ class TestRoundWrappers:
         records, ctx = trained_records()
         base = records[0]
         clone = base.updates[0].params
-        updates = tuple(ClientUpdate(i, 1, clone, 20) for i in range(4))
+        updates = tuple(ClientUpdate(i, clone, 20) for i in range(4))
         record = RoundRecord(1, base.global_before, updates, clone)
         for metric in (Metric.PERF, Metric.FAIR):
             sv = exact_shapley_round(record, metric, ctx, CoalitionCache())

@@ -13,8 +13,14 @@ shape of the earlier BENCH files: per workload and side, each end-to-end
 metric's median over the ``--trace 0`` runs, every such run's values, and
 the traced run's result. The export is removed when the script ends.
 
-A gain is claimed from the pairs (the change better in most of them, by
-more than the parent's own spread), not from this file's medians alone.
+A gain is claimed from the pairs, not from this file's medians alone: the
+change must be better in at least 9 of every 10 pairs, and its median better
+than the parent's by more than the distance between the quartiles of the
+parent's runs. After writing the file, the script prints to stderr, for each
+workload and end-to-end metric, the change's wins out of the pairs (ties
+count for neither side; ``better`` in ``BENCHMARK.json`` gives the
+direction), both medians, the parent's quartile distance and whether that
+rule holds.
 """
 
 from __future__ import annotations
@@ -51,6 +57,60 @@ def benchmark(root: Path) -> tuple[float, list[str]]:
     """The run length and the workload names that ``BENCHMARK.json`` fixes."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     return float(spec["run_seconds"]), [w["name"] for w in spec["workloads"]]
+
+
+def directions(root: Path) -> dict[str, str]:
+    """Each end-to-end metric's better direction, ``lower`` or ``higher``,
+    as ``BENCHMARK.json`` states it."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def claim_rule(workloads: dict, better: dict[str, str]) -> list[dict]:
+    """For each workload of a BENCH file's ``workloads`` and each metric of
+    ``better``: the pairs, the change's wins (strictly better; a tie is no
+    win), both sides' medians over the pairs, the parent's quartile distance
+    (``statistics.quantiles``, exclusive method; 0 below two pairs) and
+    whether the claim rule holds."""
+    rows = []
+    for workload, block in workloads.items():
+        for name, direction in better.items():
+            by_pair: dict[int, dict] = {}
+            for side in SIDES:
+                for run in block[side]["trace0_runs"]:
+                    if name in run:
+                        by_pair.setdefault(run["pair"], {})[side] = run[name]
+            pairs = [pair for pair in by_pair.values() if len(pair) == len(SIDES)]
+            if not pairs:
+                continue
+            sign = 1 if direction == "higher" else -1
+            parent = [pair["parent"] for pair in pairs]
+            change = [pair["change"] for pair in pairs]
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else [0.0, 0.0, 0.0]
+            medians = statistics.median(parent), statistics.median(change)
+            spread = quartiles[2] - quartiles[0]
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "better": direction,
+                "wins": wins,
+                "pairs": len(pairs),
+                "parent_median": medians[0],
+                "change_median": medians[1],
+                "parent_quartile_distance": spread,
+                "holds": 10 * wins >= 9 * len(pairs) and sign * (medians[1] - medians[0]) > spread,
+            })
+    return rows
+
+
+def claim_line(row: dict) -> str:
+    return (
+        f"{row['workload']} {row['metric']} ({row['better']} is better): change better in "
+        f"{row['wins']}/{row['pairs']} pairs, median {row['parent_median']:.6g} -> "
+        f"{row['change_median']:.6g}, parent quartile distance "
+        f"{row['parent_quartile_distance']:.6g}: claim rule {'holds' if row['holds'] else 'does not hold'}\n"
+    )
 
 
 def parse_result(stdout: str) -> dict:
@@ -183,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(assemble(description, seconds, machine_info(), workloads), indent=1) + "\n")
     sys.stderr.write(f"wrote {out}\n")
+    for row in claim_rule(workloads, directions(ROOT)):
+        sys.stderr.write(claim_line(row))
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .errors import InputError
 from .metrics import Metric
 from .valuation import ScoreTable, score_vectors
@@ -225,7 +225,7 @@ REPORT_FILES = ("report.json", "report.csv", "heatmap.csv")
 def write_report(report: AnalysisReport, out_dir) -> None:
     """Emit report.json, report.csv (vs-perf table) and heatmap.csv."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(out_dir)
     with atomic_open(out_dir / "report.json") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
     with atomic_open(out_dir / "report.csv", newline="") as fh:

@@ -6,7 +6,8 @@ Subcommands:
     analyze <run_dir>       rebuild report files from persisted scores
     generate-data <spec> <out>  write a synthetic dataset as canonical CSV
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error, 5 output
+error (a file or directory that cannot be written).
 """
 
 from __future__ import annotations

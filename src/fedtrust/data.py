@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .errors import ConfigError, DataError, SchemaError
 from .seeding import rng_from
 
@@ -105,8 +105,10 @@ def generate_synthetic(
     p_one = np.where(sensitive, 0.5 + group_imbalance / 2, 0.5 - group_imbalance / 2)
     labels = (rng.random(n) < p_one).astype(np.int64)
     means = np.where(labels == 1, 0.75, 0.25)
-    features = rng.normal(size=(n, d)) * 0.15 + means[:, None]
-    features = np.clip(features, 0.0, 1.0)
+    features = rng.normal(size=(n, d))
+    features *= 0.15
+    features += means[:, None]
+    np.clip(features, 0.0, 1.0, out=features)
     return Dataset(features, labels, sensitive, class_count=2)
 
 
@@ -202,7 +204,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Canonical cache format: columns f0..f{d-1}, s, y."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(ds.feature_dim)] + ["s", "y"])
@@ -242,7 +244,9 @@ def partition(train: Dataset, spec: PartitionSpec) -> list[Dataset]:
 
     The parts are disjoint, their union is the training set, and every client
     receives at least one sample (Dirichlet draws that leave a client empty
-    are repaired by moving single samples from the largest client).
+    are repaired by moving single samples from the largest client). The
+    parts are consecutive read-only row views of one array that holds the
+    training rows once, in client order.
     """
     k = spec.client_count
     if len(train) < k * train.class_count:
@@ -250,29 +254,30 @@ def partition(train: Dataset, spec: PartitionSpec) -> list[Dataset]:
             f"need at least K*C = {k * train.class_count} samples, have {len(train)}"
         )
     rng = rng_from(spec.seed, "partition")
-    assignments: list[list[int]] = [[] for _ in range(k)]
     if spec.mode is PartitionMode.IID:
         order = rng.permutation(len(train))
         base, extra = divmod(len(train), k)
-        start = 0
-        for c in range(k):
-            size = base + (1 if c < extra else 0)
-            assignments[c] = list(order[start : start + size])
-            start += size
+        assignments = np.split(order, np.cumsum([base + (c < extra) for c in range(k - 1)]))
     else:
+        pieces: list[list[np.ndarray]] = [[] for _ in range(k)]
         for cls in range(train.class_count):
             idx = rng.permutation(np.flatnonzero(train.labels == cls))
             props = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
             counts = rng.multinomial(len(idx), props)
-            start = 0
-            for c in range(k):
-                assignments[c].extend(idx[start : start + counts[c]])
-                start += counts[c]
+            for c, rows in enumerate(np.split(idx, np.cumsum(counts[:-1]))):
+                pieces[c].append(rows)
+        assignments = [np.concatenate(p) for p in pieces]
         sizes = np.array([len(a) for a in assignments])
         while (sizes == 0).any():
             empty = int(np.flatnonzero(sizes == 0)[0])
             donor = int(np.argmax(sizes))
-            assignments[empty].append(assignments[donor].pop())
+            assignments[empty] = np.append(assignments[empty], assignments[donor][-1])
+            assignments[donor] = assignments[donor][:-1]
             sizes[empty] += 1
             sizes[donor] -= 1
-    return [train.subset(a) for a in assignments]
+    pool = train.subset(np.concatenate(assignments))
+    bounds = np.cumsum([0] + [len(a) for a in assignments]).tolist()
+    return [
+        Dataset(pool.features[a:b], pool.labels[a:b], pool.sensitive[a:b], pool.class_count)
+        for a, b in zip(bounds, bounds[1:])
+    ]

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 Each exception class carries the process exit code the CLI maps it to:
-0 ok, 2 configuration error, 3 data error, 4 numeric error.
+0 ok, 2 configuration error, 3 data error, 4 numeric error, 5 output error.
 """
 
 
@@ -35,6 +35,12 @@ class NumericError(FedTrustError):
     """A computation produced non-finite values."""
 
     exit_code = 4
+
+
+class OutputError(FedTrustError):
+    """An output file or directory could not be written."""
+
+    exit_code = 5
 
 
 class MetricUndefinedError(FedTrustError):

@@ -10,7 +10,9 @@ Each fold is an independent repetition with seeds derived from
 
 A failing fold is recorded in <output_dir>/failures.json and does not stop
 the remaining folds; if every fold fails, the run raises the first fold's
-error class, so it exits with that fold's code. A rerun into the same
+error class, so it exits with that fold's code. An ``OutputError`` (a file
+or directory the run cannot write or remove) is not a failed fold: it stops
+the run at once, before any report is written. A rerun into the same
 directory first removes the score files of every fold_<f> there, including
 folds past this run's count, and the run's report files, and drops a stale
 failures.json, so neither ``analyze`` nor a reader of a failed rerun finds
@@ -30,10 +32,10 @@ from pathlib import Path
 
 from . import nn
 from .analysis import REPORT_FILES, AnalysisReport, build_report, write_report
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs, output_errors
 from .config import ExperimentConfig
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
-from .errors import ConfigError, DataError, FedTrustError
+from .errors import ConfigError, DataError, FedTrustError, OutputError
 from .federation import RunWriter, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
 from .seeding import derive_seed
@@ -79,27 +81,42 @@ def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> 
     )
 
 
+def _fold_split(
+    cfg: ExperimentConfig, fold_seed: int, source: Dataset | None
+) -> tuple[list[Dataset], Dataset]:
+    """The fold's client parts and test set. The generated data is freed
+    once split and the train split on return, so only the parts hold the
+    training rows."""
+    train, test = train_test_split(
+        fold_dataset(cfg, fold_seed, source), cfg.test_fraction, derive_seed(fold_seed, "split")
+    )
+    spec = PartitionSpec(
+        cfg.partition_mode,
+        cfg.clients,
+        cfg.dirichlet_alpha,
+        seed=derive_seed(fold_seed, "partition"),
+    )
+    return partition(train, spec), test
+
+
 def run_fold(
     cfg: ExperimentConfig, fold: int, fold_dir, source: Dataset | None = None
 ) -> ScoreTable:
-    """Run one repetition and persist every stage into ``fold_dir``."""
+    """Run one repetition and persist every stage into ``fold_dir``.
+
+    While the fold trains and scores, it holds its training rows once, in
+    the client parts, and its test set; its own synthetic draw and the
+    train split are gone by then. A CSV ``source`` stays with the caller,
+    shared by every fold.
+    """
     fold_dir = Path(fold_dir)
     for stale in fold_dir.glob("round_*"):
         if re.fullmatch(r"round_\d+", stale.name):
-            shutil.rmtree(stale)
+            with output_errors(stale):
+                shutil.rmtree(stale)
     fold_seed = cfg.fold_seed(fold)
-    data = fold_dataset(cfg, fold_seed, source)
-    train, test = train_test_split(data, cfg.test_fraction, derive_seed(fold_seed, "split"))
-    parts = partition(
-        train,
-        PartitionSpec(
-            cfg.partition_mode,
-            cfg.clients,
-            cfg.dirichlet_alpha,
-            seed=derive_seed(fold_seed, "partition"),
-        ),
-    )
-    arch = _architecture(cfg, train.feature_dim, train.class_count)
+    parts, test = _fold_split(cfg, fold_seed, source)
+    arch = _architecture(cfg, test.feature_dim, test.class_count)
     init = nn.init_params(arch, derive_seed(fold_seed, "init"))
     tcfg = cfg.training_config(seed=derive_seed(fold_seed, "train"))
     records = run_training(init, parts, tcfg, writer=RunWriter(fold_dir))
@@ -137,22 +154,26 @@ def run_fold(
 def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
     """Run all folds, build the cross-fold report, persist everything."""
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(out_dir)
     source: Dataset | None = None
     if cfg.data_source == "csv":
         source = load_csv(cfg.csv_path, cfg.csv_schema())
 
     for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
         for stale in out_dir.glob(f"fold_*/{name}"):
-            stale.unlink()
+            with output_errors(stale):
+                stale.unlink()
     for name in REPORT_FILES:
-        (out_dir / name).unlink(missing_ok=True)
+        with output_errors(out_dir / name):
+            (out_dir / name).unlink(missing_ok=True)
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
     first_error: FedTrustError | None = None
     for fold in range(cfg.folds):
         try:
             tables[fold] = run_fold(cfg, fold, out_dir / f"fold_{fold}", source)
+        except OutputError:
+            raise  # a disk that refuses writes is not a failed fold
         except FedTrustError as exc:
             failures.append({"fold": fold, "error": str(exc)})
             first_error = first_error or exc
@@ -164,7 +185,8 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
         for failure in failures:
             logger.error("fold %(fold)s failed: %(error)s", failure)
     else:
-        failures_path.unlink(missing_ok=True)
+        with output_errors(failures_path):
+            failures_path.unlink(missing_ok=True)
     if not tables:
         # The first fold's error class keeps its exit code: a run whose
         # every fold diverged is a numeric error, not a data error.

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .data import Dataset
 from .errors import ConfigError, InputError, NumericError
 from .nn import ModelParams
@@ -245,11 +245,11 @@ class RunWriter:
 
     def __init__(self, run_dir) -> None:
         self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.run_dir)
 
     def write_round(self, record: RoundRecord, cfg: TrainingConfig) -> None:
         round_dir = self.run_dir / f"round_{record.round}"
-        round_dir.mkdir(parents=True, exist_ok=True)
+        make_dirs(round_dir)
         nn.save_params(record.global_before, round_dir / "global_before.txt")
         nn.save_params(record.global_after, round_dir / "global_after.txt")
         for u in record.updates:

@@ -53,7 +53,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
@@ -61,7 +60,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
@@ -360,7 +359,8 @@ def permutation_budget(client_count: int, eps2: float) -> int:
     K reaches realistic federation sizes). Budgets beyond the practical
     scan limit are rejected rather than silently hanging.
     """
-    sampled = math.ceil(Fraction(eps2) * math.factorial(client_count))
+    num, den = float(eps2).as_integer_ratio()
+    sampled = -(-num * math.factorial(client_count) // den)
     budget = max(client_count, sampled)
     if budget > _PERMUTATION_SCAN_LIMIT:
         raise ConfigError(
@@ -601,7 +601,7 @@ TOTALS_HEADER = ["scheme", "metric", "client", "value"]
 
 def write_scores_csv(table: ScoreTable, path) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_HEADER)
@@ -613,7 +613,7 @@ def write_scores_csv(table: ScoreTable, path) -> None:
 def write_totals_csv(table: ScoreTable, last_round: int, path) -> None:
     totals = accumulate(table, last_round)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TOTALS_HEADER)

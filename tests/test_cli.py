@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import shutil
+import tracemalloc
 
+import numpy.random  # noqa: F401  (imported before tracing, not counted in it)
 import pytest
 
+from fedtrust.analysis import REPORT_FILES
 from fedtrust.cli import main
 from fedtrust.config import ExperimentConfig
 from fedtrust.data import CsvSchema, load_csv
-from fedtrust.experiment import analyze_run_dir, run_experiment
-from fedtrust.valuation import read_scores_csv
+from fedtrust.experiment import analyze_run_dir, run_experiment, run_fold
+from fedtrust.valuation import Scheme, read_scores_csv
 
 SMOKE = """
 data.n = 80
@@ -401,6 +405,29 @@ class TestExperimentMachinery:
         assert files(out_dir / "fold_0") == files(fresh / "fold_0")
         assert not (out_dir / "fold_0" / "round_3").exists()
 
+    def test_fold_holds_its_training_rows_at_most_twice(self, tmp_path):
+        cfg = ExperimentConfig(
+            synthetic_n=5_000,
+            synthetic_d=8,
+            test_fraction=0.01,
+            rounds=2,
+            attack_steps=2,
+            schemes=(Scheme.LOO,),
+            folds=1,
+            output_dir=str(tmp_path),
+        )
+        generated_bytes = cfg.synthetic_n * (8 * cfg.synthetic_d + 8 + 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_fold(cfg, 0, tmp_path / "fold_0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two copies of the rows while the split builds the parts (about
+        # 2.45x with index arrays and temporaries); no third copy
+        assert (peak - start) / generated_bytes < 2.75
+
     def test_failed_rerun_keeps_no_earlier_report_or_checkpoints(self, tmp_path, capsys):
         out_dir = tmp_path / "diverged"
         assert main(["run", str(write_smoke_config(tmp_path, out_dir, "training.rounds = 4"))]) == 0
@@ -413,3 +440,49 @@ class TestExperimentMachinery:
         # the fold diverged in round 2: it keeps the one round it reached
         assert "round 2" in json.loads((out_dir / "failures.json").read_text())[0]["error"]
         assert [p.name for p in (out_dir / "fold_0").glob("round_*")] == ["round_1"]
+
+
+class TestOutputErrors:
+    """A file or directory that cannot be written exits 5 with one error line."""
+
+    def assert_output_error(self, capsys, code, root, names):
+        assert code == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
+        assert names in err[0]
+        assert list(root.rglob(".*.tmp")) == []
+
+    def test_fold_directory_taken_by_a_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir)
+        assert main(["run", str(config)]) == 0
+        shutil.rmtree(out_dir / "fold_0")
+        (out_dir / "fold_0").write_text("not a directory\n")
+        capsys.readouterr()
+        self.assert_output_error(capsys, main(["run", str(config)]), tmp_path, "fold_0")
+        # the earlier run's report is gone and no new one was written
+        assert not any((out_dir / name).exists() for name in REPORT_FILES)
+
+    def test_output_directory_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("a file\n")
+        out_dir = tmp_path / "plain" / "out"
+        code = main(["run", str(write_smoke_config(tmp_path, out_dir))])
+        self.assert_output_error(capsys, code, tmp_path, str(out_dir))
+        assert (tmp_path / "plain").read_text() == "a file\n"
+
+    def test_stale_report_taken_by_a_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "report.csv").mkdir(parents=True)
+        code = main(["run", str(write_smoke_config(tmp_path, out_dir))])
+        self.assert_output_error(capsys, code, tmp_path, "report.csv")
+        assert not (out_dir / "fold_0").exists()
+
+    def test_analyze_with_report_taken_by_a_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", str(write_smoke_config(tmp_path, out_dir))]) == 0
+        (out_dir / "report.json").unlink()
+        (out_dir / "report.json").mkdir()
+        capsys.readouterr()
+        code = main(["analyze", str(out_dir)])
+        self.assert_output_error(capsys, code, tmp_path, "report.json")
+        assert (out_dir / "report.json").is_dir()

@@ -17,7 +17,7 @@ from fedtrust.data import (
     save_dataset_csv,
     train_test_split,
 )
-from fedtrust.errors import ConfigError, DataError, SchemaError
+from fedtrust.errors import ConfigError, DataError, OutputError, SchemaError
 
 
 def empirical_group_gap(ds):
@@ -119,7 +119,7 @@ class TestCsv:
                 self.writer.writerow(row)
 
         monkeypatch.setattr(csv, "writer", FailingWriter)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(OutputError, match=f"cannot write {path}: disk full"):
             save_dataset_csv(generate_synthetic(50, 3, 0.2, seed=1), path)
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cache.csv"]

@@ -3,8 +3,9 @@
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
 ``scheme_agreement`` then checks the methods it calls, and canned result
-lines check how ``bench_pairs`` assembles a BENCH file, and a scratch git
-repository how it exports the parent revision.
+lines check how ``bench_pairs`` assembles a BENCH file, synthetic run
+records how it checks the claim rule, and a scratch git repository how it
+exports the parent revision.
 """
 
 import importlib.util
@@ -132,3 +133,36 @@ def test_bench_pairs_exports_the_parent_revision_and_removes_it(tmp_path):
     assert run_py.read_text() == "change\n"
     worktrees = subprocess.run(["git", "-C", str(repo), "worktree", "list"], capture_output=True, text=True, check=True)
     assert len(worktrees.stdout.splitlines()) == 1
+
+
+def test_bench_pairs_claim_rule_counts_wins_per_pair():
+    bench = load("bench_pairs")
+    parent_rss = [50.0, 50.2, 50.1, 50.4, 50.3, 50.0, 50.2, 50.1, 50.3, 50.2]
+    change_rss = [45.0, 45.1, 45.2, 50.4, 45.1, 45.0, 45.3, 45.2, 45.1, 45.0]  # pair 3 ties
+    parent_rate = [20.0, 21.0, 19.0, 20.5, 20.0, 19.5, 20.0, 21.0, 20.0, 19.0]
+    change_rate = [20.5, 21.5, 19.5, 21.0, 20.5, 20.0, 20.5, 21.5, 20.5, 18.0]
+
+    def runs(rss, rate):
+        return [{"pair": i, "peak_rss_mb": m, "client_rounds_per_s": r} for i, (m, r) in enumerate(zip(rss, rate))]
+
+    workloads = {
+        "w": {
+            "parent": {"trace0_runs": runs(parent_rss, parent_rate)},
+            "change": {"trace0_runs": runs(change_rss, change_rate)[::-1]},
+        }
+    }
+    better = {"peak_rss_mb": "lower", "client_rounds_per_s": "higher", "run_s": "lower"}
+    rss, rate = bench.claim_rule(workloads, better)  # no run holds run_s
+    # the tie counts for neither side: 9 wins of 10, enough
+    assert (rss["wins"], rss["pairs"]) == (9, 10)
+    assert (rss["parent_median"], rss["change_median"]) == (50.2, 45.1)
+    assert rss["parent_quartile_distance"] == pytest.approx(50.3 - 50.075)
+    assert rss["holds"]
+    # higher is better: 9 of 10 pairs are wins, but the median gap of 0.5 is
+    # inside the parent's quartile distance of 1.25
+    assert (rate["better"], rate["wins"]) == ("higher", 9)
+    assert rate["change_median"] - rate["parent_median"] == 0.5
+    assert rate["parent_quartile_distance"] == pytest.approx(1.25)
+    assert not rate["holds"]
+    assert "9/10 pairs" in bench.claim_line(rss) and bench.claim_line(rate).endswith("does not hold\n")
+    assert bench.directions(SCRIPTS.parent)["client_rounds_per_s"] == "higher"

@@ -1,8 +1,12 @@
 import logging
+import math
+from fractions import Fraction
 from itertools import permutations as all_perms
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtrust import valuation
 from fedtrust.attacks import AttackSpec
@@ -129,6 +133,22 @@ class TestGtgCore:
         assert permutation_budget(4, 1.0) == 24
         assert permutation_budget(5, 0.01) == 5  # floor raised to K
         assert permutation_budget(20, 1e-18) == 20  # exact big-int arithmetic
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps2=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            st.sampled_from([1.0, 5e-324, 1e-18, 0.05, 0.1, 1 / 3]),
+        ),
+        k=st.integers(min_value=2, max_value=20),
+    )
+    def test_budget_matches_fraction_arithmetic(self, eps2, k):
+        want = max(k, math.ceil(Fraction(eps2) * math.factorial(k)))
+        if want > valuation._PERMUTATION_SCAN_LIMIT:
+            with pytest.raises(ConfigError, match=f"= {want} permutations"):
+                permutation_budget(k, eps2)
+        else:
+            assert permutation_budget(k, eps2) == want
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ConfigError, match="eps2"):

@@ -42,7 +42,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 TRACE_SEED = 3
-END_TO_END = ("run_s", "setup_s", "client_rounds_per_s", "peak_rss_mb", "output_mb")
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0|1"
 DESCRIPTION = (
     "perfbench/run.py on the parent commit ({parent}) and on this change ({change}). "
@@ -53,17 +52,19 @@ DESCRIPTION = (
 )
 
 
-def benchmark(root: Path) -> tuple[float, list[str]]:
-    """The run length and the workload names that ``BENCHMARK.json`` fixes."""
+def benchmark(root: Path) -> tuple[float, list[str], dict[str, str]]:
+    """What ``BENCHMARK.json`` fixes: the run length, the workload names and
+    each end-to-end metric's better direction, ``lower`` or ``higher``, in
+    the file's order."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return float(spec["run_seconds"]), [w["name"] for w in spec["workloads"]]
+    return (
+        float(spec["run_seconds"]),
+        [w["name"] for w in spec["workloads"]],
+        {metric["name"]: metric["better"] for metric in spec["end_to_end"]},
+    )
 
 
-def directions(root: Path) -> dict[str, str]:
-    """Each end-to-end metric's better direction, ``lower`` or ``higher``,
-    as ``BENCHMARK.json`` states it."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+SECONDS, WORKLOADS, BETTER = benchmark(ROOT)
 
 
 def claim_rule(workloads: dict, better: dict[str, str]) -> list[dict]:
@@ -132,7 +133,7 @@ def run_entry(result: dict, seed: int, pair: int, first: str) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
     }
-    for name in END_TO_END:
+    for name in BETTER:
         if name in result["metrics"]:
             entry[name] = result["metrics"][name]["value"]
     return entry
@@ -152,7 +153,7 @@ def paired_runs(seeds: list[int], run) -> dict[str, list[dict]]:
 
 def side_block(runs: list[dict], trace1: dict) -> dict:
     medians = {}
-    for name in END_TO_END:
+    for name in BETTER:
         values = [run[name] for run in runs if name in run]
         if values:
             medians[name] = statistics.median(values)
@@ -220,15 +221,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="what the change does, for the description")
     parser.add_argument("--seed", required=True, type=int, help="the first workload's first seed")
     args = parser.parse_args(argv)
-    seconds, names = benchmark(ROOT)
 
     workloads = {}
     with parent_checkout(ROOT, args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
-        for i, name in enumerate(names):
+        for i, name in enumerate(WORKLOADS):
 
             def run(side: str, seed: int) -> dict:
-                result = bench(checkouts[side], name, seed, seconds, 0)
+                result = bench(checkouts[side], name, seed, SECONDS, 0)
                 rate = result["metrics"].get("client_rounds_per_s", {}).get("value", float("nan"))
                 sys.stderr.write(f"{name} seed {seed} {side}: client_rounds_per_s {rate:.3f}, correct {result['correct']}\n")
                 return result
@@ -236,14 +236,14 @@ def main(argv: list[str] | None = None) -> int:
             first = args.seed + 1000 * i
             seeds = list(range(first, first + PAIRS))
             runs = paired_runs(seeds, run)
-            traces = {side: bench(checkouts[side], name, TRACE_SEED, seconds, 1) for side in SIDES}
+            traces = {side: bench(checkouts[side], name, TRACE_SEED, SECONDS, 1) for side in SIDES}
             workloads[name] = workload_block(seeds, runs, traces)
 
     description = DESCRIPTION.format(parent=args.parent, change=args.change, trace_seed=TRACE_SEED)
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(assemble(description, seconds, machine_info(), workloads), indent=1) + "\n")
+    out.write_text(json.dumps(assemble(description, SECONDS, machine_info(), workloads), indent=1) + "\n")
     sys.stderr.write(f"wrote {out}\n")
-    for row in claim_rule(workloads, directions(ROOT)):
+    for row in claim_rule(workloads, BETTER):
         sys.stderr.write(claim_line(row))
     return 0
 

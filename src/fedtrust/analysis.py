@@ -9,8 +9,9 @@ CSV renderer prints an em-dash for them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -75,7 +76,8 @@ def per_round_variance(table: ScoreTable, last_round: int) -> dict[tuple[str, st
     """Mean over clients of the population variance across rounds 2..T.
 
     A table holding a single round has no fluctuation view at all; with
-    exactly one scored round (T=2) the per-client variance is zero.
+    exactly one scored round (T=2) the per-client variance is zero. A score
+    missing from the grid is an ``InputError``.
     """
     if last_round < 2:
         raise InputError("round variance needs a table spanning at least two rounds")
@@ -102,12 +104,14 @@ class PairStats:
 
 @dataclass
 class AnalysisReport:
-    """Fold-aggregated comparison of every trust metric against perf.
+    """Fold-aggregated comparison of every trust metric against perf, in
+    the shape ``report.json`` holds it.
 
     ``vs_perf`` maps scheme -> metric -> PairStats; ``heatmap`` holds the
-    full pairwise Spearman matrix per scheme (fold means); round variance is
-    mean-over-clients population variance across rounds, mean +- std over
-    folds. Correlations are averaged per fold (never pooled across folds).
+    full pairwise Spearman matrix per scheme (fold means); ``round_variance``
+    maps scheme -> metric -> ``{"mean": ..., "std": ...}`` over folds of the
+    mean-over-clients population variance across rounds. Correlations are
+    averaged per fold (never pooled across folds).
 
     The heatmap matrix is symmetric with a unit diagonal but is NOT
     guaranteed positive semi-definite (fold-averaged rank correlations need
@@ -119,90 +123,60 @@ class AnalysisReport:
     metrics: list[str]
     vs_perf: dict[str, dict[str, PairStats]]
     heatmap: dict[str, dict[str, dict[str, float]]]
-    round_variance: dict[str, dict[str, tuple[float, float]]]
+    round_variance: dict[str, dict[str, dict[str, float]]]
     metadata: dict[str, str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "schemes": self.schemes,
-            "metrics": self.metrics,
-            "vs_perf": {
-                s: {
-                    m: {
-                        "phi_mean": st.phi_mean,
-                        "phi_std": st.phi_std,
-                        "l2_mean": st.l2_mean,
-                        "l2_std": st.l2_std,
-                        "degenerate_folds": st.degenerate_folds,
-                    }
-                    for m, st in by_metric.items()
-                }
-                for s, by_metric in self.vs_perf.items()
-            },
-            "heatmap": self.heatmap,
-            "round_variance": {
-                s: {m: {"mean": mv[0], "std": mv[1]} for m, mv in by_metric.items()}
-                for s, by_metric in self.round_variance.items()
-            },
-            "metadata": self.metadata,
-        }
 
 
 def build_report(tables: Sequence[ScoreTable], last_round: int) -> AnalysisReport:
-    """Aggregate fold score tables into one report."""
+    """Aggregate fold score tables, which must name the same schemes, metrics
+    and clients, into one report. Each unordered pair of distinct metrics is
+    correlated once per scheme and fold; φ and the degeneracy flag are
+    symmetric, so the vs-perf entry and both heatmap cells read that result.
+    """
     if not tables:
         raise InputError("report needs at least one fold table")
-    schemes = tables[0].schemes()
-    metrics = tables[0].metrics()
-    for t in tables[1:]:
-        if t.schemes() != schemes or t.metrics() != metrics:
-            raise InputError("fold tables disagree on schemes/metrics")
+    first = tables[0]
+    for table in tables[1:]:
+        for axis in ("schemes", "metrics", "clients"):
+            mine, theirs = getattr(table, axis)(), getattr(first, axis)()
+            if mine != theirs:
+                raise InputError(f"fold tables disagree on {axis}: {mine} vs {theirs}")
+    schemes, metrics = first.schemes(), first.metrics()
+    perf = Metric.PERF.value
 
     vs_perf: dict[str, dict[str, PairStats]] = {}
     heatmap: dict[str, dict[str, dict[str, float]]] = {}
-    round_variance: dict[str, dict[str, tuple[float, float]]] = {}
+    round_variance: dict[str, dict[str, dict[str, float]]] = {}
     fold_vectors = [score_vectors(table, last_round) for table in tables]
     fold_variances = [per_round_variance(table, last_round) for table in tables]
 
     for scheme in schemes:
+        # (metric_a, metric_b) -> (per-fold phis, degenerate folds), both orders
+        pairs: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
+        for ma, mb in itertools.combinations(metrics, 2):
+            folds = [spearman_flagged(v[(scheme, ma)], v[(scheme, mb)]) for v in fold_vectors]
+            pairs[ma, mb] = pairs[mb, ma] = (
+                np.array([r.phi for r in folds]),
+                sum(r.degenerate for r in folds),
+            )
         vs_perf[scheme] = {}
         for metric in metrics:
-            if metric == Metric.PERF.value:
+            if metric == perf:
                 continue
-            results = [
-                spearman_flagged(vecs[(scheme, metric)], vecs[(scheme, Metric.PERF.value)])
-                for vecs in fold_vectors
-            ]
-            l2s = [
-                rmse(vecs[(scheme, metric)], vecs[(scheme, Metric.PERF.value)])
-                for vecs in fold_vectors
-            ]
-            phis = np.array([r.phi for r in results])
+            phis, degenerate = pairs[metric, perf]
+            l2s = np.array([rmse(v[(scheme, metric)], v[(scheme, perf)]) for v in fold_vectors])
             vs_perf[scheme][metric] = PairStats(
-                phi_mean=float(phis.mean()),
-                phi_std=float(phis.std()),
-                l2_mean=float(np.mean(l2s)),
-                l2_std=float(np.std(l2s)),
-                degenerate_folds=sum(r.degenerate for r in results),
+                float(phis.mean()), float(phis.std()), float(l2s.mean()), float(l2s.std()),
+                degenerate,
             )
-        heatmap[scheme] = {}
-        for ma in metrics:
-            heatmap[scheme][ma] = {}
-            for mb in metrics:
-                phis = np.array(
-                    [
-                        spearman_flagged(vecs[(scheme, ma)], vecs[(scheme, mb)]).phi
-                        if ma != mb
-                        else 1.0
-                        for vecs in fold_vectors
-                    ]
-                )
-                heatmap[scheme][ma][mb] = float(phis.mean())
-        round_variance[scheme] = {}
-        for metric in metrics:
-            values = np.array([fv[(scheme, metric)] for fv in fold_variances])
-            round_variance[scheme][metric] = (float(values.mean()), float(values.std()))
+        heatmap[scheme] = {
+            ma: {mb: 1.0 if ma == mb else float(pairs[ma, mb][0].mean()) for mb in metrics}
+            for ma in metrics
+        }
+        variances = {m: np.array([fv[(scheme, m)] for fv in fold_variances]) for m in metrics}
+        round_variance[scheme] = {
+            m: {"mean": float(v.mean()), "std": float(v.std())} for m, v in variances.items()
+        }
 
     return AnalysisReport(
         folds=len(tables),
@@ -227,7 +201,7 @@ def write_report(report: AnalysisReport, out_dir) -> None:
     out_dir = Path(out_dir)
     make_dirs(out_dir)
     with atomic_open(out_dir / "report.json") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True, allow_nan=False)
     with atomic_open(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "metric", "phi", "phi_std", "l2", "l2_std"])

@@ -14,9 +14,12 @@ hands it the ``res`` rows of many coalition models as one group. Every row
 keeps the bits it gets when its model is attacked alone (see
 ``ModelGroup``).
 
-Each step runs one forward pass, on the new iterate: its predictions decide
-which rows freeze, and its hidden activations give the next step's input
-gradient. The step and the projection run in place on the working iterate.
+A forward pass on the clean rows gives step 0's input gradient. Each step
+but the last then runs one forward pass, on its new iterate: its
+predictions decide which rows freeze, and its hidden activations give the
+next step's input gradient. The last step runs none; the caller predicts on
+the returned iterates (``metrics`` runs one ``predict_batch`` per attack
+group). The step and the projection run in place on the working iterate.
 The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
 A row that flips is written out on that step and marked inactive; inactive

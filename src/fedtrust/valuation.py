@@ -535,7 +535,12 @@ class ScoreTable:
         return sorted({key[1] for key in self.entries})
 
     def value(self, scheme: str, metric: str, client: int, round_idx: int) -> float:
-        return self.entries[(scheme, metric, client, round_idx)]
+        try:
+            return self.entries[(scheme, metric, client, round_idx)]
+        except KeyError:
+            raise InputError(
+                f"missing score for {scheme}/{metric}/client {client}/round {round_idx}"
+            ) from None
 
 
 def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int], float]:
@@ -549,12 +554,7 @@ def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int],
             for client in clients:
                 total = 0.0
                 for t in range(2, last_round + 1):
-                    key = (scheme, metric, client, t)
-                    if key not in table.entries:
-                        raise InputError(
-                            f"missing score for {scheme}/{metric}/client {client}/round {t}"
-                        )
-                    total += table.entries[key]
+                    total += table.value(scheme, metric, client, t)
                 totals[(scheme, metric, client)] = total
     return totals
 

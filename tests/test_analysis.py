@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from fedtrust import analysis
 from fedtrust.analysis import (
     DASH,
     build_report,
@@ -134,6 +137,12 @@ class TestPerRoundVariance:
         table = table_with_series({("perf", 0): [0.3]})
         assert per_round_variance(table, 2)[("gtg", "perf")] == 0.0
 
+    def test_missing_score_names_its_key(self):
+        table = table_with_series({("perf", c): [0.1, 0.2] for c in range(3)})
+        del table.entries[("gtg", "perf", 1, 3)]
+        with pytest.raises(InputError, match="gtg/perf/client 1/round 3"):
+            per_round_variance(table, 3)
+
 
 def full_table(vectors, rounds=(2, 3), scheme="gtg"):
     """vectors: metric -> per-client accumulated target; split across rounds."""
@@ -187,3 +196,51 @@ class TestBuildReport:
         write_report(build_report([table], last_round=3), tmp_path)
         for name in ("report.json", "report.csv", "heatmap.csv"):
             assert (tmp_path / name).exists()
+
+    def test_round_variance_cells_are_what_report_json_holds(self, tmp_path):
+        t1 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.2, 0.1, 0.3]}, rounds=(2, 3))
+        t2 = full_table({"perf": [0.4, 0.2, 0.3], "fair": [0.2, 0.6, 0.3]}, rounds=(2, 3))
+        report = build_report([t1, t2], last_round=3)
+        assert report.round_variance["gtg"]["perf"] == {"mean": 0.0, "std": 0.0}
+        write_report(report, tmp_path)
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["round_variance"] == report.round_variance
+        assert written["vs_perf"]["gtg"]["fair"]["phi_mean"] == report.vs_perf["gtg"]["fair"].phi_mean
+
+    def test_folds_with_different_clients_rejected(self):
+        t1 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.3, 0.2, 0.1]})
+        t2 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.3, 0.2, 0.1]})
+        # client 2 of the second fold is client 5 there: folds pair clients by id
+        t2.entries = {
+            (s, m, 5 if c == 2 else c, t): v for (s, m, c, t), v in t2.entries.items()
+        }
+        with pytest.raises(InputError, match="clients"):
+            build_report([t1, t2], last_round=3)
+
+    def test_each_metric_pair_correlated_once_per_scheme_and_fold(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return spearman_flagged(a, b)
+
+        vectors = {
+            "perf": [0.1, 0.4, 0.2, 0.3],
+            "fair": [0.3, 0.1, 0.2, 0.4],
+            "rel": [0.5, 0.2, 0.6, 0.1],
+            "res": [0.2, 0.2, 0.2, 0.2],
+        }
+        folds = [
+            {**full_table(vectors, scheme="gtg").entries, **full_table(vectors, scheme="loo").entries}
+            for _ in range(3)
+        ]
+        tables = [ScoreTable(entries) for entries in folds]
+        monkeypatch.setattr(analysis, "spearman_flagged", counted)
+        report = build_report(tables, last_round=3)
+        # 2 schemes x 3 folds x the 6 unordered pairs of 4 metrics
+        assert len(calls) == 2 * 3 * 6
+        for scheme in report.schemes:
+            hm = report.heatmap[scheme]
+            for metric, stats in report.vs_perf[scheme].items():
+                assert hm[metric]["perf"] == hm["perf"][metric] == stats.phi_mean
+            assert report.vs_perf[scheme]["res"].degenerate_folds == 3

@@ -1,11 +1,15 @@
 import dataclasses
+import errno
 import json
+import os
+import pathlib
 import shutil
 import tracemalloc
 
 import numpy.random  # noqa: F401  (imported before tracing, not counted in it)
 import pytest
 
+from fedtrust import atomic
 from fedtrust.analysis import REPORT_FILES
 from fedtrust.cli import main
 from fedtrust.config import ExperimentConfig
@@ -486,3 +490,111 @@ class TestOutputErrors:
         code = main(["analyze", str(out_dir)])
         self.assert_output_error(capsys, code, tmp_path, "report.json")
         assert (out_dir / "report.json").is_dir()
+
+
+class DiskFull:
+    """Counts the program's file writes and directory creations, and makes
+    the ``fail_at``-th one raise ENOSPC, as a full disk would (0: none).
+
+    A file write is the open of ``atomic_open``'s temp file: the temp file
+    is created before the error, so ``atomic_open`` must remove it. A
+    directory creation fails before the directory exists.
+    """
+
+    def __init__(self, monkeypatch, fail_at=0):
+        self.fail_at, self.count = fail_at, 0
+        real_mkdir = pathlib.Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            self.tick(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        def open_temp(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            try:
+                self.tick(path)
+            except OSError:
+                handle.close()
+                raise
+            return handle
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", mkdir)
+        monkeypatch.setattr(atomic, "open", open_temp, raising=False)
+
+    def tick(self, path):
+        self.count += 1
+        if self.count == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+def files(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestWriteFaultSweep:
+    """For every n, the n-th file write or directory creation of a two-fold
+    smoke run, or of ``analyze`` over its scores, fails with ENOSPC. The
+    command exits 5 with one ``error:`` line naming a path, leaves no temp
+    file and no report without every fold's scores, and a clean rerun into
+    the same directory gives the bytes of an uninterrupted run."""
+
+    FOLDS = 2
+
+    @pytest.fixture
+    def reference(self, tmp_path):
+        out_dir = tmp_path / "reference" / "out"
+        out_dir.parent.mkdir()
+        config = write_smoke_config(out_dir.parent, out_dir, f"experiment.folds = {self.FOLDS}")
+        assert main(["run", str(config)]) == 0
+        return out_dir
+
+    def sweep(self, tmp_path, capsys, monkeypatch, command, start, reference):
+        """Sweeps the fault over every position of ``command`` on an output
+        directory in state ``start``; returns how many positions it had."""
+        expected = files(reference)
+
+        def case(n):
+            root = tmp_path / start.replace(" ", "_") / str(n)
+            root.mkdir(parents=True)
+            out_dir = root / "out"
+            if start != "empty":
+                shutil.copytree(reference, out_dir)
+            if start == "no report":
+                for name in REPORT_FILES:
+                    (out_dir / name).unlink()
+            config = write_smoke_config(root, out_dir, f"experiment.folds = {self.FOLDS}")
+            return out_dir, [command, str(config if command == "run" else out_dir)]
+
+        out_dir, argv = case(0)
+        with monkeypatch.context() as patch:
+            counted = DiskFull(patch)
+            assert main(argv) == 0
+        for n in range(1, counted.count + 1):
+            out_dir, argv = case(n)
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                DiskFull(patch, fail_at=n)
+                code = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert code == 5, f"fault {n}: exit {code}"
+            assert len(err) == 1 and err[0].startswith("error: cannot write "), f"fault {n}: {err}"
+            assert str(out_dir) in err[0] and os.strerror(errno.ENOSPC) in err[0], err[0]
+            assert list(tmp_path.rglob(".*.tmp")) == [], f"fault {n}"
+            if any((out_dir / name).exists() for name in REPORT_FILES):
+                scores = [out_dir / f"fold_{f}" / "scores.csv" for f in range(self.FOLDS)]
+                assert all(path.exists() for path in scores), f"fault {n}"
+            assert main(argv) == 0
+            assert files(out_dir) == expected, f"fault {n}"
+        return counted.count
+
+    @pytest.mark.parametrize("start", ["empty", "earlier run"])
+    def test_run(self, tmp_path, capsys, monkeypatch, reference, start):
+        faults = self.sweep(tmp_path, capsys, monkeypatch, "run", start, reference)
+        # at least one write per output file
+        assert faults >= len(files(reference))
+
+    @pytest.mark.parametrize("start", ["earlier run", "no report"])
+    def test_analyze(self, tmp_path, capsys, monkeypatch, reference, start):
+        faults = self.sweep(tmp_path, capsys, monkeypatch, "analyze", start, reference)
+        assert faults >= len(REPORT_FILES)

@@ -107,9 +107,13 @@ def test_bench_pairs_rejects_empty_output():
 
 
 def test_bench_pairs_runs_what_the_benchmark_fixes():
-    seconds, names = load("bench_pairs").benchmark(SCRIPTS.parent)
+    seconds, names, better = load("bench_pairs").benchmark(SCRIPTS.parent)
     assert seconds > 0
     assert names and all((SCRIPTS.parent / "perfbench" / "workloads" / f"{n}.txt").is_file() for n in names)
+    assert set(better.values()) <= {"lower", "higher"}
+    # the end-to-end metrics in the order the committed BENCH files hold them
+    committed = json.loads((SCRIPTS.parent / "BENCH_13.json").read_text())
+    assert list(better) == list(committed["workloads"]["train_heavy"]["parent"]["median_trace0"])
 
 
 def test_bench_pairs_exports_the_parent_revision_and_removes_it(tmp_path):
@@ -165,4 +169,4 @@ def test_bench_pairs_claim_rule_counts_wins_per_pair():
     assert rate["parent_quartile_distance"] == pytest.approx(1.25)
     assert not rate["holds"]
     assert "9/10 pairs" in bench.claim_line(rss) and bench.claim_line(rate).endswith("does not hold\n")
-    assert bench.directions(SCRIPTS.parent)["client_rounds_per_s"] == "higher"
+    assert bench.benchmark(SCRIPTS.parent)[2]["client_rounds_per_s"] == "higher"

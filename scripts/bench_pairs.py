@@ -11,7 +11,10 @@ checkouts, one pair per seed, alternating which side runs first, and one
 working tree. Writes ``BENCH_<N>.json`` at the root of this checkout in the
 shape of the earlier BENCH files: per workload and side, each end-to-end
 metric's median over the ``--trace 0`` runs, every such run's values, and
-the traced run's result. The export is removed when the script ends.
+the traced run's result. A run that prints no result line (say, its set-up
+probe failed) is kept in the file as failed, with its exit code and the
+last line of its stderr, in place of its values, and the script goes on.
+The export is removed when the script ends.
 
 A gain is claimed from the pairs, not from this file's medians alone: the
 change must be better in at least 9 of every 10 pairs, and its median better
@@ -20,7 +23,7 @@ parent's runs. After writing the file, the script prints to stderr, for each
 workload and end-to-end metric, the change's wins out of the pairs (ties
 count for neither side; ``better`` in ``BENCHMARK.json`` gives the
 direction), both medians, the parent's quartile distance and whether that
-rule holds.
+rule holds, and then each failed run.
 """
 
 from __future__ import annotations
@@ -114,6 +117,15 @@ def claim_line(row: dict) -> str:
     )
 
 
+class NoResult(Exception):
+    """A ``perfbench/run.py`` run that printed no result line."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        lines = stderr.strip().splitlines()
+        self.record = {"exit_code": exit_code, "stderr": lines[-1] if lines else ""}
+        super().__init__(f"exited with {exit_code} and no result: {self.record['stderr']}")
+
+
 def parse_result(stdout: str) -> dict:
     """The JSON result that ``perfbench/run.py`` prints as its last line."""
     lines = stdout.strip().splitlines()
@@ -142,13 +154,33 @@ def run_entry(result: dict, seed: int, pair: int, first: str) -> dict:
 def paired_runs(seeds: list[int], run) -> dict[str, list[dict]]:
     """Each side's :func:`run_entry` records, one pair of runs per seed,
     alternating which side runs first; ``run(side, seed)`` runs one and
-    returns its result."""
+    returns its result. A run that raises :class:`NoResult` is recorded
+    with its exit code and last stderr line in place of its values."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pair, seed in enumerate(seeds):
         first = SIDES[pair % 2]
         for side in (first, SIDES[1 - pair % 2]):
-            runs[side].append(run_entry(run(side, seed), seed, pair, first))
+            try:
+                entry = run_entry(run(side, seed), seed, pair, first)
+            except NoResult as exc:
+                entry = {"seed": seed, "pair": pair, "first": first, **exc.record}
+            runs[side].append(entry)
     return runs
+
+
+def failure_lines(workloads: dict) -> list[str]:
+    """One line per failed run, traced or not, of a BENCH file's ``workloads``."""
+    lines = []
+    for workload, block in workloads.items():
+        for side in SIDES:
+            for run in [*block[side]["trace0_runs"], block[side]["trace1"]]:
+                if "exit_code" in run:
+                    where = f"pair {run['pair']}" if "pair" in run else "--trace 1"
+                    lines.append(
+                        f"{workload} {side} {where} seed {run['seed']}: exited with "
+                        f"{run['exit_code']} and no result: {run['stderr']}\n"
+                    )
+    return lines
 
 
 def side_block(runs: list[dict], trace1: dict) -> dict:
@@ -197,10 +229,15 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     try:
         return parse_result(proc.stdout)
     except ValueError as exc:
-        raise SystemExit(
-            f"{' '.join(args)} in {checkout} exited with {proc.returncode} and no result ({exc}):\n"
-            f"{proc.stderr[-2000:]}"
-        ) from exc
+        raise NoResult(proc.returncode, proc.stderr) from exc
+
+
+def traced(checkout: Path, workload: str) -> dict:
+    """The ``--trace 1`` run's result at ``TRACE_SEED``, or its failure record."""
+    try:
+        return bench(checkout, workload, TRACE_SEED, SECONDS, 1)
+    except NoResult as exc:
+        return {"seed": TRACE_SEED, **exc.record}
 
 
 @contextmanager
@@ -236,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             first = args.seed + 1000 * i
             seeds = list(range(first, first + PAIRS))
             runs = paired_runs(seeds, run)
-            traces = {side: bench(checkouts[side], name, TRACE_SEED, SECONDS, 1) for side in SIDES}
+            traces = {side: traced(checkouts[side], name) for side in SIDES}
             workloads[name] = workload_block(seeds, runs, traces)
 
     description = DESCRIPTION.format(parent=args.parent, change=args.change, trace_seed=TRACE_SEED)
@@ -245,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.stderr.write(f"wrote {out}\n")
     for row in claim_rule(workloads, BETTER):
         sys.stderr.write(claim_line(row))
+    for line in failure_lines(workloads):
+        sys.stderr.write(line)
     return 0
 
 

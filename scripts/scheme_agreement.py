@@ -41,7 +41,7 @@ def one_seed(seed: int, eps2: float):
         ValuationConfig(eps2=eps2, perm_seed=seed),
         cache,
     )
-    vectors = score_vectors(table, 10)
+    vectors = score_vectors(table)
     result = spearman_flagged(vectors[("gtg", "perf")], vectors[("exact_shapley", "perf")])
     requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
     return result, requested["gtg"], requested["exact_shapley"]

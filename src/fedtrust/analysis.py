@@ -72,16 +72,15 @@ def rmse(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def per_round_variance(table: ScoreTable, last_round: int) -> dict[tuple[str, str], float]:
-    """Mean over clients of the population variance across rounds 2..T.
+def per_round_variance(table: ScoreTable) -> dict[tuple[str, str], float]:
+    """Mean over clients of the population variance across rounds 2..T,
+    T = ``table.last_round()``.
 
-    A table holding a single round has no fluctuation view at all; with
-    exactly one scored round (T=2) the per-client variance is zero. A score
-    missing from the grid is an ``InputError``.
+    A table holding a single round, or missing a score, is an
+    ``InputError``; with exactly one scored round (T=2) the per-client
+    variance is zero.
     """
-    if last_round < 2:
-        raise InputError("round variance needs a table spanning at least two rounds")
-    rounds = [t for t in range(2, last_round + 1)]
+    rounds = range(2, table.last_round() + 1)
     out: dict[tuple[str, str], float] = {}
     for scheme in table.schemes():
         for metric in table.metrics():
@@ -127,28 +126,32 @@ class AnalysisReport:
     metadata: dict[str, str]
 
 
-def build_report(tables: Sequence[ScoreTable], last_round: int) -> AnalysisReport:
-    """Aggregate fold score tables, which must name the same schemes, metrics
-    and clients, into one report. Each unordered pair of distinct metrics is
+def build_report(tables: Sequence[ScoreTable]) -> AnalysisReport:
+    """Aggregate fold score tables, complete to their ``last_round()``,
+    into one report. Folds must hold the same rounds, clients, schemes and
+    metrics, perf among them, or an ``InputError`` names the fold's
+    position and the axis. Each unordered pair of distinct metrics is
     correlated once per scheme and fold; φ and the degeneracy flag are
     symmetric, so the vs-perf entry and both heatmap cells read that result.
     """
     if not tables:
         raise InputError("report needs at least one fold table")
     first = tables[0]
-    for table in tables[1:]:
-        for axis in ("schemes", "metrics", "clients"):
+    for fold, table in enumerate(tables[1:], start=1):
+        for axis in ("rounds", "clients", "schemes", "metrics"):
             mine, theirs = getattr(table, axis)(), getattr(first, axis)()
             if mine != theirs:
-                raise InputError(f"fold tables disagree on {axis}: {mine} vs {theirs}")
+                raise InputError(f"fold {fold}: {axis} {mine} differ from fold 0: {theirs}")
     schemes, metrics = first.schemes(), first.metrics()
     perf = Metric.PERF.value
+    if perf not in metrics:
+        raise InputError(f"fold 0: metrics {metrics} hold no perf scores to compare them with")
 
     vs_perf: dict[str, dict[str, PairStats]] = {}
     heatmap: dict[str, dict[str, dict[str, float]]] = {}
     round_variance: dict[str, dict[str, dict[str, float]]] = {}
-    fold_vectors = [score_vectors(table, last_round) for table in tables]
-    fold_variances = [per_round_variance(table, last_round) for table in tables]
+    fold_vectors = [score_vectors(table) for table in tables]
+    fold_variances = [per_round_variance(table) for table in tables]
 
     for scheme in schemes:
         # (metric_a, metric_b) -> (per-fold phis, degenerate folds), both orders

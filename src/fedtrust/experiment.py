@@ -23,7 +23,6 @@ rounds it reached; the checkpoints of folds past this run's count stay.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import re
@@ -35,7 +34,7 @@ from .analysis import REPORT_FILES, AnalysisReport, build_report, write_report
 from .atomic import atomic_open, make_dirs, output_errors
 from .config import ExperimentConfig
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
-from .errors import ConfigError, DataError, FedTrustError, OutputError
+from .errors import ConfigError, DataError, FedTrustError, InputError, OutputError
 from .federation import RunWriter, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
 from .seeding import derive_seed
@@ -49,8 +48,6 @@ from .valuation import (
 )
 
 logger = logging.getLogger(__name__)
-
-ALL_METRICS = (Metric.PERF, Metric.FAIR, Metric.REL, Metric.RES)
 
 
 def fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None = None) -> Dataset:
@@ -129,15 +126,15 @@ def run_fold(
     )
     vcfg = cfg.valuation_config(perm_seed=derive_seed(fold_seed, "perm"))
     cache = CoalitionCache()
-    table = score_rounds(records, cfg.schemes, ALL_METRICS, ctx, vcfg, cache)
+    table = score_rounds(records, cfg.schemes, tuple(Metric), ctx, vcfg, cache)
     write_scores_csv(table, fold_dir / "scores.csv")
-    write_totals_csv(table, cfg.rounds, fold_dir / "scores_total.csv")
+    write_totals_csv(table, fold_dir / "scores_total.csv")
     with atomic_open(fold_dir / "valuation_meta.json") as fh:
         json.dump(
             {
                 "coalition_evaluations": cache.evaluations,
                 "cache_hits": cache.hits,
-                "distinct_coalitions": len(cache),
+                "distinct_coalitions": cache.evaluations,
                 "metric_undefined_fallbacks": cache.undefined,
                 "requested_coalitions": {
                     s.value: len(cache.requested.get(s.value, ())) for s in cfg.schemes
@@ -194,7 +191,7 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
             f"every fold failed; no scores to analyze (fold 0: {first_error})"
         ) from first_error
 
-    report = build_report(list(tables.values()), cfg.rounds)
+    report = build_report(list(tables.values()))
     write_report(report, out_dir)
     return report
 
@@ -203,11 +200,9 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
     """Rebuild the report from persisted scores only.
 
     Folds are read in fold order, as ``run_experiment`` builds its report.
-    Each fold must score every scheme, metric and client it names in every
-    round from 1 to its last, at least 2, and have ``perf`` scores; every
-    fold must cover the same rounds, clients, schemes and metrics. A fold
-    that does not is a ``DataError``, raised before any report file is
-    written.
+    Before any report file is written, a table that ``last_round`` rejects
+    is a ``DataError`` naming its file, and folds that ``build_report``
+    rejects are one naming the run directory.
     """
     run_dir = Path(run_dir)
     folds = {
@@ -222,25 +217,13 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
         raise DataError(f"no scores.csv found under {run_dir}")
     tables = [read_scores_csv(p) for p in score_files]
     for path, table in zip(score_files, tables):
-        rounds = table.rounds()
-        if rounds[-1] < 2:
-            raise DataError(f"{path}: rounds {rounds} hold no scored round (from 2)")
-        if Metric.PERF.value not in table.metrics():
-            raise DataError(f"{path}: no perf scores to compare the other metrics with")
-        grid = itertools.product(
-            table.schemes(), table.metrics(), table.clients(), range(1, rounds[-1] + 1)
-        )
-        if missing := next((key for key in grid if key not in table.entries), None):
-            raise DataError(f"{path}: no score for {'/'.join(map(str, missing))}")
-    first = tables[0]
-    for path, table in zip(score_files[1:], tables[1:]):
-        for axis in ("rounds", "clients", "schemes", "metrics"):
-            mine, theirs = getattr(table, axis)(), getattr(first, axis)()
-            if mine != theirs:
-                raise DataError(
-                    f"{path}: {axis} {mine} differ from {score_files[0]}: {theirs}"
-                )
-    last_round = max(first.rounds())
-    report = build_report(tables, last_round)
+        try:
+            table.last_round()
+        except InputError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    try:
+        report = build_report(tables)
+    except InputError as exc:
+        raise DataError(f"{run_dir}: {exc}") from exc
     write_report(report, run_dir)
     return report

@@ -469,6 +469,9 @@ def sgd_step(values: np.ndarray, gradient: np.ndarray, learning_rate: float) -> 
     values -= learning_rate * gradient
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
     values: np.ndarray,
     m: np.ndarray,
@@ -477,9 +480,6 @@ def adam_step(
     step: int,
     learning_rate: float,
     scratch: tuple[np.ndarray, np.ndarray],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """Standard bias-corrected Adam update of ``values``, in place.
 
@@ -495,6 +495,7 @@ def adam_step(
 
     so the update has their bits.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     s, u = scratch
     m *= beta1
     np.multiply(gradient, 1.0 - beta1, out=s)

@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -235,9 +235,6 @@ class CoalitionCache:
             )
         return aggregate
 
-    def __len__(self) -> int:
-        return len(self._memo)
-
 
 def coalition_utility(
     record: RoundRecord,
@@ -371,20 +368,20 @@ def permutation_budget(client_count: int, eps2: float) -> int:
 
 
 @lru_cache(maxsize=1)
-def gtg_permutations(
-    clients: Sequence[int], budget: int, round_idx: int, vcfg: ValuationConfig
-) -> np.ndarray:
+def gtg_permutations(clients: Sequence[int], round_idx: int, vcfg: ValuationConfig) -> np.ndarray:
     """Balanced permutation sample: client (r mod K) leads permutation r.
 
-    Row r of the read-only (budget, K) array is permutation r, in client
-    ids. A lead whose quota covers its whole stratum gets the suffixes by
-    lexicographic enumeration (this is what makes eps2 = 1 reproduce the
-    exact permutation set); otherwise suffixes are independent seeded
-    shuffles keyed by (perm_seed, round, r). The latest sample is kept, so
-    a round's four metrics share one draw; ``clients`` must be hashable.
+    Row r of the read-only (R, K) array, R = ``permutation_budget(K,
+    vcfg.eps2)``, is permutation r, in client ids. A lead whose quota
+    covers its whole stratum gets the suffixes by lexicographic enumeration
+    (this is what makes eps2 = 1 reproduce the exact permutation set);
+    otherwise suffixes are independent seeded shuffles keyed by (perm_seed,
+    round, r). The latest sample is kept, so a round's four metrics share
+    one draw; ``clients`` must be hashable.
     """
     clients = tuple(sorted(clients))
     k = len(clients)
+    budget = permutation_budget(k, vcfg.eps2)
     stratum = math.factorial(k - 1)
     leads = np.arange(budget) % k
     # row i: the positions of every client but the i-th, in order
@@ -430,8 +427,8 @@ def gtg_shapley_values(
     v_empty, v_full = u([0, (1 << k) - 1])
     if abs(v_full - v_empty) < vcfg.eps1:
         return {c: 0.0 for c in clients}
-    budget = permutation_budget(k, vcfg.eps2)
-    order = np.searchsorted(clients, gtg_permutations(clients, budget, round_idx, vcfg))
+    order = np.searchsorted(clients, gtg_permutations(clients, round_idx, vcfg))
+    budget = len(order)
     # int64 masks up to 62 clients, Python ints past that
     bits = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
     prefixes = np.zeros(budget, dtype=bits.dtype)
@@ -506,7 +503,7 @@ class ScoreTable:
     """Scores indexed by (scheme, metric, client, round).
 
     Round 1 entries are kept for auditability but never contribute to the
-    accumulated view, which sums rounds 2..T only.
+    accumulated view, which sums rounds 2..``last_round()`` only.
     """
 
     entries: dict[tuple[str, str, int, int], float] = field(default_factory=dict)
@@ -539,14 +536,26 @@ class ScoreTable:
             return self.entries[(scheme, metric, client, round_idx)]
         except KeyError:
             raise InputError(
-                f"missing score for {scheme}/{metric}/client {client}/round {round_idx}"
+                f"no score for {scheme}/{metric}/client {client}/round {round_idx}"
             ) from None
 
+    def last_round(self) -> int:
+        """The table's last round T, once it holds a score for each of its
+        schemes, metrics and clients in every round 1..T, with T at least 2.
+        Otherwise an ``InputError`` names the first missing score, or the
+        rounds when none of them is scored (from 2)."""
+        rounds = self.rounds()
+        if not rounds or rounds[-1] < 2:
+            raise InputError(f"rounds {rounds} hold no scored round (from 2)")
+        grid = product(self.schemes(), self.metrics(), self.clients(), range(1, rounds[-1] + 1))
+        for key in grid:
+            self.value(*key)  # raises on the first missing score
+        return rounds[-1]
 
-def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int], float]:
-    """Sum per-round scores over rounds 2..last_round (round 1 excluded)."""
-    if last_round < 2:
-        raise InputError("accumulation needs at least round 2")
+
+def accumulate(table: ScoreTable) -> dict[tuple[str, str, int], float]:
+    """Sum per-round scores over rounds 2..``last_round()`` (round 1 excluded)."""
+    last_round = table.last_round()
     totals: dict[tuple[str, str, int], float] = {}
     clients = table.clients()
     for scheme in table.schemes():
@@ -559,9 +568,9 @@ def accumulate(table: ScoreTable, last_round: int) -> dict[tuple[str, str, int],
     return totals
 
 
-def score_vectors(table: ScoreTable, last_round: int) -> dict[tuple[str, str], np.ndarray]:
+def score_vectors(table: ScoreTable) -> dict[tuple[str, str], np.ndarray]:
     """Accumulated scores per (scheme, metric), one entry per client in order."""
-    totals = accumulate(table, last_round)
+    totals = accumulate(table)
     clients = table.clients()
     return {
         (scheme, metric): np.array([totals[(scheme, metric, c)] for c in clients])
@@ -610,8 +619,8 @@ def write_scores_csv(table: ScoreTable, path) -> None:
             writer.writerow([scheme, metric, client, round_idx, repr(table.entries[key])])
 
 
-def write_totals_csv(table: ScoreTable, last_round: int, path) -> None:
-    totals = accumulate(table, last_round)
+def write_totals_csv(table: ScoreTable, path) -> None:
+    totals = accumulate(table)
     path = Path(path)
     make_dirs(path.parent)
     with atomic_open(path, newline="") as fh:

@@ -229,8 +229,8 @@ def test_criterion_5_gtg_truncation_efficiency():
             assert cache_gtg.evaluations < cache_exact.evaluations
             phis.append(
                 spearman(
-                    score_vectors(gtg_table, 10)[("gtg", "perf")],
-                    score_vectors(exact_table, 10)[("exact_shapley", "perf")],
+                    score_vectors(gtg_table)[("gtg", "perf")],
+                    score_vectors(exact_table)[("exact_shapley", "perf")],
                 )
             )
         assert np.median(phis) >= 0.8
@@ -338,11 +338,11 @@ def test_criterion_10_analysis_unit_oracles():
             table.entries[("gtg", "perf", 1, t)] = float(b)
             table.entries[("gtg", "perf", 0, 1)] = 0.0
             table.entries[("gtg", "perf", 1, 1)] = 0.0
-        assert per_round_variance(table, 5)[("gtg", "perf")] == pytest.approx(0.5)
+        assert per_round_variance(table)[("gtg", "perf")] == pytest.approx(0.5)
         constant = ScoreTable()
         for t in (1, 2, 3):
             constant.entries[("gtg", "perf", 0, t)] = 0.25
-        assert per_round_variance(constant, 3)[("gtg", "perf")] == pytest.approx(
+        assert per_round_variance(constant)[("gtg", "perf")] == pytest.approx(
             0.0, abs=1e-30
         )
         # build_report
@@ -351,7 +351,7 @@ def test_criterion_10_analysis_unit_oracles():
             for client, value in enumerate([0.1, 0.4, 0.2]):
                 fold.entries[("gtg", metric, client, 1)] = 0.0
                 fold.entries[("gtg", metric, client, 2)] = value
-        report = build_report([fold], last_round=2)
+        report = build_report([fold])
         assert report.vs_perf["gtg"]["fair"].phi_mean == pytest.approx(1.0, abs=1e-12)
         assert report.vs_perf["gtg"]["fair"].l2_mean == 0.0
         hm = report.heatmap["gtg"]

@@ -17,7 +17,7 @@ from fedtrust.analysis import (
     write_report,
 )
 from fedtrust.errors import InputError
-from fedtrust.valuation import ScoreTable
+from fedtrust.valuation import ScoreTable, accumulate, score_vectors, write_totals_csv
 
 
 def finite_vectors(n):
@@ -112,36 +112,49 @@ def table_with_series(series, scheme="gtg"):
 class TestPerRoundVariance:
     def test_constant_scores_zero_variance(self):
         table = table_with_series({("perf", 0): [0.3, 0.3, 0.3], ("perf", 1): [0.1, 0.1, 0.1]})
-        assert per_round_variance(table, 4)[("gtg", "perf")] == pytest.approx(0.0, abs=1e-30)
+        assert per_round_variance(table)[("gtg", "perf")] == pytest.approx(0.0, abs=1e-30)
 
     def test_arithmetic_oracle(self):
         # client 0 constant, client 1 alternates +-1: variances 0 and 1
         table = table_with_series(
             {("perf", 0): [0, 0, 0, 0], ("perf", 1): [1, -1, 1, -1]}
         )
-        assert per_round_variance(table, 5)[("gtg", "perf")] == pytest.approx(0.5)
+        assert per_round_variance(table)[("gtg", "perf")] == pytest.approx(0.5)
 
     def test_invariant_to_round_reordering(self):
         values = [0.4, -0.2, 0.9, 0.05]
         a = table_with_series({("perf", 0): values})
         b = table_with_series({("perf", 0): values[::-1]})
-        assert per_round_variance(a, 5) == per_round_variance(b, 5)
+        assert per_round_variance(a) == per_round_variance(b)
 
     def test_single_round_table_rejected(self):
-        table = table_with_series({("perf", 0): [0.3]})
-        with pytest.raises(InputError):
-            per_round_variance(table, 1)
+        table = table_with_series({("perf", 0): []})
+        with pytest.raises(InputError, match=r"rounds \[1\] hold no scored round"):
+            per_round_variance(table)
 
     def test_single_scored_round_has_zero_variance(self):
         # T=2 leaves one scored round: fluctuation is degenerate, not an error
         table = table_with_series({("perf", 0): [0.3]})
-        assert per_round_variance(table, 2)[("gtg", "perf")] == 0.0
+        assert per_round_variance(table)[("gtg", "perf")] == 0.0
 
-    def test_missing_score_names_its_key(self):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda table, out_dir: accumulate(table),
+            lambda table, out_dir: score_vectors(table),
+            lambda table, out_dir: per_round_variance(table),
+            lambda table, out_dir: write_totals_csv(table, out_dir / "scores_total.csv"),
+            lambda table, out_dir: build_report([table]),
+        ],
+        ids=["accumulate", "score_vectors", "per_round_variance", "write_totals_csv", "build_report"],
+    )
+    def test_missing_score_names_its_key(self, read, tmp_path):
+        # a hole in round 2 under a complete round 3
         table = table_with_series({("perf", c): [0.1, 0.2] for c in range(3)})
-        del table.entries[("gtg", "perf", 1, 3)]
-        with pytest.raises(InputError, match="gtg/perf/client 1/round 3"):
-            per_round_variance(table, 3)
+        del table.entries[("gtg", "perf", 1, 2)]
+        with pytest.raises(InputError, match="no score for gtg/perf/client 1/round 2"):
+            read(table, tmp_path)
+        assert not list(tmp_path.iterdir())
 
 
 def full_table(vectors, rounds=(2, 3), scheme="gtg"):
@@ -158,7 +171,7 @@ def full_table(vectors, rounds=(2, 3), scheme="gtg"):
 class TestBuildReport:
     def test_identical_metric_vectors_give_phi_one_l2_zero(self):
         table = full_table({"perf": [0.1, 0.4, 0.2], "fair": [0.1, 0.4, 0.2]})
-        report = build_report([table], last_round=3)
+        report = build_report([table])
         stats = report.vs_perf["gtg"]["fair"]
         assert stats.phi_mean == pytest.approx(1.0, abs=1e-12)
         assert stats.l2_mean == 0.0
@@ -168,7 +181,7 @@ class TestBuildReport:
         table = full_table(
             {"perf": [0.1, 0.4, 0.2], "fair": [0.3, 0.1, 0.2], "rel": [0.5, 0.2, 0.6]}
         )
-        report = build_report([table], last_round=3)
+        report = build_report([table])
         hm = report.heatmap["gtg"]
         for ma in report.metrics:
             assert hm[ma][ma] == 1.0
@@ -178,14 +191,14 @@ class TestBuildReport:
     def test_fold_mean_is_arithmetic_mean_of_per_fold_phi(self):
         t1 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.1, 0.2, 0.3]})
         t2 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.3, 0.2, 0.1]})
-        report = build_report([t1, t2], last_round=3)
+        report = build_report([t1, t2])
         phis = [1.0, -1.0]
         assert report.vs_perf["gtg"]["fair"].phi_mean == pytest.approx(np.mean(phis))
         assert report.vs_perf["gtg"]["fair"].phi_std == pytest.approx(np.std(phis))
 
     def test_degenerate_fold_rendered_as_dash(self, tmp_path):
         table = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.5, 0.5, 0.5]})
-        report = build_report([table], last_round=3)
+        report = build_report([table])
         assert report.vs_perf["gtg"]["fair"].degenerate_folds == 1
         write_report(report, tmp_path)
         text = (tmp_path / "report.csv").read_text()
@@ -193,14 +206,14 @@ class TestBuildReport:
 
     def test_report_files_written(self, tmp_path):
         table = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.2, 0.1, 0.3]})
-        write_report(build_report([table], last_round=3), tmp_path)
+        write_report(build_report([table]), tmp_path)
         for name in ("report.json", "report.csv", "heatmap.csv"):
             assert (tmp_path / name).exists()
 
     def test_round_variance_cells_are_what_report_json_holds(self, tmp_path):
         t1 = full_table({"perf": [0.1, 0.2, 0.3], "fair": [0.2, 0.1, 0.3]}, rounds=(2, 3))
         t2 = full_table({"perf": [0.4, 0.2, 0.3], "fair": [0.2, 0.6, 0.3]}, rounds=(2, 3))
-        report = build_report([t1, t2], last_round=3)
+        report = build_report([t1, t2])
         assert report.round_variance["gtg"]["perf"] == {"mean": 0.0, "std": 0.0}
         write_report(report, tmp_path)
         written = json.loads((tmp_path / "report.json").read_text())
@@ -215,7 +228,19 @@ class TestBuildReport:
             (s, m, 5 if c == 2 else c, t): v for (s, m, c, t), v in t2.entries.items()
         }
         with pytest.raises(InputError, match="clients"):
-            build_report([t1, t2], last_round=3)
+            build_report([t1, t2])
+
+    def test_fold_without_perf_rejected(self):
+        table = full_table({"fair": [0.1, 0.2, 0.3], "rel": [0.3, 0.2, 0.1]})
+        with pytest.raises(InputError, match=r"fold 0: metrics \['fair', 'rel'\] hold no perf scores"):
+            build_report([table])
+
+    def test_folds_over_different_rounds_rejected(self):
+        vectors = {"perf": [0.1, 0.2, 0.3], "fair": [0.3, 0.2, 0.1]}
+        t1 = full_table(vectors, rounds=(2,))
+        t2 = full_table(vectors, rounds=(2, 3))
+        with pytest.raises(InputError, match=r"fold 1: rounds \[1, 2, 3\] differ from fold 0: \[1, 2\]"):
+            build_report([t1, t2])
 
     def test_each_metric_pair_correlated_once_per_scheme_and_fold(self, monkeypatch):
         calls = []
@@ -236,7 +261,7 @@ class TestBuildReport:
         ]
         tables = [ScoreTable(entries) for entries in folds]
         monkeypatch.setattr(analysis, "spearman_flagged", counted)
-        report = build_report(tables, last_round=3)
+        report = build_report(tables)
         # 2 schemes x 3 folds x the 6 unordered pairs of 4 metrics
         assert len(calls) == 2 * 3 * 6
         for scheme in report.schemes:

@@ -761,7 +761,7 @@ def score_fold(records, ctx, schemes, prefetch, monkeypatch):
         cache = CoalitionCache()
         vcfg = valuation.ValuationConfig(eps1=0.0)
         table = valuation.score_rounds(records, schemes, list(Metric), ctx, vcfg, cache)
-    counts = (cache.evaluations, cache.hits, len(cache), cache.undefined, cache.requested)
+    counts = (cache.evaluations, cache.hits, cache.undefined, cache.requested)
     # every res utility is memoized, so no aggregate keeps its predictions
     assert all(a.adversarial is None for a in cache._aggregates.values())
     return table.entries, counts, groups
@@ -847,7 +847,7 @@ def test_gtg_permutations_match_one_stream_per_permutation(k, eps2):
     clients = tuple(range(10, 10 + 3 * k, 3))
     vcfg = valuation.ValuationConfig(eps2=eps2, perm_seed=k)
     budget = valuation.permutation_budget(k, eps2)
-    got = valuation.gtg_permutations(clients, budget, 5, vcfg)
+    got = valuation.gtg_permutations(clients, 5, vcfg)
     assert got.shape == (budget, k) and not got.flags.writeable
     assert got.tolist() == [list(p) for p in ref_gtg_permutations(clients, budget, 5, vcfg)]
 

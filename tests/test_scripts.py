@@ -3,9 +3,9 @@
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
 ``scheme_agreement`` then checks the methods it calls, and canned result
-lines check how ``bench_pairs`` assembles a BENCH file, synthetic run
-records how it checks the claim rule, and a scratch git repository how it
-exports the parent revision.
+lines check how ``bench_pairs`` assembles a BENCH file, a run that fails
+how it keeps the other pairs, synthetic run records how it checks the claim
+rule, and a scratch git repository how it exports the parent revision.
 """
 
 import importlib.util
@@ -104,6 +104,42 @@ def test_bench_pairs_assembles_runs_in_the_bench_file_shape():
 def test_bench_pairs_rejects_empty_output():
     with pytest.raises(ValueError):
         load("bench_pairs").parse_result("\n")
+
+
+def test_bench_pairs_keeps_the_pairs_when_a_run_prints_no_result(tmp_path):
+    bench = load("bench_pairs")
+    # a checkout whose run fails its set-up probe: exit 1, no result line
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nsys.stderr.write('probing\\nset-up probe failed\\n')\nsys.exit(1)\n"
+    )
+    with pytest.raises(bench.NoResult) as failed:
+        bench.bench(tmp_path, "default", 7, 1.0, 0)
+    assert failed.value.record == {"exit_code": 1, "stderr": "set-up probe failed"}
+    assert bench.traced(tmp_path, "default") == {"seed": bench.TRACE_SEED, **failed.value.record}
+
+    seeds = [30101, 30102, 30103]
+
+    def run(side, seed):
+        if (side, seed) == ("change", 30102):
+            raise failed.value
+        return bench.parse_result(result_line(True, 1.0 + (seed - 30101) / 10, 50.0))
+
+    runs = bench.paired_runs(seeds, run)
+    assert runs["change"][1] == {
+        "seed": 30102, "pair": 1, "first": "change", "exit_code": 1, "stderr": "set-up probe failed"
+    }
+    assert [r["seed"] for r in runs["parent"]] == seeds
+    trace = bench.parse_result(result_line(True, 1.0, 50.0))
+    failed_trace = {"seed": bench.TRACE_SEED, **failed.value.record}
+    block = bench.workload_block(seeds, runs, {"parent": trace, "change": failed_trace})
+    assert block["change"]["median_trace0"]["run_s"] == 1.1  # the median of 1.0 and 1.2
+    # the pair that lacks its change run is left out of the claim
+    assert {row["pairs"] for row in bench.claim_rule({"w": block}, bench.BETTER)} == {2}
+    assert bench.failure_lines({"w": block}) == [
+        "w change pair 1 seed 30102: exited with 1 and no result: set-up probe failed\n",
+        f"w change --trace 1 seed {bench.TRACE_SEED}: exited with 1 and no result: set-up probe failed\n",
+    ]
 
 
 def test_bench_pairs_runs_what_the_benchmark_fixes():

@@ -14,7 +14,9 @@ metric's median over the ``--trace 0`` runs, every such run's values, and
 the traced run's result. A run that prints no result line (say, its set-up
 probe failed) is kept in the file as failed, with its exit code and the
 last line of its stderr, in place of its values, and the script goes on.
-The export is removed when the script ends.
+A run whose result reads ``correct: false`` keeps the first ``CHECK FAILED``
+line of its stderr under ``check``. The export is removed when the script
+ends.
 
 A gain is claimed from the pairs, not from this file's medians alone: the
 change must be better in at least 9 of every 10 pairs, and its median better
@@ -23,7 +25,10 @@ parent's runs. After writing the file, the script prints to stderr, for each
 workload and end-to-end metric, the change's wins out of the pairs (ties
 count for neither side; ``better`` in ``BENCHMARK.json`` gives the
 direction), both medians, the parent's quartile distance and whether that
-rule holds, and then each failed run.
+rule holds, and then each failed run: one that printed no result, and one
+whose checks failed, beside the other side's ``correct`` at the same seed,
+so that a check that fails on both sides reads as the seed's, not the
+change's.
 """
 
 from __future__ import annotations
@@ -135,8 +140,8 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_entry(result: dict, seed: int, pair: int, first: str) -> dict:
-    """One ``--trace 0`` run's record: its pair, its checks and its
-    end-to-end metric values."""
+    """One ``--trace 0`` run's record: its pair, its checks (with its first
+    failed one, if any) and its end-to-end metric values."""
     entry = {
         "seed": seed,
         "pair": pair,
@@ -145,6 +150,8 @@ def run_entry(result: dict, seed: int, pair: int, first: str) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
     }
+    if "check" in result:
+        entry["check"] = result["check"]
     for name in BETTER:
         if name in result["metrics"]:
             entry[name] = result["metrics"][name]["value"]
@@ -169,17 +176,29 @@ def paired_runs(seeds: list[int], run) -> dict[str, list[dict]]:
 
 
 def failure_lines(workloads: dict) -> list[str]:
-    """One line per failed run, traced or not, of a BENCH file's ``workloads``."""
+    """One line per failed run, traced or not, of a BENCH file's
+    ``workloads``: a run with no result, and a run whose checks failed, with
+    the other side's ``correct`` at the same seed."""
     lines = []
     for workload, block in workloads.items():
-        for side in SIDES:
-            for run in [*block[side]["trace0_runs"], block[side]["trace1"]]:
+        runs = {
+            side: {
+                f"pair {run['pair']}" if "pair" in run else "--trace 1": run
+                for run in [*block[side]["trace0_runs"], block[side]["trace1"]]
+            }
+            for side in SIDES
+        }
+        for side, other in zip(SIDES, SIDES[::-1]):
+            for where, run in runs[side].items():
+                head = f"{workload} {side} {where} seed {run.get('seed', TRACE_SEED)}"
                 if "exit_code" in run:
-                    where = f"pair {run['pair']}" if "pair" in run else "--trace 1"
-                    lines.append(
-                        f"{workload} {side} {where} seed {run['seed']}: exited with "
-                        f"{run['exit_code']} and no result: {run['stderr']}\n"
+                    lines.append(f"{head}: exited with {run['exit_code']} and no result: {run['stderr']}\n")
+                elif "check" in run:
+                    twin = runs[other].get(where, {})
+                    twin_state = (
+                        f"correct {json.dumps(twin['correct'])}" if "correct" in twin else "no result"
                     )
+                    lines.append(f"{head}: {run['check']}; {other} at this seed: {twin_state}\n")
     return lines
 
 
@@ -227,9 +246,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     ]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
     try:
-        return parse_result(proc.stdout)
+        result = parse_result(proc.stdout)
     except ValueError as exc:
         raise NoResult(proc.returncode, proc.stderr) from exc
+    if not result["correct"]:
+        checks = [line for line in proc.stderr.splitlines() if line.startswith("CHECK FAILED ")]
+        result["check"] = checks[0] if checks else ""
+    return result
 
 
 def traced(checkout: Path, workload: str) -> dict:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, make_dirs
+from .atomic import atomic_open, make_dirs, output_errors
 from .errors import InputError
 from .metrics import Metric
 from .valuation import ScoreTable, score_vectors
@@ -197,6 +197,15 @@ def build_report(tables: Sequence[ScoreTable]) -> AnalysisReport:
 
 # The files write_report writes into the run directory.
 REPORT_FILES = ("report.json", "report.csv", "heatmap.csv")
+
+
+def remove_report(out_dir) -> None:
+    """Deletes the files ``write_report`` writes, so that a run or analysis
+    that fails before its report leaves no earlier one behind."""
+    for name in REPORT_FILES:
+        path = Path(out_dir) / name
+        with output_errors(path):
+            path.unlink(missing_ok=True)
 
 
 def write_report(report: AnalysisReport, out_dir) -> None:

@@ -40,12 +40,9 @@ is its label, as the attack would have found.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError
+from .config import AttackSpec
 from .nn import (
     ModelGroup,
     ModelParams,
@@ -69,32 +66,6 @@ CERTIFY_TOLERANCE = 1e-9
 # allows _REACH_ROUNDING times that sum per step.
 _REACH_ROUNDING = 1e-12
 _TINY = np.finfo(np.float64).tiny
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """PGD parameters. Defaults follow the tabular evaluation setting."""
-
-    epsilon: float = 0.3
-    step_size: float = 0.007
-    steps: int = 40
-    clip_min: float = 0.0
-    clip_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be non-negative and finite, got {self.epsilon}")
-        if not math.isfinite(self.step_size):
-            raise ConfigError(f"step_size must be finite, got {self.step_size}")
-        if self.epsilon > 0 and not self.step_size > 0:
-            raise ConfigError("step_size must be positive when epsilon > 0")
-        if self.steps < 1:
-            raise ConfigError("steps must be at least 1")
-        if not -math.inf < self.clip_min < self.clip_max < math.inf:
-            raise ConfigError(
-                f"clip box must be finite and non-empty, got [{self.clip_min}, {self.clip_max}]"
-            )
 
 
 def pgd_batch(

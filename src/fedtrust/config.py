@@ -1,25 +1,126 @@
-"""Experiment configuration: defaults, file format, per-fold seed streams.
+"""Experiment configuration: every validated setting, the file format, and
+per-fold seed streams.
 
 Config files are flat ``section.key = value`` lines (``#`` starts a comment).
 Defaults mirror the experimental protocol this artifact reproduces: K=4
 clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 (0.007, 0.3, 40) and GTG thresholds eps1=0.001, eps2=0.05, eps3=0.002.
+
+The layers' settings (:class:`AttackSpec`, :class:`TrainingConfig`,
+:class:`FairnessSpec`, :class:`NoiseSpec`, :class:`Scheme`,
+:class:`ValuationConfig`) are defined here, and their layers import them, so
+that parsing a config loads no layer above ``data``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .attacks import AttackSpec
 from .data import CsvSchema, PartitionMode, PartitionSpec
 from .errors import ConfigError
-from .federation import TrainingConfig
-from .metrics import FairnessSpec, NoiseSpec
 from .seeding import derive_seed
-from .valuation import Scheme, ValuationConfig
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """PGD parameters. Defaults follow the tabular evaluation setting."""
+
+    epsilon: float = 0.3
+    step_size: float = 0.007
+    steps: int = 40
+    clip_min: float = 0.0
+    clip_max: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be non-negative and finite, got {self.epsilon}")
+        if not math.isfinite(self.step_size):
+            raise ConfigError(f"step_size must be finite, got {self.step_size}")
+        if self.epsilon > 0 and not self.step_size > 0:
+            raise ConfigError("step_size must be positive when epsilon > 0")
+        if self.steps < 1:
+            raise ConfigError("steps must be at least 1")
+        if not -math.inf < self.clip_min < self.clip_max < math.inf:
+            raise ConfigError(
+                f"clip box must be finite and non-empty, got [{self.clip_min}, {self.clip_max}]"
+            )
+
+
+OPTIMIZERS = ("adam", "sgd")
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    rounds: int = 10
+    local_epochs: int = 1
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    optimizer: str = "adam"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.rounds < 2:
+            raise ConfigError("need rounds >= 2 (round 1 is excluded from scoring)")
+        if self.local_epochs < 0:
+            raise ConfigError("local_epochs must be non-negative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+
+
+@dataclass(frozen=True)
+class FairnessSpec:
+    """Target class for the demographic-parity comparison.
+
+    The protected group is the set of samples whose sensitive flag is True.
+    """
+
+    target_class: int = 1
+
+    def __post_init__(self) -> None:
+        if self.target_class < 0:
+            raise ConfigError("target_class must be a class index")
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    sigma: float = 0.1
+    noise_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be non-negative and finite, got {self.sigma}")
+
+
+class Scheme(str, Enum):
+    EXACT = "exact_shapley"
+    GTG = "gtg"
+    LOO = "loo"
+
+
+@dataclass(frozen=True)
+class ValuationConfig:
+    eps1: float = 0.001
+    eps2: float = 0.05
+    eps3: float = 0.002
+    perm_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        if not (0.0 <= self.eps1 < math.inf and 0.0 <= self.eps3 < math.inf):
+            raise ConfigError(
+                f"eps1 and eps3 must be non-negative and finite, got {self.eps1}, {self.eps3}"
+            )
+        if not 0.0 < self.eps2 <= 1.0:
+            raise ConfigError("eps2 must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import shutil
 from pathlib import Path
 
 from . import nn
-from .analysis import REPORT_FILES, AnalysisReport, build_report, write_report
+from .analysis import AnalysisReport, build_report, remove_report, write_report
 from .atomic import atomic_open, make_dirs, output_errors
 from .config import ExperimentConfig
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
@@ -160,9 +160,7 @@ def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
         for stale in out_dir.glob(f"fold_*/{name}"):
             with output_errors(stale):
                 stale.unlink()
-    for name in REPORT_FILES:
-        with output_errors(out_dir / name):
-            (out_dir / name).unlink(missing_ok=True)
+    remove_report(out_dir)
     tables: dict[int, ScoreTable] = {}
     failures: list[dict] = []
     first_error: FedTrustError | None = None
@@ -200,9 +198,10 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
     """Rebuild the report from persisted scores only.
 
     Folds are read in fold order, as ``run_experiment`` builds its report.
-    Before any report file is written, a table that ``last_round`` rejects
-    is a ``DataError`` naming its file, and folds that ``build_report``
-    rejects are one naming the run directory.
+    The earlier report files go before any score file is read. A table that
+    ``last_round`` rejects is then a ``DataError`` naming its file, and
+    folds that ``build_report`` rejects are one naming the run directory;
+    either leaves no report.
     """
     run_dir = Path(run_dir)
     folds = {
@@ -215,6 +214,7 @@ def analyze_run_dir(run_dir) -> AnalysisReport:
         score_files = [run_dir / "scores.csv"]
     if not score_files:
         raise DataError(f"no scores.csv found under {run_dir}")
+    remove_report(run_dir)
     tables = [read_scores_csv(p) for p in score_files]
     for path, table in zip(score_files, tables):
         try:

@@ -30,7 +30,6 @@ function of its configuration.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -40,34 +39,12 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_open, make_dirs
+# OPTIMIZERS is not read here; it is imported so that its old path resolves.
+from .config import OPTIMIZERS, TrainingConfig
 from .data import Dataset
 from .errors import ConfigError, InputError, NumericError
 from .nn import ModelParams
 from .seeding import derive_seed
-
-OPTIMIZERS = ("adam", "sgd")
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    rounds: int = 10
-    local_epochs: int = 1
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rounds < 2:
-            raise ConfigError("need rounds >= 2 (round 1 is excluded from scoring)")
-        if self.local_epochs < 0:
-            raise ConfigError("local_epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass(frozen=True)

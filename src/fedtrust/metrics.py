@@ -35,7 +35,6 @@ so it has the same bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -43,9 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, certified_rows, pgd_batch
+from .attacks import certified_rows, pgd_batch
+from .config import AttackSpec, FairnessSpec, NoiseSpec
 from .data import Dataset
-from .errors import ConfigError, InputError, MetricUndefinedError
+from .errors import InputError, MetricUndefinedError
 from .nn import ModelGroup, ModelParams, predict_batch
 from .seeding import rng_streams
 
@@ -62,30 +62,6 @@ class Metric(str, Enum):
     FAIR = "fair"
     REL = "rel"
     RES = "res"
-
-
-@dataclass(frozen=True)
-class FairnessSpec:
-    """Target class for the demographic-parity comparison.
-
-    The protected group is the set of samples whose sensitive flag is True.
-    """
-
-    target_class: int = 1
-
-    def __post_init__(self) -> None:
-        if self.target_class < 0:
-            raise ConfigError("target_class must be a class index")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    sigma: float = 0.1
-    noise_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigError(f"sigma must be non-negative and finite, got {self.sigma}")
 
 
 def perf(clean: np.ndarray, test: Dataset) -> float:

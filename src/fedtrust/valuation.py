@@ -52,7 +52,6 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -61,6 +60,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open, make_dirs
+from .config import Scheme, ValuationConfig
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
@@ -78,29 +78,6 @@ Coalition = tuple[int, ...]
 # coalitions given as bitmasks over the round's sorted client ids (bit i:
 # the i-th id is in).
 UtilityFn = Callable[[Sequence[int]], list[float]]
-
-
-class Scheme(str, Enum):
-    EXACT = "exact_shapley"
-    GTG = "gtg"
-    LOO = "loo"
-
-
-@dataclass(frozen=True)
-class ValuationConfig:
-    eps1: float = 0.001
-    eps2: float = 0.05
-    eps3: float = 0.002
-    perm_seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not (0.0 <= self.eps1 < math.inf and 0.0 <= self.eps3 < math.inf):
-            raise ConfigError(
-                f"eps1 and eps3 must be non-negative and finite, got {self.eps1}, {self.eps3}"
-            )
-        if not 0.0 < self.eps2 <= 1.0:
-            raise ConfigError("eps2 must lie in (0, 1]")
 
 
 @dataclass(eq=False)

@@ -270,6 +270,23 @@ class TestAnalyze:
         assert message in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
 
+    def test_refused_analyze_leaves_no_earlier_report(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, "experiment.folds = 2\n")
+        assert main(["run", str(config)]) == 0
+        assert main(["analyze", str(out_dir)]) == 0
+        first = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        scores = out_dir / "fold_1" / "scores.csv"
+        original = scores.read_bytes()
+        header, *rows = original.decode().splitlines()
+        scores.write_text("\n".join([header, *rows[:-1]]) + "\n")
+        assert main(["analyze", str(out_dir)]) == 3
+        assert "no score for " in capsys.readouterr().err
+        assert [name for name in REPORT_FILES if (out_dir / name).exists()] == []
+        scores.write_bytes(original)
+        assert main(["analyze", str(out_dir)]) == 0
+        assert {name: (out_dir / name).read_bytes() for name in REPORT_FILES} == first
+
 
 class TestGenerateData:
     def test_shape_and_header(self, tmp_path, capsys):

@@ -4,8 +4,10 @@ A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
 ``scheme_agreement`` then checks the methods it calls, and canned result
 lines check how ``bench_pairs`` assembles a BENCH file, a run that fails
-how it keeps the other pairs, synthetic run records how it checks the claim
-rule, and a scratch git repository how it exports the parent revision.
+how it keeps the other pairs, a run that fails a check how it keeps that
+check beside the other side's result, synthetic run records how it checks
+the claim rule, and a scratch git repository how it exports the parent
+revision.
 """
 
 import importlib.util
@@ -139,6 +141,42 @@ def test_bench_pairs_keeps_the_pairs_when_a_run_prints_no_result(tmp_path):
     assert bench.failure_lines({"w": block}) == [
         "w change pair 1 seed 30102: exited with 1 and no result: set-up probe failed\n",
         f"w change --trace 1 seed {bench.TRACE_SEED}: exited with 1 and no result: set-up probe failed\n",
+    ]
+
+
+def test_bench_pairs_keeps_the_first_failed_check_beside_the_other_side(tmp_path):
+    bench = load("bench_pairs")
+    # a checkout whose run fails a check: exit 1 after its result line
+    (tmp_path / "perfbench").mkdir()
+    failed_check = "CHECK FAILED fold 0: final test accuracy 0.4975 is not 0.25 above"
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"sys.stderr.write('final accuracy: 0.0\\n{failed_check}\\nCHECK FAILED second\\n')\n"
+        f"print({result_line(False, 1.0, 50.0)!r})\n"
+        "sys.exit(1)\n"
+    )
+    failing = bench.bench(tmp_path, "train_heavy", 16106, 1.0, 0)
+    assert (failing["correct"], failing["check"]) == (False, failed_check)
+
+    # seed 16106 fails on both sides, 16107 on the change only
+    seeds = [16106, 16107, 16108]
+
+    def run(side, seed):
+        if seed == 16106 or (side, seed) == ("change", 16107):
+            return dict(failing)
+        return bench.parse_result(result_line(True, 1.0, 50.0))
+
+    runs = bench.paired_runs(seeds, run)
+    assert [r.get("check") for r in runs["change"]] == [failed_check, failed_check, None]
+    assert [r.get("check") for r in runs["parent"]] == [failed_check, None, None]
+    # a run whose checks passed keeps the shape of the earlier BENCH files
+    assert list(runs["parent"][1]) == ["seed", "pair", "first", "correct", "attempted", "failed", *bench.BETTER]
+    trace = bench.parse_result(result_line(True, 1.0, 50.0))
+    block = bench.workload_block(seeds, runs, {"parent": trace, "change": trace})
+    assert bench.failure_lines({"train_heavy": block}) == [
+        f"train_heavy parent pair 0 seed 16106: {failed_check}; change at this seed: correct false\n",
+        f"train_heavy change pair 0 seed 16106: {failed_check}; parent at this seed: correct false\n",
+        f"train_heavy change pair 1 seed 16107: {failed_check}; parent at this seed: correct true\n",
     ]
 
 

@@ -2,17 +2,20 @@
 
 A top-level function or public method in ``src/fedtrust`` that no other
 program code names runs only under tests, or never. This test fails on such
-a name unless ``fedtrust/__init__.py`` imports it or the benchmark's tracer
-(``perfbench/tracer.py``) wraps it.
+a name unless the package exports it (``fedtrust._EXPORTS``) or the
+benchmark's tracer (``perfbench/tracer.py``) wraps it. The package's module
+hooks ``__getattr__`` and ``__dir__`` are called by the interpreter.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+import fedtrust
 from test_tracer_targets import load_tracer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedtrust"
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def names(node):
@@ -41,12 +44,7 @@ def definitions(tree):
 def test_every_function_is_referenced_exported_or_traced():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads = sum((names(tree) for tree in trees.values()), Counter())
-    exported = {
-        alias.name
-        for node in trees["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(fedtrust._EXPORTS)
     traced = {attr.split(".")[-1] for _, attr, _ in load_tracer().SPAN_TARGETS}
     unreferenced = [
         f"{module}.{node.name}"
@@ -54,6 +52,6 @@ def test_every_function_is_referenced_exported_or_traced():
         for node in definitions(tree)
         # a function's reads of its own name (recursion) do not count
         if reads[node.name] == names(node)[node.name]
-        and node.name not in exported | traced
+        and node.name not in exported | traced | MODULE_HOOKS
     ]
     assert unreferenced == []

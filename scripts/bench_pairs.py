@@ -24,8 +24,9 @@ than the parent's by more than the distance between the quartiles of the
 parent's runs. After writing the file, the script prints to stderr, for each
 workload and end-to-end metric, the change's wins out of the pairs (ties
 count for neither side; ``better`` in ``BENCHMARK.json`` gives the
-direction), both medians, the parent's quartile distance and whether that
-rule holds, and then each failed run: one that printed no result, and one
+direction), both medians, the parent's quartile distance, whether that
+rule holds and the min, median and max of the per-pair change÷parent ratio,
+and then each failed run: one that printed no result, and one
 whose checks failed, beside the other side's ``correct`` at the same seed,
 so that a check that fails on both sides reads as the seed's, not the
 change's.
@@ -79,8 +80,9 @@ def claim_rule(workloads: dict, better: dict[str, str]) -> list[dict]:
     """For each workload of a BENCH file's ``workloads`` and each metric of
     ``better``: the pairs, the change's wins (strictly better; a tie is no
     win), both sides' medians over the pairs, the parent's quartile distance
-    (``statistics.quantiles``, exclusive method; 0 below two pairs) and
-    whether the claim rule holds."""
+    (``statistics.quantiles``, exclusive method; 0 below two pairs), whether
+    the claim rule holds, and the min, median and max over the pairs of the
+    change÷parent ratio."""
     rows = []
     for workload, block in workloads.items():
         for name, direction in better.items():
@@ -99,6 +101,7 @@ def claim_rule(workloads: dict, better: dict[str, str]) -> list[dict]:
             quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else [0.0, 0.0, 0.0]
             medians = statistics.median(parent), statistics.median(change)
             spread = quartiles[2] - quartiles[0]
+            ratios = sorted(c / p for p, c in zip(parent, change))
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -109,6 +112,9 @@ def claim_rule(workloads: dict, better: dict[str, str]) -> list[dict]:
                 "change_median": medians[1],
                 "parent_quartile_distance": spread,
                 "holds": 10 * wins >= 9 * len(pairs) and sign * (medians[1] - medians[0]) > spread,
+                "ratio_min": ratios[0],
+                "ratio_median": statistics.median(ratios),
+                "ratio_max": ratios[-1],
             })
     return rows
 
@@ -118,7 +124,8 @@ def claim_line(row: dict) -> str:
         f"{row['workload']} {row['metric']} ({row['better']} is better): change better in "
         f"{row['wins']}/{row['pairs']} pairs, median {row['parent_median']:.6g} -> "
         f"{row['change_median']:.6g}, parent quartile distance "
-        f"{row['parent_quartile_distance']:.6g}: claim rule {'holds' if row['holds'] else 'does not hold'}\n"
+        f"{row['parent_quartile_distance']:.6g}, change/parent per pair min {row['ratio_min']:.4g}, "
+        f"median {row['ratio_median']:.4g}, max {row['ratio_max']:.4g}: claim rule {'holds' if row['holds'] else 'does not hold'}\n"
     )
 
 

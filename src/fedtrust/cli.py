@@ -4,7 +4,7 @@ Subcommands:
     run <config>            full experiment from a flat key=value config
     demo-fig1               six-sample toy evaluation with known scores
     analyze <run_dir>       rebuild report files from persisted scores
-    generate-data <spec> <out>  write a synthetic dataset as canonical CSV
+    generate-data <spec> <out>  write a synthetic config's dataset as canonical CSV
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error, 5 output
 error (a file or directory that cannot be written).
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import parse_config_file
 from .data import Dataset, save_dataset_csv
-from .errors import FedTrustError
+from .errors import ConfigError, FedTrustError
 from .experiment import analyze_run_dir, fold_dataset, run_experiment
 from .metrics import FairnessSpec, demographic_parity_gap, fair, perf, res
 
@@ -90,6 +90,10 @@ def cmd_analyze(run_dir: str) -> int:
 
 def cmd_generate_data(spec_path: str, out_path: str) -> int:
     cfg = parse_config_file(spec_path)
+    if cfg.data_source != "synthetic":
+        raise ConfigError(
+            f"{spec_path}: generate-data needs data.source = synthetic, not {cfg.data_source}"
+        )
     data = fold_dataset(cfg, cfg.fold_seed(0))
     save_dataset_csv(data, out_path)
     print(f"wrote {len(data)} samples ({data.feature_dim} features) to {out_path}")

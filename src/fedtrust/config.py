@@ -8,8 +8,10 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 
 The layers' settings (:class:`AttackSpec`, :class:`TrainingConfig`,
 :class:`FairnessSpec`, :class:`NoiseSpec`, :class:`Scheme`,
-:class:`ValuationConfig`) are defined here, and their layers import them, so
-that parsing a config loads no layer above ``data``.
+:class:`ValuationConfig`) and the schemes' client limits
+(``EXACT_CLIENT_LIMIT``, :func:`permutation_budget`) are defined here, and
+their layers import them, so that parsing a config loads no layer above
+``data`` and rejects a scheme that cannot run before any fold trains.
 """
 
 from __future__ import annotations
@@ -106,6 +108,31 @@ class Scheme(str, Enum):
     LOO = "loo"
 
 
+# Exact Shapley enumerates the 2^K coalitions of a round's K clients.
+EXACT_CLIENT_LIMIT = 12
+_PERMUTATION_SCAN_LIMIT = 1_000_000
+
+
+def permutation_budget(client_count: int, eps2: float) -> int:
+    """R = max(K, ceil(eps2 * K!)) sampled permutations.
+
+    Computed in exact integer arithmetic (K! overflows floats well before
+    K reaches realistic federation sizes). Budgets beyond the practical
+    scan limit are rejected rather than silently hanging.
+    """
+    num, den = float(eps2).as_integer_ratio()
+    sampled = -(-num * math.factorial(client_count) // den)
+    budget = max(client_count, sampled)
+    if budget > _PERMUTATION_SCAN_LIMIT:
+        # from about 1,700 clients on, the budget has too many digits for str()
+        shown = budget if budget < 10**100 else f"about 10^{math.log10(budget):.0f}"
+        raise ConfigError(
+            f"GTG budget ceil(eps2*K!) = {shown} permutations is infeasible "
+            f"(limit {_PERMUTATION_SCAN_LIMIT}); lower valuation.eps2"
+        )
+    return budget
+
+
 @dataclass(frozen=True)
 class ValuationConfig:
     eps1: float = 0.001
@@ -178,6 +205,9 @@ class ExperimentConfig:
         object.__setattr__(self, "partition_mode", PartitionMode(self.partition_mode))
         if not self.schemes:
             raise ConfigError("at least one valuation scheme is required")
+        repeated = sorted({s.value for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"valuation.schemes names {', '.join(repeated)} more than once")
         # constructing the sub-configs runs their own validation up front
         self.training_config(seed=0)
         self.valuation_config(perm_seed=0)
@@ -185,6 +215,15 @@ class ExperimentConfig:
         NoiseSpec(self.sigma, 0)
         FairnessSpec(self.target_class)
         PartitionSpec(self.partition_mode, self.clients, self.dirichlet_alpha)
+        # every round scores all the clients, so a scheme that cannot run on
+        # them fails here, before any fold trains
+        if Scheme.EXACT in self.schemes and self.clients > EXACT_CLIENT_LIMIT:
+            raise ConfigError(
+                f"exact_shapley enumerates 2^K utilities; partition.clients = {self.clients} "
+                f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
+            )
+        if Scheme.GTG in self.schemes:
+            permutation_budget(self.clients, self.eps2)
         # Each range check is written so that NaN fails it.
         if not 0.0 <= self.group_imbalance < 1.0:
             raise ConfigError("data.group_imbalance must lie in [0, 1)")

@@ -25,12 +25,13 @@ models at once: it first certifies the rows that no PGD iterate can flip
 margin), whose adversarial prediction is their label, and then attacks the
 other rows of all the models in groups of about ``ATTACK_GROUP_ROWS`` rows
 (:func:`fedtrust.attacks.pgd_batch` on a :class:`fedtrust.nn.ModelGroup`)
-and predicts each group's iterates in one pass. The valuation stage calls
-it on each list of ``res`` requests a scheme makes (GTG makes one per scan
-position) and hands each model's predictions to :func:`evaluate`; without
-them, :func:`evaluate` attacks the model as a group of one. ``res`` then
-scores the same full-length arrays as with every row attacked on its own,
-so it has the same bits.
+and predicts each group's iterates in one pass. The valuation stage
+(``CoalitionCache.compute``) calls it on the new coalitions of each list of
+``res`` requests a scheme makes (GTG makes one per scan position) and hands
+each model's predictions to :func:`evaluate`; a caller that passes none,
+as tests and library callers may, has :func:`evaluate` attack the model as
+a group of one. ``res`` then scores the same full-length arrays as with
+every row attacked on its own, so it has the same bits.
 """
 
 from __future__ import annotations

@@ -28,13 +28,13 @@ and GTG for the empty and full coalitions and then, per scan position, for
 the next prefix of every permutation it has not truncated. Each element of
 a list is still one request.
 
-The ``res`` utility of a coalition runs PGD on its aggregate, which is most
-of the cost. So on ``res`` the utility game first hands the cache the whole
-list (:meth:`CoalitionCache.prefetch_res`): the cache attacks together, in
-PGD groups (``metrics.adversarial_predictions``), the list's coalitions
-whose ``res`` utility it has not memoized, and keeps their adversarial
-predictions beside their aggregates until their utility is computed, which
-happens before the list's utilities are returned.
+A list's utilities are computed in one place,
+:meth:`CoalitionCache.compute`: the utility game hands it each list first,
+and it computes the list's coalitions that the memo does not hold. The
+``res`` utility of a coalition runs PGD on its aggregate, which is most of
+the cost, so on ``res`` it attacks those coalitions together, in PGD groups
+(``metrics.adversarial_predictions``). Each request of the list then reads
+its utility from the memo.
 
 The scheme cores carry coalitions as int bitmasks over the round's sorted
 client ids; everywhere else a coalition is the sorted tuple of its ids. The
@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open, make_dirs
-from .config import Scheme, ValuationConfig
+from .config import EXACT_CLIENT_LIMIT, Scheme, ValuationConfig, permutation_budget
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
@@ -69,9 +69,7 @@ from .seeding import rng_streams
 
 logger = logging.getLogger(__name__)
 
-EXACT_CLIENT_LIMIT = 12
 _SUFFIX_ENUM_LIMIT = 1_000_000
-_PERMUTATION_SCAN_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
 # A scheme core's utility game: the utilities, in order, of a list of
@@ -80,50 +78,42 @@ Coalition = tuple[int, ...]
 UtilityFn = Callable[[Sequence[int]], list[float]]
 
 
-@dataclass(eq=False)
-class _Aggregate:
-    """A coalition's model, its clean test predictions and, from
-    :meth:`CoalitionCache.prefetch_res` until its ``res`` utility is
-    computed, its ``res`` adversarial predictions (None otherwise, and when
-    the model classifies no test sample correctly: ``res`` is undefined
-    there)."""
-
-    model: ModelParams
-    clean: np.ndarray
-    adversarial: np.ndarray | None = None
-
-
 class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
     A fold has one record per round, so a round number names its record.
-    A coalition is the sorted tuple of its client ids. Each (round,
-    coalition) is aggregated and run forward on the clean test inputs once;
-    the aggregate and its predictions are kept for the latest round only and
+    A coalition is the sorted tuple of its client ids. :meth:`compute` is
+    the one place that computes utilities: it aggregates each (round,
+    coalition) once and runs it forward on the clean test inputs once; the
+    aggregate and its predictions are kept for the latest round only and
     shared by every metric, beside that round's table from bitmask to
-    coalition (see :meth:`coalitions`). Its ``res`` adversarial predictions
-    come from :meth:`prefetch_res`, which attacks many coalitions in PGD
-    groups, and are dropped once its ``res`` utility is memoized;
-    ``evaluate`` attacks a coalition without them alone.
+    coalition (see :meth:`coalitions`). On ``res`` it attacks a list's new
+    coalitions together, in PGD groups. :meth:`utility` reads the memo and
+    computes only a coalition it does not know, through :meth:`compute`.
 
-    A (round, coalition, metric) utility is computed on its first request
-    and memoized: ``evaluations`` counts the utilities computed, ``hits``
-    the requests answered from the memo and ``undefined`` the computed
-    utilities that fell back to the empty coalition. ``requested[scheme]``
-    holds the (round, coalition, metric) keys the round wrappers of that
-    scheme asked for; the fallback's read of the empty coalition is not a
-    request, and neither is a prefetch.
+    ``evaluations`` counts the utilities computed, ``reads`` the utilities
+    that :meth:`utility` returned (a fallback's read of the empty coalition
+    too) and ``undefined`` the computed utilities that fell back to the
+    empty coalition. ``hits`` is ``reads - evaluations``: once every
+    computed utility has been read, as the utility game reads each list it
+    computes, it counts the reads that needed no computing. ``requested[scheme]`` holds the
+    (round, coalition, metric) keys the round wrappers of that scheme asked
+    for; the fallback's read of the empty coalition is not a request.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, Metric, Coalition], float] = {}
         self._round: int | None = None
         self._coalitions: dict[int, Coalition] = {}
-        self._aggregates: dict[Coalition, _Aggregate] = {}
+        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
         self.evaluations = 0
-        self.hits = 0
+        self.reads = 0
         self.undefined = 0
+
+    @property
+    def hits(self) -> int:
+        return self.reads - self.evaluations
 
     def coalitions(self, record: RoundRecord) -> dict[int, Coalition]:
         """The table from bitmask to coalition of ``record``'s round, which
@@ -146,71 +136,59 @@ class CoalitionCache:
             value = self._memo.get((record.round, metric, subset))
         except TypeError:  # an unhashable subset, such as a list
             value = None
-        if value is not None:
-            self.hits += 1
-            return value
-        ids = set(subset)
-        unknown = ids.difference(record.client_ids)
-        if unknown:
-            raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
-        members = tuple(sorted(map(int, ids)))
-        key = (record.round, metric, members)
-        value = self._memo.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        aggregate = self._aggregate(record, members, ctx)
-        adversarial = None
-        if metric is Metric.RES:
-            # read once: from here on the memo answers this coalition's res
-            adversarial, aggregate.adversarial = aggregate.adversarial, None
-        try:
-            value = evaluate(aggregate.model, metric, ctx, aggregate.clean, adversarial)
-        except MetricUndefinedError as exc:
-            # Substituting the empty-coalition utility rather than dropping
-            # the coalition keeps the marginals around it unbiased.
-            logger.warning(
-                "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
-                record.round,
-                members,
-                metric.value,
-                exc,
-            )
-            self.undefined += 1
-            value = self.utility(record, (), metric, ctx) if members else 0.0
-        self.evaluations += 1
-        self._memo[key] = value
+        if value is None:
+            ids = set(subset)
+            unknown = ids.difference(record.client_ids)
+            if unknown:
+                raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
+            members = tuple(sorted(map(int, ids)))
+            key = (record.round, metric, members)
+            if key not in self._memo:
+                self.compute(record, [members], metric, ctx)
+            value = self._memo[key]
+        self.reads += 1
         return value
 
-    def prefetch_res(
-        self, record: RoundRecord, coalitions: Iterable[Coalition], ctx: EvalContext
+    def compute(
+        self, record: RoundRecord, coalitions: Iterable[Coalition], metric: Metric, ctx: EvalContext
     ) -> None:
-        """Attack together the ``coalitions`` (sorted tuples of the round's
-        client ids; repeats are attacked once) whose ``res`` utility is
-        neither memoized nor already attacked; computes no utility and
-        counts nothing."""
-        pending: dict[Coalition, _Aggregate] = {}
-        for members in coalitions:
-            if members not in pending and (record.round, Metric.RES, members) not in self._memo:
-                aggregate = self._aggregate(record, members, ctx)
-                if aggregate.adversarial is None:
-                    pending[members] = aggregate
-        aggregates = list(pending.values())
-        predictions = adversarial_predictions(
-            [a.model for a in aggregates], [a.clean for a in aggregates], ctx
-        )
-        for aggregate, adversarial in zip(aggregates, predictions):
-            aggregate.adversarial = adversarial
-
-    def _aggregate(self, record: RoundRecord, members: Coalition, ctx: EvalContext) -> _Aggregate:
+        """Compute and memoize the ``metric`` utilities of ``coalitions``
+        (sorted tuples of the round's client ids) that the memo does not
+        hold, each once, in list order: on ``res`` their aggregates are
+        attacked together (``metrics.adversarial_predictions``). The empty
+        coalition is evaluated first, so that a fallback reads it."""
         self.coalitions(record)  # a new round drops the previous round's aggregates
-        aggregate = self._aggregates.get(members)
-        if aggregate is None:
-            model = fedavg(record.global_before, [record.update_for(k) for k in members])
-            aggregate = self._aggregates[members] = _Aggregate(
-                model, predict_batch(model, ctx.test.features)
+        new = [c for c in dict.fromkeys(coalitions) if (record.round, metric, c) not in self._memo]
+        aggregates = []
+        for members in new:
+            aggregate = self._aggregates.get(members)
+            if aggregate is None:
+                model = fedavg(record.global_before, [record.update_for(k) for k in members])
+                aggregate = self._aggregates[members] = (model, predict_batch(model, ctx.test.features))
+            aggregates.append(aggregate)
+        adversarial: list[np.ndarray | None] = [None] * len(new)
+        if metric is Metric.RES:
+            adversarial = adversarial_predictions(
+                [model for model, _ in aggregates], [clean for _, clean in aggregates], ctx
             )
-        return aggregate
+        rows = sorted(zip(new, aggregates, adversarial), key=lambda row: bool(row[0]))
+        for members, (model, clean), predictions in rows:
+            try:
+                value = evaluate(model, metric, ctx, clean, predictions)
+            except MetricUndefinedError as exc:
+                # Substituting the empty-coalition utility rather than dropping
+                # the coalition keeps the marginals around it unbiased.
+                logger.warning(
+                    "round %d coalition %s: %s undefined (%s); using empty-coalition utility",
+                    record.round,
+                    members,
+                    metric.value,
+                    exc,
+                )
+                self.undefined += 1
+                value = self.utility(record, (), metric, ctx) if members else 0.0
+            self.evaluations += 1
+            self._memo[(record.round, metric, members)] = value
 
 
 def coalition_utility(
@@ -248,10 +226,9 @@ def _utility_fn(
     request as ``scheme``'s.
 
     Each mask maps to its sorted tuple of client ids through the cache's
-    table of the round's coalitions, and each tuple of the list enters
-    :func:`coalition_utility`, whose memo answers a repeated request. On
-    ``res`` the cache first attacks the list's coalitions together
-    (:meth:`CoalitionCache.prefetch_res`).
+    table of the round's coalitions. The cache computes the list's new
+    coalitions together (:meth:`CoalitionCache.compute`), and then each
+    tuple of the list enters :func:`coalition_utility`, which reads it.
     """
     metric = Metric(metric)
     ids = sorted(record.client_ids)
@@ -269,8 +246,7 @@ def _utility_fn(
                 seen.add(mask)
                 requested.add((record.round, coalition, metric))
             members.append(coalition)
-        if metric is Metric.RES:
-            cache.prefetch_res(record, members, ctx)
+        cache.compute(record, members, metric, ctx)
         return [coalition_utility(record, m, metric, ctx, cache) for m in members]
 
     return u
@@ -324,24 +300,6 @@ def loo_values(clients: Sequence[int], u: UtilityFn) -> dict[int, float]:
     everyone = (1 << len(clients)) - 1
     full, *without = u([everyone] + [everyone ^ 1 << i for i in range(len(clients))])
     return {c: full - v for c, v in zip(clients, without)}
-
-
-def permutation_budget(client_count: int, eps2: float) -> int:
-    """R = max(K, ceil(eps2 * K!)) sampled permutations.
-
-    Computed in exact integer arithmetic (K! overflows floats well before
-    K reaches realistic federation sizes). Budgets beyond the practical
-    scan limit are rejected rather than silently hanging.
-    """
-    num, den = float(eps2).as_integer_ratio()
-    sampled = -(-num * math.factorial(client_count) // den)
-    budget = max(client_count, sampled)
-    if budget > _PERMUTATION_SCAN_LIMIT:
-        raise ConfigError(
-            f"GTG budget ceil(eps2*K!) = {budget} permutations is infeasible "
-            f"(limit {_PERMUTATION_SCAN_LIMIT}); lower valuation.eps2"
-        )
-    return budget
 
 
 @lru_cache(maxsize=1)

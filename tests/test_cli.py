@@ -123,6 +123,21 @@ class TestRun:
         assert "test_fraction must lie in (0, 1)" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("valuation.schemes = gtg,gtg,loo\n", "valuation.schemes names gtg more than once"),
+            ("partition.clients = 13\nvaluation.schemes = exact_shapley\n", "exceeds 12, use the gtg scheme"),
+            ("partition.clients = 11\nvaluation.schemes = gtg\n", "lower valuation.eps2"),
+        ],
+    )
+    def test_a_scheme_that_cannot_run_fails_before_any_fold(self, tmp_path, capsys, extra, message):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, extra)
+        assert main(["run", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_smoke_config(tmp_path, out_dir, "metrics.target_class = 5\n")
@@ -305,6 +320,15 @@ class TestGenerateData:
         assert main(["generate-data", str(spec), str(a)]) == 0
         assert main(["generate-data", str(spec), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_source_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"data.source = csv\ndata.csv_path = {tmp_path / 'in.csv'}\n")
+        out = tmp_path / "data.csv"
+        assert main(["generate-data", str(spec), str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "data.source" in err[0]
+        assert not out.exists()
 
     def test_imbalance_reflected_in_file(self, tmp_path):
         spec = tmp_path / "spec.txt"

@@ -132,6 +132,37 @@ class TestParser:
         with pytest.raises(ConfigError, match=rf":2: bad value for '{key}'.*finite"):
             parse_config_text(f"data.n = 100\n{key} = {value}\n")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("valuation.schemes = gtg,gtg,loo", "names gtg more than once"),
+            ("valuation.schemes = loo,exact_shapley,loo,exact_shapley", "names exact_shapley, loo more"),
+            ("partition.clients = 13\nvaluation.schemes = exact_shapley", "exact_shapley .* 13 exceeds 12"),
+            ("partition.clients = 11\nvaluation.schemes = gtg", "GTG budget .* lower valuation.eps2"),
+            ("partition.clients = 2000\nvaluation.schemes = gtg", r"= about 10\^5734 permutations"),
+        ],
+    )
+    def test_a_scheme_that_cannot_run_fails_at_parse(self, lines, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(lines + "\n")
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "partition.clients = 12\nvaluation.schemes = exact_shapley,loo",
+            "partition.clients = 13\nvaluation.schemes = loo",
+            "partition.clients = 11\nvaluation.eps2 = 0.0001\nvaluation.schemes = gtg",
+        ],
+    )
+    def test_schemes_within_their_limits_parse(self, lines):
+        parse_config_text(lines + "\n")
+
+    def test_limits_are_defined_once(self):
+        from fedtrust import valuation
+
+        assert valuation.EXACT_CLIENT_LIMIT is config.EXACT_CLIENT_LIMIT == 12
+        assert valuation.permutation_budget is config.permutation_budget
+
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
         assert cfg == ExperimentConfig()

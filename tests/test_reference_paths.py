@@ -751,19 +751,24 @@ def test_adversarial_predictions_skip_models_without_open_rows(monkeypatch):
     assert groups == []
 
 
-def score_fold(records, ctx, schemes, prefetch, monkeypatch):
-    """Score ``schemes`` on every metric with a fresh cache; without
-    ``prefetch`` every res coalition is attacked when it is requested."""
+def score_fold(records, ctx, schemes, grouped, monkeypatch):
+    """Score ``schemes`` on every metric with a fresh cache; unless
+    ``grouped``, the cache computes one coalition at a time, so every res
+    coalition is attacked alone."""
     with monkeypatch.context() as patch:
         groups = counting_groups(patch)
-        if not prefetch:
-            patch.setattr(CoalitionCache, "prefetch_res", lambda self, *args: None)
+        if not grouped:
+            compute = CoalitionCache.compute
+
+            def one_at_a_time(self, record, coalitions, *args):
+                for members in coalitions:
+                    compute(self, record, [members], *args)
+
+            patch.setattr(CoalitionCache, "compute", one_at_a_time)
         cache = CoalitionCache()
         vcfg = valuation.ValuationConfig(eps1=0.0)
         table = valuation.score_rounds(records, schemes, list(Metric), ctx, vcfg, cache)
     counts = (cache.evaluations, cache.hits, cache.undefined, cache.requested)
-    # every res utility is memoized, so no aggregate keeps its predictions
-    assert all(a.adversarial is None for a in cache._aggregates.values())
     return table.entries, counts, groups
 
 

@@ -243,4 +243,11 @@ def test_bench_pairs_claim_rule_counts_wins_per_pair():
     assert rate["parent_quartile_distance"] == pytest.approx(1.25)
     assert not rate["holds"]
     assert "9/10 pairs" in bench.claim_line(rss) and bench.claim_line(rate).endswith("does not hold\n")
+    # each pair's change/parent ratio: rss from 45.0/50.2 to the tie's 1.0,
+    # rate from pair 9's 18.0/19.0 to pair 2's 19.5/19.0
+    assert (rss["ratio_min"], rss["ratio_median"], rss["ratio_max"]) == (45.0 / 50.2, 0.9, 1.0)
+    assert (rate["ratio_min"], rate["ratio_median"], rate["ratio_max"]) == (18.0 / 19.0, 1.025, 19.5 / 19.0)
+    assert bench.claim_line(rss).endswith(
+        ", change/parent per pair min 0.8964, median 0.9, max 1: claim rule holds\n"
+    )
     assert bench.benchmark(SCRIPTS.parent)[2]["client_rounds_per_s"] == "higher"

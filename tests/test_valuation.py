@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtrust import valuation
+from fedtrust import config, valuation
 from fedtrust.attacks import AttackSpec
 from fedtrust.data import generate_synthetic, partition, PartitionMode, PartitionSpec, train_test_split
 from fedtrust.errors import ConfigError, InputError
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
-from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
+from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, adversarial_predictions, evaluate
 from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, predict_batch
 from fedtrust.seeding import rng_streams
 from fedtrust.valuation import (
@@ -144,7 +144,7 @@ class TestGtgCore:
     )
     def test_budget_matches_fraction_arithmetic(self, eps2, k):
         want = max(k, math.ceil(Fraction(eps2) * math.factorial(k)))
-        if want > valuation._PERMUTATION_SCAN_LIMIT:
+        if want > config._PERMUTATION_SCAN_LIMIT:
             with pytest.raises(ConfigError, match=f"= {want} permutations"):
                 permutation_budget(k, eps2)
         else:
@@ -270,9 +270,10 @@ class TestCoalitionUtility:
         with pytest.raises(InputError):
             coalition_utility(records[0], (0, 9), Metric.PERF, ctx, CoalitionCache())
 
-    def test_metric_undefined_falls_back_to_empty_utility(self, caplog):
-        # client 0 predicts everything wrong, so res is undefined for the
-        # singleton coalition and falls back to res(global_before)
+    @staticmethod
+    def wrong_client_round():
+        """Client 0 predicts every test sample wrong; the rest predict all
+        of them right."""
         arch = Architecture((2, 1), OutputActivation.SIGMOID)
         always_one = ModelParams(arch, np.array([0.0, 0.0, 10.0]))
         always_zero = ModelParams(arch, np.array([0.0, 0.0, -10.0]))
@@ -288,6 +289,13 @@ class TestCoalitionUtility:
             always_zero,
         )
         ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 1), AttackSpec(0.1, 0.02, 3))
+        return record, ctx, always_zero
+
+    def test_metric_undefined_falls_back_to_empty_utility(self, caplog):
+        # client 0 predicts everything wrong, so res is undefined for the
+        # singleton coalition and falls back to res(global_before)
+        record, ctx, always_zero = self.wrong_client_round()
+        test = ctx.test
         with caplog.at_level(logging.WARNING, logger="fedtrust.valuation"):
             value = coalition_utility(record, (0,), Metric.RES, ctx, CoalitionCache())
         assert value == evaluate(always_zero, Metric.RES, ctx, predict_batch(always_zero, test.features))
@@ -297,6 +305,26 @@ class TestCoalitionUtility:
         loo_round(record, Metric.RES, ctx, cache)
         assert cache.requested == {"loo": {(1, ids, Metric.RES) for ids in [(0, 1), (0,), (1,)]}}
         assert cache.evaluations == 4 and cache.undefined >= 1
+
+    def test_fallback_in_a_res_list_attacks_the_empty_coalition_once(self, monkeypatch):
+        # the list asks for client 0's undefined coalition before the empty
+        # one: its fallback reads the empty coalition's utility, computed in
+        # the same list and from the same attack
+        record, ctx, _ = self.wrong_client_round()
+        attacked = []
+
+        def counting(models, cleans, ctx):
+            attacked.append(len(models))
+            return adversarial_predictions(models, cleans, ctx)
+
+        monkeypatch.setattr(valuation, "adversarial_predictions", counting)
+        cache = CoalitionCache()
+        u = valuation._utility_fn(record, Metric.RES, ctx, cache, Scheme.LOO)
+        singleton, empty = u([0b01, 0b00])
+        assert singleton == empty
+        assert attacked == [2]
+        assert (cache.evaluations, cache.undefined, cache.reads, cache.hits) == (2, 1, 3, 1)
+        assert cache.requested == {"loo": {(1, (0,), Metric.RES), (1, (), Metric.RES)}}
 
 
 class TestRoundWrappers:

@@ -5,6 +5,17 @@ label/group dependence (the fairness tension), CSV ingestion with min-max
 normalization and one-hot expansion, IID and Dirichlet client partitioning,
 and a stratified train/test split. Datasets are immutable after construction
 and every operation is a pure function of its seed.
+
+The split and the partition are index functions over the labels
+(``split_rows``, ``client_rows``), and ``gather`` places the rows they name
+once, as consecutive row views of one array. ``train_test_split`` (with
+``Dataset.subset``) and ``partition`` (with ``gather``) are their
+compositions. The synthetic draw comes in two parts as well:
+``synthetic_labels`` draws the labels and sensitive bits, which its stream
+draws first, and the feature draw writes the feature rows, a chunk at a
+time, to given rows of one array. So a caller that lays out the rows from
+the labels can have each row's features drawn straight into their place
+(``synthetic_groups``), and never hold the draw in its own order.
 """
 
 from __future__ import annotations
@@ -86,6 +97,48 @@ class PartitionSpec:
             raise ConfigError("dirichlet_alpha must be positive")
 
 
+# Rows per chunk of the synthetic feature draw. At d = 8 a chunk is 64 kB;
+# 4,096-row chunks left a 40,000-row fold's peak RSS about 0.3 MB higher.
+FEATURE_CHUNK_ROWS = 1024
+
+
+def synthetic_labels(
+    n: int, d: int, group_imbalance: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """The labels and sensitive bits of ``generate_synthetic(n, d,
+    group_imbalance, seed)``, which its stream draws before the features,
+    and that stream, positioned at the feature draw."""
+    if n < 10 or d < 2:
+        raise ConfigError(f"need n >= 10 and d >= 2, got n={n}, d={d}")
+    if not 0.0 <= group_imbalance < 1.0:
+        raise ConfigError("group_imbalance must lie in [0, 1)")
+    rng = rng_from(seed, "synthetic")
+    sensitive = rng.random(n) < 0.5
+    p_one = np.where(sensitive, 0.5 + group_imbalance / 2, 0.5 - group_imbalance / 2)
+    labels = (rng.random(n) < p_one).astype(np.int64)
+    return labels, sensitive, rng
+
+
+def _draw_features(
+    rng: np.random.Generator, labels: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None
+) -> None:
+    """Draw the feature row of each of ``labels`` into ``out``: row i goes
+    to ``out[rows[i]]``, or to ``out[i]`` without ``rows``.
+
+    The rows are drawn FEATURE_CHUNK_ROWS at a time. ``Generator.normal``
+    keeps no state between calls, and scale, shift and clip are
+    elementwise, so the chunks have the bytes of one (n, d) draw.
+    """
+    n, d = out.shape
+    for start in range(0, n, FEATURE_CHUNK_ROWS):
+        stop = min(start + FEATURE_CHUNK_ROWS, n)
+        chunk = rng.normal(size=(stop - start, d))
+        chunk *= 0.15
+        chunk += np.where(labels[start:stop] == 1, 0.75, 0.25)[:, None]
+        np.clip(chunk, 0.0, 1.0, out=chunk)
+        out[slice(start, stop) if rows is None else rows[start:stop]] = chunk
+
+
 def generate_synthetic(
     n: int, d: int, group_imbalance: float, seed: int
 ) -> Dataset:
@@ -96,20 +149,33 @@ def generate_synthetic(
     it through P(y=1 | s) = 0.5 +/- group_imbalance / 2, which makes the
     demographic-parity gap of a good classifier roughly ``group_imbalance``.
     """
-    if n < 10 or d < 2:
-        raise ConfigError(f"need n >= 10 and d >= 2, got n={n}, d={d}")
-    if not 0.0 <= group_imbalance < 1.0:
-        raise ConfigError("group_imbalance must lie in [0, 1)")
-    rng = rng_from(seed, "synthetic")
-    sensitive = rng.random(n) < 0.5
-    p_one = np.where(sensitive, 0.5 + group_imbalance / 2, 0.5 - group_imbalance / 2)
-    labels = (rng.random(n) < p_one).astype(np.int64)
-    means = np.where(labels == 1, 0.75, 0.25)
-    features = rng.normal(size=(n, d))
-    features *= 0.15
-    features += means[:, None]
-    np.clip(features, 0.0, 1.0, out=features)
+    labels, sensitive, rng = synthetic_labels(n, d, group_imbalance, seed)
+    features = np.empty((n, d))
+    _draw_features(rng, labels, features)
     return Dataset(features, labels, sensitive, class_count=2)
+
+
+def synthetic_groups(
+    labels: np.ndarray,
+    sensitive: np.ndarray,
+    rng: np.random.Generator,
+    d: int,
+    groups: Sequence[np.ndarray],
+) -> list[Dataset]:
+    """Finish the draw that ``synthetic_labels`` began straight into the
+    layout of :func:`gather`: ``groups`` splits the rows of the draw, each
+    exactly once, and each group comes back as a consecutive read-only row
+    view of one array. The draw is never held in its own order."""
+    order = np.concatenate(groups)
+    rows = np.empty_like(order)
+    rows[order] = np.arange(len(order))
+    placed_labels, placed_sensitive = labels[order], sensitive[order]
+    del order
+    features = np.empty((len(rows), d))
+    _draw_features(rng, labels, features, rows)
+    del rows
+    pool = Dataset(features, placed_labels, placed_sensitive, class_count=2)
+    return _row_views(pool, [len(g) for g in groups])
 
 
 @dataclass(frozen=True)
@@ -215,17 +281,17 @@ def save_dataset_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def train_test_split(
-    data: Dataset, test_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministic label-stratified split into (train, test)."""
+def split_rows(
+    labels: np.ndarray, class_count: int, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The train and test rows of a deterministic label-stratified split."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must lie in (0, 1)")
     rng = rng_from(seed, "split")
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for c in range(data.class_count):
-        idx = np.flatnonzero(data.labels == c)
+    for c in range(class_count):
+        idx = np.flatnonzero(labels == c)
         idx = rng.permutation(idx)
         n_test = int(np.floor(len(idx) * test_fraction + 0.5))
         test_idx.append(idx[:n_test])
@@ -236,6 +302,66 @@ def train_test_split(
         raise ConfigError(
             f"degenerate split: {len(train)} train / {len(test)} test samples"
         )
+    return train, test
+
+
+def client_rows(labels: np.ndarray, class_count: int, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each client's rows of a training set with these labels, IID or
+    Dirichlet non-IID.
+
+    The rows are split disjointly and every client receives at least one
+    (Dirichlet draws that leave a client empty are repaired by moving single
+    samples from the largest client).
+    """
+    k = spec.client_count
+    if len(labels) < k * class_count:
+        raise ConfigError(
+            f"need at least K*C = {k * class_count} samples, have {len(labels)}"
+        )
+    rng = rng_from(spec.seed, "partition")
+    if spec.mode is PartitionMode.IID:
+        order = rng.permutation(len(labels))
+        base, extra = divmod(len(labels), k)
+        return np.split(order, np.cumsum([base + (c < extra) for c in range(k - 1)]))
+    pieces: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for cls in range(class_count):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        props = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
+        counts = rng.multinomial(len(idx), props)
+        for c, rows in enumerate(np.split(idx, np.cumsum(counts[:-1]))):
+            pieces[c].append(rows)
+    assignments = [np.concatenate(p) for p in pieces]
+    sizes = np.array([len(a) for a in assignments])
+    while (sizes == 0).any():
+        empty = int(np.flatnonzero(sizes == 0)[0])
+        donor = int(np.argmax(sizes))
+        assignments[empty] = np.append(assignments[empty], assignments[donor][-1])
+        assignments[donor] = assignments[donor][:-1]
+        sizes[empty] += 1
+        sizes[donor] -= 1
+    return assignments
+
+
+def _row_views(pool: Dataset, sizes: Sequence[int]) -> list[Dataset]:
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return [
+        Dataset(pool.features[a:b], pool.labels[a:b], pool.sensitive[a:b], pool.class_count)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def gather(data: Dataset, groups: Sequence[np.ndarray]) -> list[Dataset]:
+    """The rows of ``data`` that each group of row indices names, as
+    consecutive read-only row views of one array that holds the gathered
+    rows once, in group order."""
+    return _row_views(data.subset(np.concatenate(groups)), [len(g) for g in groups])
+
+
+def train_test_split(
+    data: Dataset, test_fraction: float, seed: int
+) -> tuple[Dataset, Dataset]:
+    """Deterministic label-stratified split into (train, test)."""
+    train, test = split_rows(data.labels, data.class_count, test_fraction, seed)
     return data.subset(train), data.subset(test)
 
 
@@ -243,41 +369,8 @@ def partition(train: Dataset, spec: PartitionSpec) -> list[Dataset]:
     """Split a training set across clients, IID or Dirichlet non-IID.
 
     The parts are disjoint, their union is the training set, and every client
-    receives at least one sample (Dirichlet draws that leave a client empty
-    are repaired by moving single samples from the largest client). The
-    parts are consecutive read-only row views of one array that holds the
-    training rows once, in client order.
+    receives at least one sample (see :func:`client_rows`). The parts are
+    consecutive read-only row views of one array that holds the training
+    rows once, in client order.
     """
-    k = spec.client_count
-    if len(train) < k * train.class_count:
-        raise ConfigError(
-            f"need at least K*C = {k * train.class_count} samples, have {len(train)}"
-        )
-    rng = rng_from(spec.seed, "partition")
-    if spec.mode is PartitionMode.IID:
-        order = rng.permutation(len(train))
-        base, extra = divmod(len(train), k)
-        assignments = np.split(order, np.cumsum([base + (c < extra) for c in range(k - 1)]))
-    else:
-        pieces: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for cls in range(train.class_count):
-            idx = rng.permutation(np.flatnonzero(train.labels == cls))
-            props = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
-            counts = rng.multinomial(len(idx), props)
-            for c, rows in enumerate(np.split(idx, np.cumsum(counts[:-1]))):
-                pieces[c].append(rows)
-        assignments = [np.concatenate(p) for p in pieces]
-        sizes = np.array([len(a) for a in assignments])
-        while (sizes == 0).any():
-            empty = int(np.flatnonzero(sizes == 0)[0])
-            donor = int(np.argmax(sizes))
-            assignments[empty] = np.append(assignments[empty], assignments[donor][-1])
-            assignments[donor] = assignments[donor][:-1]
-            sizes[empty] += 1
-            sizes[donor] -= 1
-    pool = train.subset(np.concatenate(assignments))
-    bounds = np.cumsum([0] + [len(a) for a in assignments]).tolist()
-    return [
-        Dataset(pool.features[a:b], pool.labels[a:b], pool.sensitive[a:b], pool.class_count)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return gather(train, client_rows(train.labels, train.class_count, spec))

@@ -33,7 +33,17 @@ from . import nn
 from .analysis import AnalysisReport, build_report, remove_report, write_report
 from .atomic import atomic_open, make_dirs, output_errors
 from .config import ExperimentConfig
-from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, train_test_split
+from .data import (
+    Dataset,
+    PartitionSpec,
+    client_rows,
+    gather,
+    generate_synthetic,
+    load_csv,
+    split_rows,
+    synthetic_groups,
+    synthetic_labels,
+)
 from .errors import ConfigError, DataError, FedTrustError, InputError, OutputError
 from .federation import RunWriter, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
@@ -50,11 +60,9 @@ from .valuation import (
 logger = logging.getLogger(__name__)
 
 
-def fold_dataset(cfg: ExperimentConfig, fold_seed: int, source: Dataset | None = None) -> Dataset:
-    """The dataset of the fold seeded ``fold_seed``: ``source`` if given,
-    else the fold's own synthetic draw."""
-    if source is not None:
-        return source
+def fold_dataset(cfg: ExperimentConfig, fold_seed: int) -> Dataset:
+    """The synthetic draw of the fold seeded ``fold_seed``, in its own
+    order; ``run_fold`` draws the same rows straight into its layout."""
     return generate_synthetic(
         cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
     )
@@ -81,11 +89,26 @@ def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> 
 def _fold_split(
     cfg: ExperimentConfig, fold_seed: int, source: Dataset | None
 ) -> tuple[list[Dataset], Dataset]:
-    """The fold's client parts and test set. The generated data is freed
-    once split and the train split on return, so only the parts hold the
-    training rows."""
-    train, test = train_test_split(
-        fold_dataset(cfg, fold_seed, source), cfg.test_fraction, derive_seed(fold_seed, "split")
+    """The fold's client parts and test set: consecutive read-only row
+    views of one array that holds the fold's rows once, laid out as client
+    0 ... client K-1, then test.
+
+    The layout is computed from the labels alone: the split's rows, then
+    each client's rows among the train rows. A CSV ``source`` is gathered
+    once by that layout. A synthetic fold draws its labels first and then
+    each row's features straight into their place, so the fold never holds
+    its draw in its own order or a train split: building a 40,000-row
+    fold's data peaks at about 1.4 times the generated bytes.
+    """
+    if source is None:
+        labels, sensitive, rng = synthetic_labels(
+            cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
+        )
+        class_count = 2
+    else:
+        labels, class_count = source.labels, source.class_count
+    train_rows, test_rows = split_rows(
+        labels, class_count, cfg.test_fraction, derive_seed(fold_seed, "split")
     )
     spec = PartitionSpec(
         cfg.partition_mode,
@@ -93,7 +116,14 @@ def _fold_split(
         cfg.dirichlet_alpha,
         seed=derive_seed(fold_seed, "partition"),
     )
-    return partition(train, spec), test
+    groups = [train_rows[rows] for rows in client_rows(labels[train_rows], class_count, spec)]
+    groups.append(test_rows)
+    del train_rows, test_rows
+    if source is None:
+        *parts, test = synthetic_groups(labels, sensitive, rng, cfg.synthetic_d, groups)
+    else:
+        *parts, test = gather(source, groups)
+    return parts, test
 
 
 def run_fold(
@@ -101,10 +131,10 @@ def run_fold(
 ) -> ScoreTable:
     """Run one repetition and persist every stage into ``fold_dir``.
 
-    While the fold trains and scores, it holds its training rows once, in
-    the client parts, and its test set; its own synthetic draw and the
-    train split are gone by then. A CSV ``source`` stays with the caller,
-    shared by every fold.
+    The fold holds its rows once: its client parts and test set are views
+    of one array, built by ``_fold_split`` without a train split or the
+    synthetic draw in its own order. A CSV ``source`` stays with the
+    caller, shared by every fold.
     """
     fold_dir = Path(fold_dir)
     for stale in fold_dir.glob("round_*"):

@@ -146,6 +146,17 @@ class TestParser:
         with pytest.raises(ConfigError, match=message):
             parse_config_text(lines + "\n")
 
+    def test_a_huge_gtg_budget_fails_without_computing_k_factorial(self, monkeypatch):
+        factorial = math.factorial
+
+        def small_factorial(k):
+            assert k <= 100, f"factorial({k}) computed"
+            return factorial(k)
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        with pytest.raises(ConfigError, match=r"= about 10\^1512850 permutations"):
+            parse_config_text("partition.clients = 300000\nvaluation.schemes = gtg\n")
+
     @pytest.mark.parametrize(
         "lines",
         [

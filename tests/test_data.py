@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtrust.data import (
+    FEATURE_CHUNK_ROWS,
     CsvSchema,
     Dataset,
     PartitionMode,
@@ -18,6 +19,7 @@ from fedtrust.data import (
     train_test_split,
 )
 from fedtrust.errors import ConfigError, DataError, OutputError, SchemaError
+from fedtrust.seeding import rng_from
 
 
 def empirical_group_gap(ds):
@@ -44,6 +46,15 @@ class TestSynthetic:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.sensitive, b.sensitive)
+
+    @pytest.mark.parametrize("n, chunk", [(40_000, FEATURE_CHUNK_ROWS), (40_000, 4_096), (1_000, 7), (1_000, 1)])
+    def test_normal_draws_in_chunks_equal_one_draw(self, n, chunk):
+        # the feature draw relies on this: Generator.normal keeps no state
+        # between calls
+        one = rng_from(5, "synthetic").normal(size=(n, 8))
+        rng = rng_from(5, "synthetic")
+        chunks = [rng.normal(size=(min(chunk, n - start), 8)) for start in range(0, n, chunk)]
+        assert np.concatenate(chunks).tobytes() == one.tobytes()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ConfigError):

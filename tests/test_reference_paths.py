@@ -19,8 +19,22 @@ import pytest
 
 from fedtrust import metrics, valuation
 from fedtrust.attacks import AttackSpec, certified_rows, pgd_batch
-from fedtrust.data import Dataset, PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
+from fedtrust.config import ExperimentConfig
+from fedtrust.data import (
+    FEATURE_CHUNK_ROWS,
+    CsvSchema,
+    Dataset,
+    PartitionMode,
+    PartitionSpec,
+    generate_synthetic,
+    load_csv,
+    partition,
+    save_dataset_csv,
+    train_test_split,
+)
+from fedtrust.errors import ConfigError
 from fedtrust.errors import InputError, MetricUndefinedError
+from fedtrust.experiment import _fold_split
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_round, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
@@ -986,7 +1000,7 @@ def assert_same_rows(got, want):
     for name in ("features", "labels", "sensitive"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
     assert got.class_count == want.class_count
 
 
@@ -1056,3 +1070,88 @@ def test_parts_are_consecutive_row_views_of_one_array(mode):
             assert offset == start * base.strides[0]
             start += len(v)
         assert start == len(base)
+
+
+def composed_fold(cfg, source=None):
+    """Fold 0's parts and test set by the public functions, one after the
+    other: the draw in its own order, the train split, the partition."""
+    fold_seed = cfg.fold_seed(0)
+    if source is None:
+        source = generate_synthetic(cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data"))
+    train, test = train_test_split(source, cfg.test_fraction, derive_seed(fold_seed, "split"))
+    spec = PartitionSpec(cfg.partition_mode, cfg.clients, cfg.dirichlet_alpha, seed=derive_seed(fold_seed, "partition"))
+    return partition(train, spec), test, train, spec
+
+
+def assert_fold_matches_composition(cfg, source=None):
+    parts, test = _fold_split(cfg, cfg.fold_seed(0), source)
+    want_parts, want_test, _, _ = composed_fold(cfg, source)
+    assert len(parts) == cfg.clients
+    for got, want in zip([*parts, test], [*want_parts, want_test], strict=True):
+        assert_same_rows(got, want)
+
+
+FOLD_SIZES = [FEATURE_CHUNK_ROWS - 1, FEATURE_CHUNK_ROWS, FEATURE_CHUNK_ROWS + 1, 3 * FEATURE_CHUNK_ROWS + 1]
+FOLD_PARTITIONS = [(PartitionMode.IID, 0.5), (PartitionMode.DIRICHLET, 0.5), (PartitionMode.DIRICHLET, 0.05)]
+
+
+def fold_config(n, mode, alpha, test_fraction, seed=3, clients=4, **keys):
+    return ExperimentConfig(
+        synthetic_n=n,
+        synthetic_d=5,
+        group_imbalance=0.4,
+        test_fraction=test_fraction,
+        partition_mode=mode,
+        dirichlet_alpha=alpha,
+        clients=clients,
+        master_seed=seed,
+        schemes=("loo",),
+        **keys,
+    )
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+@pytest.mark.parametrize("mode, alpha", FOLD_PARTITIONS)
+@pytest.mark.parametrize("edge", ["one test row per class", "middle", "a few train rows per client"])
+def test_fold_layout_matches_split_then_partition(n, mode, alpha, edge):
+    test_fraction = {"one test row per class": 1.5 / n, "middle": 0.3, "a few train rows per client": 1 - 14 / n}[edge]
+    assert_fold_matches_composition(fold_config(n, mode, alpha, test_fraction))
+
+
+def test_fold_layout_matches_through_the_repair():
+    repaired = 0
+    for seed in range(12):
+        cfg = fold_config(FEATURE_CHUNK_ROWS + 1, PartitionMode.DIRICHLET, 0.05, 1 - 16 / (FEATURE_CHUNK_ROWS + 1), seed=seed, clients=6)
+        assert_fold_matches_composition(cfg)
+        _, _, train, spec = composed_fold(cfg)
+        repaired += ref_partition(train, spec)[1] > 0
+    assert repaired >= 8  # the empty-client repair runs in most of these folds
+
+
+@pytest.mark.parametrize(
+    "test_fraction, message",
+    [(0.2 / 1_000, r"degenerate split: 1000 train / 0 test samples"), (1 - 5 / 1_000, r"need at least K\*C = 8 samples, have [4-6]$")],
+)
+@pytest.mark.parametrize("mode, alpha", FOLD_PARTITIONS)
+def test_fold_layout_keeps_the_split_and_partition_errors(test_fraction, message, mode, alpha):
+    cfg = fold_config(1_000, mode, alpha, test_fraction)
+    with pytest.raises(ConfigError, match=message) as want:
+        composed_fold(cfg)
+    with pytest.raises(ConfigError) as got:
+        _fold_split(cfg, cfg.fold_seed(0), None)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode, alpha", FOLD_PARTITIONS)
+def test_csv_fold_layout_matches_split_then_partition(tmp_path, mode, alpha):
+    rng = np.random.default_rng(8)
+    written = Dataset(rng.random((301, 4)), rng.integers(0, 3, 301), rng.random(301) < 0.5, class_count=3)
+    save_dataset_csv(written, tmp_path / "data.csv")
+    source = load_csv(tmp_path / "data.csv", CsvSchema("y", "s", "1"))
+    cfg = fold_config(301, mode, alpha, 0.25, data_source="csv", csv_path=str(tmp_path / "data.csv"), target_class=2)
+    assert_fold_matches_composition(cfg, source)
+    parts, test = _fold_split(cfg, cfg.fold_seed(0), source)
+    # gathered once: one array for the whole fold, apart from the source
+    base = test.features.base
+    assert all(p.features.base is base for p in parts) and len(base) == len(source)
+    assert not np.shares_memory(base, source.features)

@@ -343,11 +343,18 @@ def client_rows(labels: np.ndarray, class_count: int, spec: PartitionSpec) -> li
 
 
 def _row_views(pool: Dataset, sizes: Sequence[int]) -> list[Dataset]:
+    """Consecutive row views of the checked, read-only ``pool``, ``sizes[i]``
+    rows each. A view of checked rows needs no second check, so each view
+    is set on a bare ``Dataset`` rather than through ``__post_init__``."""
     bounds = np.cumsum([0, *sizes]).tolist()
-    return [
-        Dataset(pool.features[a:b], pool.labels[a:b], pool.sensitive[a:b], pool.class_count)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    views = []
+    for a, b in zip(bounds, bounds[1:]):
+        view = object.__new__(Dataset)
+        for name in ("features", "labels", "sensitive"):
+            object.__setattr__(view, name, getattr(pool, name)[a:b])
+        object.__setattr__(view, "class_count", pool.class_count)
+        views.append(view)
+    return views
 
 
 def gather(data: Dataset, groups: Sequence[np.ndarray]) -> list[Dataset]:

@@ -40,10 +40,17 @@ The scheme cores carry coalitions as int bitmasks over the round's sorted
 client ids; everywhere else a coalition is the sorted tuple of its ids. The
 utility game maps each mask to its tuple through the cache's table of the
 round's coalitions (one dict, built on first use, so GTG's K may be too
-large for a 2^K list), and the memo is keyed by that tuple. The cache looks
+large for a 2^K list). The memo holds one dict per (round, metric), keyed
+by that tuple, so an entry shares its key with the table. The cache looks
 a subset up as given, so a repeated request costs one dict lookup; a subset
 the memo does not know is sorted and checked before it is looked up again
 or computed.
+
+A GTG round asks for every coalition on each metric, so the round's state
+is held compactly: a coalition's clean predictions as the narrowest
+unsigned type of its model's classes (one byte per test row up to 256
+classes; the metrics only compare them), and GTG's permutations as one-byte
+positions in the sorted client ids.
 """
 
 from __future__ import annotations
@@ -85,11 +92,14 @@ class CoalitionCache:
     A coalition is the sorted tuple of its client ids. :meth:`compute` is
     the one place that computes utilities: it aggregates each (round,
     coalition) once and runs it forward on the clean test inputs once; the
-    aggregate and its predictions are kept for the latest round only and
-    shared by every metric, beside that round's table from bitmask to
-    coalition (see :meth:`coalitions`). On ``res`` it attacks a list's new
-    coalitions together, in PGD groups. :meth:`utility` reads the memo and
-    computes only a coalition it does not know, through :meth:`compute`.
+    aggregate and its predictions, narrowed to
+    ``np.min_scalar_type(class_count - 1)``, are kept for the latest round
+    only and shared by every metric, beside that round's table from
+    bitmask to coalition (see :meth:`coalitions`). The memo is one dict
+    per (round, metric) from coalition to utility, keyed by the table's
+    tuples. On ``res`` :meth:`compute` attacks a list's new coalitions
+    together, in PGD groups. :meth:`utility` reads the memo and computes
+    only a coalition it does not know, through :meth:`compute`.
 
     ``evaluations`` counts the utilities computed, ``reads`` the utilities
     that :meth:`utility` returned (a fallback's read of the empty coalition
@@ -102,7 +112,7 @@ class CoalitionCache:
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[int, Metric, Coalition], float] = {}
+        self._memo: dict[tuple[int, Metric], dict[Coalition, float]] = {}
         self._round: int | None = None
         self._coalitions: dict[int, Coalition] = {}
         self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
@@ -132,8 +142,9 @@ class CoalitionCache:
         # subset is first looked up as given: a repeated request for a sorted
         # tuple costs one dict lookup. Only a subset the memo does not know
         # is sorted and checked.
+        memo = self._memo.get((record.round, metric))
         try:
-            value = self._memo.get((record.round, metric, subset))
+            value = None if memo is None else memo.get(subset)
         except TypeError:  # an unhashable subset, such as a list
             value = None
         if value is None:
@@ -142,29 +153,34 @@ class CoalitionCache:
             if unknown:
                 raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
             members = tuple(sorted(map(int, ids)))
-            key = (record.round, metric, members)
-            if key not in self._memo:
-                self.compute(record, [members], metric, ctx)
-            value = self._memo[key]
+            memo = self.compute(record, [members], metric, ctx)
+            value = memo[members]
         self.reads += 1
         return value
 
     def compute(
         self, record: RoundRecord, coalitions: Iterable[Coalition], metric: Metric, ctx: EvalContext
-    ) -> None:
+    ) -> dict[Coalition, float]:
         """Compute and memoize the ``metric`` utilities of ``coalitions``
         (sorted tuples of the round's client ids) that the memo does not
         hold, each once, in list order: on ``res`` their aggregates are
         attacked together (``metrics.adversarial_predictions``). The empty
-        coalition is evaluated first, so that a fallback reads it."""
+        coalition is evaluated first, so that a fallback reads it. Returns
+        the memo of the round and ``metric``."""
         self.coalitions(record)  # a new round drops the previous round's aggregates
-        new = [c for c in dict.fromkeys(coalitions) if (record.round, metric, c) not in self._memo]
+        memo = self._memo.setdefault((record.round, metric), {})
+        new = [c for c in dict.fromkeys(coalitions) if c not in memo]
         aggregates = []
         for members in new:
             aggregate = self._aggregates.get(members)
             if aggregate is None:
                 model = fedavg(record.global_before, [record.update_for(k) for k in members])
-                aggregate = self._aggregates[members] = (model, predict_batch(model, ctx.test.features))
+                # metrics only compare predicted classes, so one byte per
+                # test row holds them up to 256 classes
+                clean = predict_batch(model, ctx.test.features).astype(
+                    np.min_scalar_type(model.architecture.class_count - 1)
+                )
+                aggregate = self._aggregates[members] = (model, clean)
             aggregates.append(aggregate)
         adversarial: list[np.ndarray | None] = [None] * len(new)
         if metric is Metric.RES:
@@ -188,7 +204,8 @@ class CoalitionCache:
                 self.undefined += 1
                 value = self.utility(record, (), metric, ctx) if members else 0.0
             self.evaluations += 1
-            self._memo[(record.round, metric, members)] = value
+            memo[members] = value
+        return memo
 
 
 def coalition_utility(
@@ -307,21 +324,22 @@ def gtg_permutations(clients: Sequence[int], round_idx: int, vcfg: ValuationConf
     """Balanced permutation sample: client (r mod K) leads permutation r.
 
     Row r of the read-only (R, K) array, R = ``permutation_budget(K,
-    vcfg.eps2)``, is permutation r, in client ids. A lead whose quota
-    covers its whole stratum gets the suffixes by lexicographic enumeration
-    (this is what makes eps2 = 1 reproduce the exact permutation set);
-    otherwise suffixes are independent seeded shuffles keyed by (perm_seed,
-    round, r). The latest sample is kept, so a round's four metrics share
-    one draw; ``clients`` must be hashable.
+    vcfg.eps2)``, is permutation r, as positions in the sorted ``clients``
+    (``np.min_scalar_type(K - 1)``: one byte each up to 256 clients). A
+    lead whose quota covers its whole stratum gets the suffixes by
+    lexicographic enumeration (this is what makes eps2 = 1 reproduce the
+    exact permutation set); otherwise suffixes are independent seeded
+    shuffles keyed by (perm_seed, round, r). The latest sample is kept, so
+    a round's four metrics share one draw; ``clients`` must be hashable.
     """
-    clients = tuple(sorted(clients))
     k = len(clients)
     budget = permutation_budget(k, vcfg.eps2)
     stratum = math.factorial(k - 1)
+    position = np.min_scalar_type(k - 1)
     leads = np.arange(budget) % k
     # row i: the positions of every client but the i-th, in order
-    rests = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
-    order = np.empty((budget, k), dtype=np.intp)
+    rests = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=position)
+    order = np.empty((budget, k), dtype=position)
     order[:, 0] = leads
     order[:, 1:] = rests[leads]
     enumerated = {
@@ -330,16 +348,15 @@ def gtg_permutations(clients: Sequence[int], round_idx: int, vcfg: ValuationConf
         if len(range(i, budget, k)) >= stratum and stratum <= _SUFFIX_ENUM_LIMIT
     }
     if enumerated:
-        suffixes = np.array(list(permutations(range(k - 1))), dtype=np.intp)
+        suffixes = np.array(list(permutations(range(k - 1))), dtype=position)
         for i in enumerated:
             rows = np.arange(i, budget, k)
             order[rows, 1:] = rests[i][suffixes[rows // k]]
     drawn = [r for r in range(budget) if r % k not in enumerated]
     for r, rng in zip(drawn, rng_streams(vcfg.perm_seed, "perm", round_idx, indices=drawn)):
         rng.shuffle(order[r, 1:])
-    perms = np.array(clients)[order]
-    perms.flags.writeable = False
-    return perms
+    order.flags.writeable = False
+    return order
 
 
 def gtg_shapley_values(
@@ -362,7 +379,7 @@ def gtg_shapley_values(
     v_empty, v_full = u([0, (1 << k) - 1])
     if abs(v_full - v_empty) < vcfg.eps1:
         return {c: 0.0 for c in clients}
-    order = np.searchsorted(clients, gtg_permutations(clients, round_idx, vcfg))
+    order = gtg_permutations(clients, round_idx, vcfg)
     budget = len(order)
     # int64 masks up to 62 clients, Python ints past that
     bits = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)

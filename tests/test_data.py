@@ -11,6 +11,7 @@ from fedtrust.data import (
     Dataset,
     PartitionMode,
     PartitionSpec,
+    gather,
     generate_synthetic,
     load_csv,
     normalize_minmax,
@@ -237,6 +238,33 @@ class TestPartition:
         ds = generate_synthetic(10, 2, 0.0, seed=0)
         with pytest.raises(ConfigError):
             partition(ds, PartitionSpec(PartitionMode.IID, 8, seed=0))
+
+    def test_gather_checks_its_pool_once(self, monkeypatch):
+        ds = generate_synthetic(120, 2, 0.0, seed=13)
+        groups = [np.arange(0, 40), np.arange(60, 120), np.arange(40, 60)]
+        checks = []
+
+        def counting_isfinite(x, *args, **kwargs):
+            checks.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        parts = gather(ds, groups)
+        # the gathered pool is checked; its row views are not checked again
+        assert checks == [(120, 2)]
+        base = parts[0].features.base
+        for part, rows in zip(parts, groups):
+            assert part.features.base is base and not part.features.flags.writeable
+            assert not part.labels.flags.writeable and not part.sensitive.flags.writeable
+            assert np.array_equal(part.features, ds.features[rows])
+            assert np.array_equal(part.labels, ds.labels[rows])
+            assert part.class_count == ds.class_count
+        # a Dataset a caller builds from those rows is still checked
+        features = parts[0].features.copy()
+        features[0, 0] = np.nan
+        with pytest.raises(DataError):
+            Dataset(features, parts[0].labels, parts[0].sensitive, 2)
 
     def test_deterministic(self):
         ds = generate_synthetic(120, 2, 0.0, seed=13)

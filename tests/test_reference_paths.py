@@ -868,7 +868,8 @@ def test_gtg_permutations_match_one_stream_per_permutation(k, eps2):
     budget = valuation.permutation_budget(k, eps2)
     got = valuation.gtg_permutations(clients, 5, vcfg)
     assert got.shape == (budget, k) and not got.flags.writeable
-    assert got.tolist() == [list(p) for p in ref_gtg_permutations(clients, budget, 5, vcfg)]
+    # rows hold positions in the sorted clients
+    assert np.array(clients)[got].tolist() == [list(p) for p in ref_gtg_permutations(clients, budget, 5, vcfg)]
 
 
 GTG_CASES = {

@@ -2,7 +2,8 @@
 
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
-``scheme_agreement`` then checks the methods it calls, and canned result
+``scheme_agreement`` then checks the methods it calls, a run of
+``memory_stages`` on the smoke config checks what it prints, and canned result
 lines check how ``bench_pairs`` assembles a BENCH file, a run that fails
 how it keeps the other pairs, a run that fails a check how it keeps that
 check beside the other side's result, synthetic run records how it checks
@@ -13,6 +14,7 @@ revision.
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["scheme_agreement", "bench_pairs"])
+@pytest.mark.parametrize("name", ["scheme_agreement", "bench_pairs", "memory_stages"])
 def test_script_imports(name):
     assert callable(load(name).main)
 
@@ -38,6 +40,20 @@ def test_scheme_agreement_one_seed():
     assert result.phi == pytest.approx(1.0)
     # distinct coalitions requested: exact asks for all 2^4 in each of 10 rounds
     assert (gtg_requested, exact_requested) == (105, 160)
+
+
+def test_memory_stages_prints_a_peak_per_stage_of_the_smoke_fold():
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_stages.py"), str(SCRIPTS.parent / "configs" / "smoke.txt")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    figures = json.loads(run.stdout.splitlines()[-1])
+    assert list(figures) == ["after_fold_split_mb", "after_run_training_mb", "after_score_rounds_mb"]
+    peaks = list(figures.values())
+    # a peak never falls
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2]
 
 
 def result_line(correct, run_s, rss):

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as all_perms
 
@@ -412,6 +413,38 @@ class TestRoundWrappers:
                 for scheme, scores in rounds.items():
                     without_cache.add_round_scores(scheme, metric, record.round, scores)
         assert with_cache.entries == without_cache.entries
+
+
+class TestCompactRoundState:
+    def test_gtg_round_holds_about_a_byte_per_coalition_and_test_row(self):
+        records, _ = trained_records(k=8, rounds=2, n=400)
+        test = generate_synthetic(2_000, 3, 0.2, seed=1)
+        ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 5), AttackSpec(0.1, 0.02, 5))
+        vcfg = ValuationConfig(eps1=0.0, eps3=0.0)
+        cache = CoalitionCache()
+        gtg_permutations.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            score_rounds(records[1:], [Scheme.GTG], [Metric.PERF], ctx, vcfg, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.evaluations == 2**8
+        # each coalition's clean predictions take one byte per test row; its
+        # aggregate, the memo, the scan's arrays and one forward pass's
+        # temporaries bring that to 2.3 (9.8 with int64 predictions)
+        assert (peak - start) / (cache.evaluations * len(test)) < 3
+
+    # every eps2 > 0 makes the budget infeasible from 181 clients; at 170
+    # the smallest eps2 gives the floor budget of K permutations
+    @pytest.mark.parametrize("k", [2, 8, 170])
+    def test_gtg_permutations_are_one_byte_positions(self, k):
+        vcfg = ValuationConfig(eps2=5e-324)
+        perms = gtg_permutations(tuple(range(100, 100 + 2 * k, 2)), 2, vcfg)
+        assert perms.dtype.itemsize == 1
+        assert perms.shape == (k, k) and not perms.flags.writeable
+        assert all(sorted(row) == list(range(k)) for row in perms.tolist())
 
 
 class TestAccumulate:

@@ -7,7 +7,7 @@ Runs fold 0 of CONFIG in this process, writing its files to a temporary
 directory in place of the config's output directory, and prints one JSON
 line: the process's peak resident set size (``ru_maxrss``, in MB of 10^6
 bytes as the benchmark reports ``peak_rss_mb``) right after
-``experiment._fold_split``, after ``run_training`` and after
+``data.fold_split``, after ``run_training`` and after
 ``score_rounds``. The peak never falls, so the first figure that exceeds
 the one before it names the stage that raised it. The program is
 imported from this checkout's ``src/``.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # the names run_fold calls, in the order it calls them
-STAGES = ("_fold_split", "run_training", "score_rounds")
+STAGES = ("fold_split", "run_training", "score_rounds")
 
 
 def peak_mb() -> float:
@@ -44,7 +44,7 @@ def fold_stages(config_path) -> dict[str, float]:
     def measured(stage, fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            figures[f"after_{stage.lstrip('_')}_mb"] = peak_mb()
+            figures[f"after_{stage}_mb"] = peak_mb()
             return result
 
         return wrapper

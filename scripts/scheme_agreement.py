@@ -12,8 +12,12 @@ Usage: python scripts/scheme_agreement.py [n_seeds] [eps2]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# the program is imported from this checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedtrust.analysis import spearman_flagged
 from fedtrust.attacks import AttackSpec

@@ -24,13 +24,14 @@ _MODULE_EXPORTS = {
         "ExperimentConfig",
         "FairnessSpec",
         "NoiseSpec",
+        "PartitionSpec",
         "Scheme",
         "TrainingConfig",
         "ValuationConfig",
         "parse_config_file",
         "parse_config_text",
     ),
-    "data": ("Dataset", "PartitionSpec", "generate_synthetic", "load_csv", "partition", "train_test_split"),
+    "data": ("Dataset", "generate_synthetic", "load_csv", "partition", "train_test_split"),
     "experiment": ("analyze_run_dir", "run_experiment", "run_fold"),
     "federation": ("ClientUpdate", "RoundRecord", "fedavg", "local_train", "run_training"),
     "metrics": ("EvalContext", "Metric", "fair", "perf", "rel", "res"),

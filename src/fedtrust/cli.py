@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .config import parse_config_file
-from .data import Dataset, save_dataset_csv
+from .data import Dataset, fold_dataset, save_dataset_csv
 from .errors import ConfigError, FedTrustError
-from .experiment import analyze_run_dir, fold_dataset, run_experiment
+from .experiment import analyze_run_dir, run_experiment
 from .metrics import FairnessSpec, demographic_parity_gap, fair, perf, res
 
 

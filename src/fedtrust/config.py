@@ -6,12 +6,13 @@ Defaults mirror the experimental protocol this artifact reproduces: K=4
 clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 (0.007, 0.3, 40) and GTG thresholds eps1=0.001, eps2=0.05, eps3=0.002.
 
-The layers' settings (:class:`AttackSpec`, :class:`TrainingConfig`,
-:class:`FairnessSpec`, :class:`NoiseSpec`, :class:`Scheme`,
-:class:`ValuationConfig`) and the schemes' client limits
-(``EXACT_CLIENT_LIMIT``, :func:`permutation_budget`) are defined here, and
-their layers import them, so that parsing a config loads no layer above
-``data`` and rejects a scheme that cannot run before any fold trains.
+Every settings type (the data's :class:`PartitionSpec` and :class:`CsvSchema`,
+the layers' :class:`AttackSpec`, :class:`TrainingConfig`, :class:`FairnessSpec`,
+:class:`NoiseSpec`, :class:`Scheme` and :class:`ValuationConfig`) and every
+bound that no fold can run past (the synthetic draw's and the schemes' client
+limits) is defined here and imported by its layer. So this module imports only
+``errors`` and ``seeding``, and parsing rejects a config that would fail every
+fold before any fold runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .data import CsvSchema, PartitionMode, PartitionSpec
 from .errors import ConfigError
 from .seeding import derive_seed
 
@@ -154,6 +154,59 @@ class ValuationConfig:
             raise ConfigError("eps2 must lie in (0, 1]")
 
 
+class PartitionMode(str, Enum):
+    IID = "iid"
+    DIRICHLET = "dirichlet"
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    mode: PartitionMode
+    client_count: int
+    dirichlet_alpha: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", PartitionMode(self.mode))
+        if self.client_count < 2:
+            raise ConfigError("need at least two clients")
+        if not math.isfinite(self.dirichlet_alpha):
+            raise ConfigError(f"dirichlet_alpha must be finite, got {self.dirichlet_alpha}")
+        if self.mode is PartitionMode.DIRICHLET and not self.dirichlet_alpha > 0:
+            raise ConfigError("dirichlet_alpha must be positive")
+
+
+@dataclass(frozen=True)
+class CsvSchema:
+    """Column roles for ``data.load_csv``.
+
+    Every non-label, non-sensitive column is a feature. Feature columns
+    whose cells all parse as floats are min-max normalized; any other column
+    is one-hot expanded over its sorted distinct values.
+    """
+
+    label: str
+    sensitive: str
+    positive_sensitive_value: str
+
+
+# The synthetic generator draws a binary label.
+SYNTHETIC_CLASSES = 2
+
+
+def check_synthetic_shape(n: int, d: int) -> None:
+    if n < 10 or d < 2:
+        raise ConfigError(f"need n >= 10 and d >= 2, got n={n}, d={d}")
+
+
+def check_target_class(target_class: int, class_count: int) -> None:
+    if target_class >= class_count:
+        raise ConfigError(
+            f"metrics.target_class {target_class} is not a class of the "
+            f"{class_count}-class dataset"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # data
@@ -219,6 +272,10 @@ class ExperimentConfig:
         NoiseSpec(self.sigma, 0)
         FairnessSpec(self.target_class)
         PartitionSpec(self.partition_mode, self.clients, self.dirichlet_alpha)
+        # a CSV's shape and classes are known only once it is read
+        if self.data_source == "synthetic":
+            check_synthetic_shape(self.synthetic_n, self.synthetic_d)
+            check_target_class(self.target_class, SYNTHETIC_CLASSES)
         # every round scores all the clients, so a scheme that cannot run on
         # them fails here, before any fold trains
         if Scheme.EXACT in self.schemes and self.clients > EXACT_CLIENT_LIMIT:

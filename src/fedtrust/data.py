@@ -13,25 +13,32 @@ once, as consecutive row views of one array. ``train_test_split`` (with
 compositions. The synthetic draw comes in two parts as well:
 ``synthetic_labels`` draws the labels and sensitive bits, which its stream
 draws first, and the feature draw writes the feature rows, a chunk at a
-time, to given rows of one array. So a caller that lays out the rows from
-the labels can have each row's features drawn straight into their place
-(``synthetic_groups``), and never hold the draw in its own order.
+time, to given rows of one array. :func:`fold_split`, the one owner of a
+fold's layout, lays out the rows from the labels and draws each synthetic
+row's features straight into their place, so a fold never holds its draw in
+its own order (:func:`fold_dataset` is that draw in its own order).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .atomic import atomic_open, make_dirs
+from .config import (
+    SYNTHETIC_CLASSES,
+    CsvSchema,
+    ExperimentConfig,
+    PartitionMode,
+    PartitionSpec,
+    check_synthetic_shape,
+)
 from .errors import ConfigError, DataError, SchemaError
-from .seeding import rng_from
+from .seeding import derive_seed, rng_from
 
 
 @dataclass(frozen=True)
@@ -75,28 +82,6 @@ class Dataset:
         )
 
 
-class PartitionMode(str, Enum):
-    IID = "iid"
-    DIRICHLET = "dirichlet"
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    mode: PartitionMode
-    client_count: int
-    dirichlet_alpha: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", PartitionMode(self.mode))
-        if self.client_count < 2:
-            raise ConfigError("need at least two clients")
-        if not math.isfinite(self.dirichlet_alpha):
-            raise ConfigError(f"dirichlet_alpha must be finite, got {self.dirichlet_alpha}")
-        if self.mode is PartitionMode.DIRICHLET and not self.dirichlet_alpha > 0:
-            raise ConfigError("dirichlet_alpha must be positive")
-
-
 # Rows per chunk of the synthetic feature draw. At d = 8 a chunk is 64 kB;
 # 4,096-row chunks left a 40,000-row fold's peak RSS about 0.3 MB higher.
 FEATURE_CHUNK_ROWS = 1024
@@ -108,8 +93,7 @@ def synthetic_labels(
     """The labels and sensitive bits of ``generate_synthetic(n, d,
     group_imbalance, seed)``, which its stream draws before the features,
     and that stream, positioned at the feature draw."""
-    if n < 10 or d < 2:
-        raise ConfigError(f"need n >= 10 and d >= 2, got n={n}, d={d}")
+    check_synthetic_shape(n, d)
     if not 0.0 <= group_imbalance < 1.0:
         raise ConfigError("group_imbalance must lie in [0, 1)")
     rng = rng_from(seed, "synthetic")
@@ -152,44 +136,7 @@ def generate_synthetic(
     labels, sensitive, rng = synthetic_labels(n, d, group_imbalance, seed)
     features = np.empty((n, d))
     _draw_features(rng, labels, features)
-    return Dataset(features, labels, sensitive, class_count=2)
-
-
-def synthetic_groups(
-    labels: np.ndarray,
-    sensitive: np.ndarray,
-    rng: np.random.Generator,
-    d: int,
-    groups: Sequence[np.ndarray],
-) -> list[Dataset]:
-    """Finish the draw that ``synthetic_labels`` began straight into the
-    layout of :func:`gather`: ``groups`` splits the rows of the draw, each
-    exactly once, and each group comes back as a consecutive read-only row
-    view of one array. The draw is never held in its own order."""
-    order = np.concatenate(groups)
-    rows = np.empty_like(order)
-    rows[order] = np.arange(len(order))
-    placed_labels, placed_sensitive = labels[order], sensitive[order]
-    del order
-    features = np.empty((len(rows), d))
-    _draw_features(rng, labels, features, rows)
-    del rows
-    pool = Dataset(features, placed_labels, placed_sensitive, class_count=2)
-    return _row_views(pool, [len(g) for g in groups])
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column roles for :func:`load_csv`.
-
-    Every non-label, non-sensitive column is a feature. Feature columns
-    whose cells all parse as floats are min-max normalized; any other column
-    is one-hot expanded over its sorted distinct values.
-    """
-
-    label: str
-    sensitive: str
-    positive_sensitive_value: str
+    return Dataset(features, labels, sensitive, class_count=SYNTHETIC_CLASSES)
 
 
 def normalize_minmax(column: np.ndarray) -> np.ndarray:
@@ -381,3 +328,61 @@ def partition(train: Dataset, spec: PartitionSpec) -> list[Dataset]:
     rows once, in client order.
     """
     return gather(train, client_rows(train.labels, train.class_count, spec))
+
+
+def fold_dataset(cfg: ExperimentConfig, fold_seed: int) -> Dataset:
+    """The synthetic draw of the fold seeded ``fold_seed``, in its own
+    order; :func:`fold_split` draws the same rows straight into its layout."""
+    return generate_synthetic(
+        cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
+    )
+
+
+def fold_split(
+    cfg: ExperimentConfig, fold_seed: int, source: Dataset | None
+) -> tuple[list[Dataset], Dataset]:
+    """The client parts and test set of the fold seeded ``fold_seed``:
+    consecutive read-only row views of one array that holds the fold's rows
+    once, laid out as client 0 ... client K-1, then test.
+
+    The layout is computed from the labels alone: the split's rows, then
+    each client's rows among the train rows. A CSV ``source`` is gathered
+    once by that layout. Without one, the fold draws its labels first and
+    then each row's features straight into their place, so it never holds
+    its draw in its own order or a train split: building a 40,000-row
+    fold's data peaks at about 1.4 times the generated bytes.
+    """
+    if source is None:
+        labels, sensitive, rng = synthetic_labels(
+            cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
+        )
+        class_count = SYNTHETIC_CLASSES
+    else:
+        labels, class_count = source.labels, source.class_count
+    train_rows, test_rows = split_rows(
+        labels, class_count, cfg.test_fraction, derive_seed(fold_seed, "split")
+    )
+    spec = PartitionSpec(
+        cfg.partition_mode,
+        cfg.clients,
+        cfg.dirichlet_alpha,
+        seed=derive_seed(fold_seed, "partition"),
+    )
+    groups = [train_rows[rows] for rows in client_rows(labels[train_rows], class_count, spec)]
+    groups.append(test_rows)
+    del train_rows, test_rows
+    if source is None:
+        # row i of the draw goes to rows[i] of the layout
+        order = np.concatenate(groups)
+        rows = np.empty_like(order)
+        rows[order] = np.arange(len(order))
+        placed_labels, placed_sensitive = labels[order], sensitive[order]
+        del order
+        features = np.empty((len(rows), cfg.synthetic_d))
+        _draw_features(rng, labels, features, rows)
+        del rows
+        pool = Dataset(features, placed_labels, placed_sensitive, class_count)
+        *parts, test = _row_views(pool, [len(g) for g in groups])
+    else:
+        *parts, test = gather(source, groups)
+    return parts, test

@@ -32,18 +32,8 @@ from pathlib import Path
 from . import nn
 from .analysis import AnalysisReport, build_report, remove_report, write_report
 from .atomic import atomic_open, make_dirs, output_errors
-from .config import ExperimentConfig
-from .data import (
-    Dataset,
-    PartitionSpec,
-    client_rows,
-    gather,
-    generate_synthetic,
-    load_csv,
-    split_rows,
-    synthetic_groups,
-    synthetic_labels,
-)
+from .config import ExperimentConfig, check_target_class
+from .data import Dataset, fold_split, load_csv
 from .errors import ConfigError, DataError, FedTrustError, InputError, OutputError
 from .federation import RunWriter, run_training
 from .metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
@@ -60,20 +50,8 @@ from .valuation import (
 logger = logging.getLogger(__name__)
 
 
-def fold_dataset(cfg: ExperimentConfig, fold_seed: int) -> Dataset:
-    """The synthetic draw of the fold seeded ``fold_seed``, in its own
-    order; ``run_fold`` draws the same rows straight into its layout."""
-    return generate_synthetic(
-        cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
-    )
-
-
 def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> nn.Architecture:
-    if cfg.target_class >= class_count:
-        raise ConfigError(
-            f"metrics.target_class {cfg.target_class} is not a class of the "
-            f"{class_count}-class dataset"
-        )
+    check_target_class(cfg.target_class, class_count)
     if cfg.output_activation == "sigmoid":
         if class_count != 2:
             raise ConfigError("sigmoid output needs a binary dataset")
@@ -86,55 +64,12 @@ def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> 
     )
 
 
-def _fold_split(
-    cfg: ExperimentConfig, fold_seed: int, source: Dataset | None
-) -> tuple[list[Dataset], Dataset]:
-    """The fold's client parts and test set: consecutive read-only row
-    views of one array that holds the fold's rows once, laid out as client
-    0 ... client K-1, then test.
-
-    The layout is computed from the labels alone: the split's rows, then
-    each client's rows among the train rows. A CSV ``source`` is gathered
-    once by that layout. A synthetic fold draws its labels first and then
-    each row's features straight into their place, so the fold never holds
-    its draw in its own order or a train split: building a 40,000-row
-    fold's data peaks at about 1.4 times the generated bytes.
-    """
-    if source is None:
-        labels, sensitive, rng = synthetic_labels(
-            cfg.synthetic_n, cfg.synthetic_d, cfg.group_imbalance, derive_seed(fold_seed, "data")
-        )
-        class_count = 2
-    else:
-        labels, class_count = source.labels, source.class_count
-    train_rows, test_rows = split_rows(
-        labels, class_count, cfg.test_fraction, derive_seed(fold_seed, "split")
-    )
-    spec = PartitionSpec(
-        cfg.partition_mode,
-        cfg.clients,
-        cfg.dirichlet_alpha,
-        seed=derive_seed(fold_seed, "partition"),
-    )
-    groups = [train_rows[rows] for rows in client_rows(labels[train_rows], class_count, spec)]
-    groups.append(test_rows)
-    del train_rows, test_rows
-    if source is None:
-        *parts, test = synthetic_groups(labels, sensitive, rng, cfg.synthetic_d, groups)
-    else:
-        *parts, test = gather(source, groups)
-    return parts, test
-
-
 def run_fold(
     cfg: ExperimentConfig, fold: int, fold_dir, source: Dataset | None = None
 ) -> ScoreTable:
-    """Run one repetition and persist every stage into ``fold_dir``.
-
-    The fold holds its rows once: its client parts and test set are views
-    of one array, built by ``_fold_split`` without a train split or the
-    synthetic draw in its own order. A CSV ``source`` stays with the
-    caller, shared by every fold.
+    """Run one repetition and persist every stage into ``fold_dir``: the
+    fold's data (``data.fold_split``), training, scoring, then the score
+    files. A CSV ``source`` stays with the caller, shared by every fold.
     """
     fold_dir = Path(fold_dir)
     for stale in fold_dir.glob("round_*"):
@@ -142,7 +77,7 @@ def run_fold(
             with output_errors(stale):
                 shutil.rmtree(stale)
     fold_seed = cfg.fold_seed(fold)
-    parts, test = _fold_split(cfg, fold_seed, source)
+    parts, test = fold_split(cfg, fold_seed, source)
     arch = _architecture(cfg, test.feature_dim, test.class_count)
     init = nn.init_params(arch, derive_seed(fold_seed, "init"))
     tcfg = cfg.training_config(seed=derive_seed(fold_seed, "train"))

@@ -39,8 +39,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_open, make_dirs
-# OPTIMIZERS is not read here; it is imported so that its old path resolves.
-from .config import OPTIMIZERS, TrainingConfig
+from .config import TrainingConfig
 from .data import Dataset
 from .errors import ConfigError, InputError, NumericError
 from .nn import ModelParams

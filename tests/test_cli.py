@@ -14,8 +14,8 @@ from fedtrust import atomic
 from fedtrust.analysis import REPORT_FILES
 from fedtrust.cli import main
 from fedtrust.config import ExperimentConfig
-from fedtrust.data import CsvSchema, load_csv
-from fedtrust.experiment import _fold_split, analyze_run_dir, run_experiment, run_fold
+from fedtrust.data import CsvSchema, fold_split, load_csv
+from fedtrust.experiment import analyze_run_dir, run_experiment, run_fold
 from fedtrust.valuation import Scheme, read_scores_csv
 
 SMOKE = """
@@ -137,6 +137,22 @@ class TestRun:
         config = write_smoke_config(tmp_path, out_dir, extra)
         assert main(["run", str(config)]) == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("data.n = 5\n", "need n >= 10 and d >= 2, got n=5, d=3"),
+            ("data.d = 1\n", "need n >= 10 and d >= 2, got n=80, d=1"),
+            ("metrics.target_class = 2\n", "target_class 2 is not a class of the 2-class dataset"),
+        ],
+    )
+    def test_synthetic_settings_that_fail_every_fold_fail_before_any_fold(self, tmp_path, capsys, extra, message):
+        out_dir = tmp_path / "out"
+        config = write_smoke_config(tmp_path, out_dir, extra + "experiment.folds = 2\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "every fold failed" not in err
         assert not out_dir.exists()
 
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
@@ -482,7 +498,7 @@ class TestExperimentMachinery:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            parts, test = _fold_split(cfg, fold_seed, None)
+            parts, test = fold_split(cfg, fold_seed, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

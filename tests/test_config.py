@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +19,7 @@ from fedtrust.federation import TrainingConfig
 from fedtrust.metrics import NoiseSpec
 from fedtrust.valuation import Scheme, ValuationConfig
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def float_fields(cls):
     return [f.name for f in dataclasses.fields(cls) if f.type == "float"]
@@ -47,6 +53,10 @@ class TestDefaults:
         assert (cfg.eps1, cfg.eps2, cfg.eps3) == (0.001, 0.05, 0.002)
         assert cfg.dirichlet_alpha == 0.5
         assert cfg.partition_mode is PartitionMode.DIRICHLET
+
+    def test_default_config_file_is_the_built_in_defaults(self):
+        # the file's header says every key it shows equals the built-in default
+        assert parse_config_file(ROOT / "configs" / "default.txt") == ExperimentConfig()
 
     def test_fold_seeds_distinct_and_stable(self):
         cfg = ExperimentConfig(master_seed=42)
@@ -174,6 +184,32 @@ class TestParser:
         assert valuation.EXACT_CLIENT_LIMIT is config.EXACT_CLIENT_LIMIT == 12
         assert valuation.permutation_budget is config.permutation_budget
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("data.n = 9", r"need n >= 10 and d >= 2, got n=9, d=8"),
+            ("data.d = 1", r"need n >= 10 and d >= 2, got n=2000, d=1"),
+            ("metrics.target_class = 2", r"metrics.target_class 2 is not a class of the 2-class dataset"),
+        ],
+    )
+    def test_synthetic_settings_that_fail_every_fold_fail_at_parse(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(line + "\n")
+
+    def test_synthetic_bounds_hold_at_their_edge_and_not_for_a_csv(self):
+        parse_config_text("data.n = 10\ndata.d = 2\nmetrics.target_class = 1\n")
+        # a CSV's shape and classes are checked once it is read
+        cfg = parse_config_text("data.source = csv\ndata.csv_path = in.csv\ndata.n = 5\nmetrics.target_class = 4\n")
+        assert (cfg.synthetic_n, cfg.target_class) == (5, 4)
+
+    def test_synthetic_bounds_are_defined_once(self):
+        from fedtrust import data, experiment
+
+        assert data.check_synthetic_shape is config.check_synthetic_shape
+        assert experiment.check_target_class is config.check_target_class
+        with pytest.raises(ConfigError, match=r"need n >= 10 and d >= 2, got n=9, d=8"):
+            data.generate_synthetic(9, 8, 0.3, seed=0)
+
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")
         assert cfg == ExperimentConfig()
@@ -227,3 +263,11 @@ def test_parsed_config_is_rejected_or_all_finite(lines):
         return
     for name in float_fields(ExperimentConfig):
         assert math.isfinite(getattr(cfg, name))
+
+
+def test_config_is_the_bottom_layer():
+    # parsing a config loads no fedtrust module but errors and seeding
+    code = "import json, sys, fedtrust.config; print(json.dumps(sorted(m for m in sys.modules if m.startswith('fedtrust'))))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == ["fedtrust", "fedtrust.config", "fedtrust.errors", "fedtrust.seeding"]

@@ -27,6 +27,7 @@ from fedtrust.data import (
     PartitionMode,
     PartitionSpec,
     generate_synthetic,
+    fold_split,
     load_csv,
     partition,
     save_dataset_csv,
@@ -34,7 +35,6 @@ from fedtrust.data import (
 )
 from fedtrust.errors import ConfigError
 from fedtrust.errors import InputError, MetricUndefinedError
-from fedtrust.experiment import _fold_split
 from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, local_train, run_round, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, evaluate
 from fedtrust.nn import (
@@ -1085,7 +1085,7 @@ def composed_fold(cfg, source=None):
 
 
 def assert_fold_matches_composition(cfg, source=None):
-    parts, test = _fold_split(cfg, cfg.fold_seed(0), source)
+    parts, test = fold_split(cfg, cfg.fold_seed(0), source)
     want_parts, want_test, _, _ = composed_fold(cfg, source)
     assert len(parts) == cfg.clients
     for got, want in zip([*parts, test], [*want_parts, want_test], strict=True):
@@ -1139,7 +1139,7 @@ def test_fold_layout_keeps_the_split_and_partition_errors(test_fraction, message
     with pytest.raises(ConfigError, match=message) as want:
         composed_fold(cfg)
     with pytest.raises(ConfigError) as got:
-        _fold_split(cfg, cfg.fold_seed(0), None)
+        fold_split(cfg, cfg.fold_seed(0), None)
     assert str(got.value) == str(want.value)
 
 
@@ -1151,7 +1151,7 @@ def test_csv_fold_layout_matches_split_then_partition(tmp_path, mode, alpha):
     source = load_csv(tmp_path / "data.csv", CsvSchema("y", "s", "1"))
     cfg = fold_config(301, mode, alpha, 0.25, data_source="csv", csv_path=str(tmp_path / "data.csv"), target_class=2)
     assert_fold_matches_composition(cfg, source)
-    parts, test = _fold_split(cfg, cfg.fold_seed(0), source)
+    parts, test = fold_split(cfg, cfg.fold_seed(0), source)
     # gathered once: one array for the whole fold, apart from the source
     base = test.features.base
     assert all(p.features.base is base for p in parts) and len(base) == len(source)

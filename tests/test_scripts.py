@@ -2,7 +2,8 @@
 
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
-``scheme_agreement`` then checks the methods it calls, a run of
+``scheme_agreement`` then checks the methods it calls, a run of it with no
+``PYTHONPATH`` that it finds the checkout's package, a run of
 ``memory_stages`` on the smoke config checks what it prints, and canned result
 lines check how ``bench_pairs`` assembles a BENCH file, a run that fails
 how it keeps the other pairs, a run that fails a check how it keeps that
@@ -13,6 +14,7 @@ revision.
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,19 @@ def test_scheme_agreement_one_seed():
     assert result.phi == pytest.approx(1.0)
     # distinct coalitions requested: exact asks for all 2^4 in each of 10 rounds
     assert (gtg_requested, exact_requested) == (105, 160)
+
+
+def test_scheme_agreement_runs_from_a_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scheme_agreement.py"), "1"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "median phi = +1.000"
 
 
 def test_memory_stages_prints_a_peak_per_stage_of_the_smoke_fold():

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedtrust.analysis import spearman_flagged
 from fedtrust.attacks import AttackSpec
-from fedtrust.data import PartitionMode, PartitionSpec, generate_synthetic, partition, train_test_split
+from fedtrust.data import PartitionMode, PartitionSpec, client_rows, gather, generate_synthetic, split_rows
 from fedtrust.federation import TrainingConfig, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec
 from fedtrust.nn import Architecture, OutputActivation, init_params
@@ -30,8 +30,10 @@ from fedtrust.valuation import CoalitionCache, Scheme, ValuationConfig, score_ro
 
 def one_seed(seed: int, eps2: float):
     data = generate_synthetic(1200, 8, 0.3, seed=seed)
-    train, test = train_test_split(data, 0.2, seed=seed)
-    parts = partition(train, PartitionSpec(PartitionMode.DIRICHLET, 4, 0.5, seed=seed))
+    train_rows, test_rows = split_rows(data.labels, data.class_count, 0.2, seed)
+    spec = PartitionSpec(PartitionMode.DIRICHLET, 4, 0.5, seed=seed)
+    clients = client_rows(data.labels[train_rows], data.class_count, spec)
+    *parts, test = gather(data, [*(train_rows[rows] for rows in clients), test_rows])
     init = init_params(Architecture((8, 16, 1), OutputActivation.SIGMOID), seed)
     records = run_training(init, parts, TrainingConfig(rounds=10, seed=seed))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())

@@ -73,23 +73,15 @@ def rmse(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def per_round_variance(table: ScoreTable) -> dict[tuple[str, str], float]:
-    """Mean over clients of the population variance across rounds 2..T,
-    T = ``table.last_round()``.
+    """Mean over clients of the population variance across rounds 2..T of
+    ``table.grid()``.
 
     A table holding a single round, or missing a score, is an
     ``InputError``; with exactly one scored round (T=2) the per-client
     variance is zero.
     """
-    rounds = range(2, table.last_round() + 1)
-    out: dict[tuple[str, str], float] = {}
-    for scheme in table.schemes():
-        for metric in table.metrics():
-            per_client = []
-            for client in table.clients():
-                series = np.array([table.value(scheme, metric, client, t) for t in rounds])
-                per_client.append(float(series.var()))
-            out[(scheme, metric)] = float(np.mean(per_client))
-    return out
+    variances = table.grid()[..., 1:].var(axis=-1).mean(axis=-1).ravel().tolist()
+    return dict(zip(itertools.product(table.schemes(), table.metrics()), variances))
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header, body = rows[0], rows[1:]

@@ -114,12 +114,14 @@ def run_fold(
 
 
 def run_experiment(cfg: ExperimentConfig) -> AnalysisReport:
-    """Run all folds, build the cross-fold report, persist everything."""
-    out_dir = Path(cfg.output_dir)
-    make_dirs(out_dir)
+    """Run all folds, build the cross-fold report, persist everything. A CSV
+    the model cannot serve fails before the output directory is made."""
     source: Dataset | None = None
     if cfg.data_source == "csv":
         source = load_csv(cfg.csv_path, cfg.csv_schema())
+        _architecture(cfg, source.feature_dim, source.class_count)
+    out_dir = Path(cfg.output_dir)
+    make_dirs(out_dir)
 
     for name in ("scores.csv", "scores_total.csv", "valuation_meta.json"):
         for stale in out_dir.glob(f"fold_*/{name}"):

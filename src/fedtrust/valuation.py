@@ -455,21 +455,18 @@ class ScoreTable:
     """Scores indexed by (scheme, metric, client, round).
 
     Round 1 entries are kept for auditability but never contribute to the
-    accumulated view, which sums rounds 2..``last_round()`` only.
+    accumulated view, which reads rounds 2..T of :meth:`grid`, the table's
+    one completeness check and one walk of its keys.
     """
 
     entries: dict[tuple[str, str, int, int], float] = field(default_factory=dict)
 
-    def add(
-        self, scheme: Scheme, metric: Metric, client: int, round_idx: int, value: float
-    ) -> None:
-        self.entries[(Scheme(scheme).value, Metric(metric).value, client, round_idx)] = float(value)
-
     def add_round_scores(
         self, scheme: Scheme, metric: Metric, round_idx: int, scores: Mapping[int, float]
     ) -> None:
+        scheme, metric = Scheme(scheme).value, Metric(metric).value
         for client, value in scores.items():
-            self.add(scheme, metric, client, round_idx, value)
+            self.entries[(scheme, metric, client, round_idx)] = float(value)
 
     def rounds(self) -> list[int]:
         return sorted({key[3] for key in self.entries})
@@ -491,44 +488,46 @@ class ScoreTable:
                 f"no score for {scheme}/{metric}/client {client}/round {round_idx}"
             ) from None
 
-    def last_round(self) -> int:
-        """The table's last round T, once it holds a score for each of its
-        schemes, metrics and clients in every round 1..T, with T at least 2.
-        Otherwise an ``InputError`` names the first missing score, or the
-        rounds when none of them is scored (from 2)."""
+    def grid(self) -> np.ndarray:
+        """The table as a float64 array over its sorted (schemes, metrics,
+        clients) and rounds 1..T, T its last round and at least 2. Otherwise,
+        or if a score is missing, an ``InputError`` names the rounds or the
+        first missing score in (scheme, metric, client, round) order."""
         rounds = self.rounds()
         if not rounds or rounds[-1] < 2:
             raise InputError(f"rounds {rounds} hold no scored round (from 2)")
-        grid = product(self.schemes(), self.metrics(), self.clients(), range(1, rounds[-1] + 1))
-        for key in grid:
-            self.value(*key)  # raises on the first missing score
-        return rounds[-1]
+        axes = (self.schemes(), self.metrics(), self.clients(), range(1, rounds[-1] + 1))
+        values = [self.value(*key) for key in product(*axes)]
+        return np.array(values, dtype=np.float64).reshape([len(axis) for axis in axes])
+
+    def last_round(self) -> int:
+        """The table's last round T, once :meth:`grid` accepts the table."""
+        return self.grid().shape[-1]
 
 
-def accumulate(table: ScoreTable) -> dict[tuple[str, str, int], float]:
-    """Sum per-round scores over rounds 2..``last_round()`` (round 1 excluded)."""
-    last_round = table.last_round()
-    totals: dict[tuple[str, str, int], float] = {}
-    clients = table.clients()
-    for scheme in table.schemes():
-        for metric in table.metrics():
-            for client in clients:
-                total = 0.0
-                for t in range(2, last_round + 1):
-                    total += table.value(scheme, metric, client, t)
-                totals[(scheme, metric, client)] = total
+def _totals(grid: np.ndarray) -> np.ndarray:
+    """Per (scheme, metric, client), the sum of rounds 2..T of ``grid``,
+    added to 0.0 in round order (``np.sum`` adds pairwise from 8 rounds up,
+    which changes the last bits)."""
+    totals = np.zeros(grid.shape[:-1])
+    for t in range(1, grid.shape[-1]):
+        totals += grid[..., t]
     return totals
 
 
+def accumulate(table: ScoreTable) -> dict[tuple[str, str, int], float]:
+    """Sum per-round scores over rounds 2..``last_round()`` (round 1
+    excluded), each added to 0.0 in round order, as Python floats."""
+    keys = product(table.schemes(), table.metrics(), table.clients())
+    return dict(zip(keys, _totals(table.grid()).ravel().tolist()))
+
+
 def score_vectors(table: ScoreTable) -> dict[tuple[str, str], np.ndarray]:
-    """Accumulated scores per (scheme, metric), one entry per client in order."""
-    totals = accumulate(table)
-    clients = table.clients()
-    return {
-        (scheme, metric): np.array([totals[(scheme, metric, c)] for c in clients])
-        for scheme in table.schemes()
-        for metric in table.metrics()
-    }
+    """Accumulated scores per (scheme, metric), one entry per client in
+    order, summed as :func:`accumulate` sums them."""
+    totals = _totals(table.grid())
+    keys = product(table.schemes(), table.metrics())
+    return dict(zip(keys, totals.reshape(-1, totals.shape[-1])))
 
 
 def score_rounds(
@@ -585,8 +584,8 @@ def write_totals_csv(table: ScoreTable, path) -> None:
 
 def read_scores_csv(path) -> ScoreTable:
     """The rows of a scores file; a row that is not one new, finite score of
-    a known scheme and metric, a client from 0 and a round from 1, is a
-    ``DataError`` naming its line."""
+    a known scheme and metric, a client from 0 and a round from 1, or that
+    ``csv`` cannot parse, is a ``DataError`` naming its line."""
     table = ScoreTable()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -612,6 +611,8 @@ def read_scores_csv(path) -> ScoreTable:
                 table.entries[key] = score
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not table.entries:

@@ -140,13 +140,23 @@ class TestPerRoundVariance:
     @pytest.mark.parametrize(
         "read",
         [
+            lambda table, out_dir: table.grid(),
+            lambda table, out_dir: table.last_round(),
             lambda table, out_dir: accumulate(table),
             lambda table, out_dir: score_vectors(table),
             lambda table, out_dir: per_round_variance(table),
             lambda table, out_dir: write_totals_csv(table, out_dir / "scores_total.csv"),
             lambda table, out_dir: build_report([table]),
         ],
-        ids=["accumulate", "score_vectors", "per_round_variance", "write_totals_csv", "build_report"],
+        ids=[
+            "grid",
+            "last_round",
+            "accumulate",
+            "score_vectors",
+            "per_round_variance",
+            "write_totals_csv",
+            "build_report",
+        ],
     )
     def test_missing_score_names_its_key(self, read, tmp_path):
         # a hole in round 2 under a complete round 3

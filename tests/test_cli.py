@@ -161,6 +161,36 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         assert "target_class 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "classes, extra, message",
+        [
+            (3, "experiment.folds = 3\n", "sigmoid output needs a binary dataset"),
+            (2, "metrics.target_class = 5\n", "target_class 5 is not a class of the 2-class dataset"),
+        ],
+        ids=["sigmoid_on_three_classes", "target_class_past_the_classes"],
+    )
+    def test_csv_the_model_cannot_serve_fails_before_any_fold(self, tmp_path, capsys, classes, extra, message):
+        data_path = tmp_path / "input.csv"
+        rows = [f"{i % 7},{i % 5},{i % 2},{i % classes}" for i in range(300)]
+        data_path.write_text("\n".join(["a,b,s,y", *rows]) + "\n")
+        out_dir = tmp_path / "out"
+        extra += f"data.source = csv\ndata.csv_path = {data_path}\n"
+        config = write_smoke_config(tmp_path, out_dir, extra)
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "every fold failed" not in err
+        assert not out_dir.exists()
+
+    def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
+        data_path = tmp_path / "input.csv"
+        data_path.write_text("a,s,y\n1,1,0\n" + "2" * 131_073 + ",0,1\n")
+        extra = f"data.source = csv\ndata.csv_path = {data_path}\n"
+        config = write_smoke_config(tmp_path, tmp_path / "out", extra)
+        assert main(["run", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {data_path}:3: field larger than field limit")
+
     def test_every_fold_diverged_exits_with_numeric_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         extra = (
@@ -247,6 +277,17 @@ class TestAnalyze:
         (run_dir / "scores.csv").write_text("\n".join(rows) + "\n")
         assert main(["analyze", str(run_dir)]) == 3
         assert "scores.csv:13: non-finite score 'nan'" in capsys.readouterr().err
+        assert not (run_dir / "report.json").exists()
+
+    def test_oversized_score_field_is_data_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "hand"
+        run_dir.mkdir()
+        scores = run_dir / "scores.csv"
+        scores.write_text("scheme,metric,client,round,value\ngtg,perf,0,1," + "1" * 131_073 + "\n")
+        assert main(["analyze", str(run_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {scores}:2: field larger than field limit")
         assert not (run_dir / "report.json").exists()
 
     def test_empty_dir_is_data_error(self, tmp_path, capsys):

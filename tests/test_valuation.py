@@ -34,7 +34,9 @@ from fedtrust.valuation import (
     permutation_budget,
     read_scores_csv,
     score_rounds,
+    score_vectors,
     write_scores_csv,
+    write_totals_csv,
 )
 
 # --- scheme cores on hand-computed utility games ---
@@ -495,6 +497,39 @@ class TestAccumulate:
         for client in table.clients():
             oracle = sum(table.value("loo", "perf", client, t) for t in range(2, 11))
             assert totals[("loo", "perf", client)] == pytest.approx(oracle, abs=1e-15)
+
+    def test_totals_are_a_left_fold_in_round_order(self, tmp_path):
+        # 11 scored rounds: past the 8 from which np.sum adds pairwise
+        rng = np.random.default_rng(27)
+        rounds = range(1, 13)
+        table = self.table_from(
+            {
+                (scheme, "perf", client, t): float(rng.normal())
+                for scheme in ("gtg", "loo")
+                for client in range(5)
+                for t in rounds
+            }
+        )
+        oracle = {}
+        for key in sorted({key[:3] for key in table.entries}):
+            total = 0.0
+            for t in rounds[1:]:
+                total += table.entries[(*key, t)]
+            oracle[key] = total
+        # the data tells the two orders apart
+        pairwise = {key: np.sum([table.entries[(*key, t)] for t in rounds[1:]]) for key in oracle}
+        assert any(pairwise[key] != oracle[key] for key in oracle)
+
+        totals = accumulate(table)
+        assert list(totals) == list(oracle)
+        assert [v.hex() for v in totals.values()] == [v.hex() for v in oracle.values()]
+        for (scheme, metric), vector in score_vectors(table).items():
+            expected = [oracle[(scheme, metric, client)].hex() for client in range(5)]
+            assert [v.hex() for v in vector.tolist()] == expected
+        path = tmp_path / "scores_total.csv"
+        write_totals_csv(table, path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [f"{s},{m},{c},{total!r}" for (s, m, c), total in oracle.items()]
 
 
 class TestScoresCsv:

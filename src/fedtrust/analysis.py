@@ -8,7 +8,6 @@ CSV renderer prints an em-dash for them.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import asdict, dataclass
@@ -17,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, make_dirs, output_errors
+from .atomic import atomic_open, make_dirs, output_errors, write_csv
 from .errors import InputError
 from .metrics import Metric
 from .valuation import ScoreTable, score_vectors
@@ -206,26 +205,29 @@ def write_report(report: AnalysisReport, out_dir) -> None:
     make_dirs(out_dir)
     with atomic_open(out_dir / "report.json") as fh:
         json.dump(asdict(report), fh, indent=2, sort_keys=True, allow_nan=False)
-    with atomic_open(out_dir / "report.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "metric", "phi", "phi_std", "l2", "l2_std"])
-        for scheme in report.schemes:
-            for metric, stats in report.vs_perf[scheme].items():
-                degenerate = stats.degenerate_folds == report.folds
-                writer.writerow(
-                    [
-                        scheme,
-                        metric,
-                        DASH if degenerate else repr(stats.phi_mean),
-                        DASH if degenerate else repr(stats.phi_std),
-                        repr(stats.l2_mean),
-                        repr(stats.l2_std),
-                    ]
-                )
-    with atomic_open(out_dir / "heatmap.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "metric_a", "metric_b", "phi"])
-        for scheme in report.schemes:
-            for ma in report.metrics:
-                for mb in report.metrics:
-                    writer.writerow([scheme, ma, mb, repr(report.heatmap[scheme][ma][mb])])
+    vs_perf = []
+    for scheme in report.schemes:
+        for metric, stats in report.vs_perf[scheme].items():
+            degenerate = stats.degenerate_folds == report.folds
+            vs_perf.append(
+                [
+                    scheme,
+                    metric,
+                    DASH if degenerate else repr(stats.phi_mean),
+                    DASH if degenerate else repr(stats.phi_std),
+                    repr(stats.l2_mean),
+                    repr(stats.l2_std),
+                ]
+            )
+    header = ["scheme", "metric", "phi", "phi_std", "l2", "l2_std"]
+    write_csv(out_dir / "report.csv", header, vs_perf)
+    write_csv(
+        out_dir / "heatmap.csv",
+        ["scheme", "metric_a", "metric_b", "phi"],
+        (
+            [scheme, ma, mb, repr(report.heatmap[scheme][ma][mb])]
+            for scheme in report.schemes
+            for ma in report.metrics
+            for mb in report.metrics
+        ),
+    )

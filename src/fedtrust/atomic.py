@@ -2,10 +2,11 @@
 are replaced whole: a reader sees either the previous file or the complete
 new one, never a partial write. A write, a directory creation or a stale-file
 removal that the operating system refuses raises an ``OutputError`` that
-names the path."""
+names the path. :func:`write_csv` is the one writer of the program's CSVs."""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,3 +45,16 @@ def atomic_open(path, newline: str | None = None) -> Iterator[IO[str]]:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Writes ``header`` and then each of ``rows`` as a line of the CSV file
+    ``path`` (``csv``'s default dialect), replacing it whole; its directory
+    is made first if missing."""
+    path = Path(path)
+    make_dirs(path.parent)
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)

@@ -110,30 +110,33 @@ class Scheme(str, Enum):
 
 # Exact Shapley enumerates the 2^K coalitions of a round's K clients.
 EXACT_CLIENT_LIMIT = 12
-_PERMUTATION_SCAN_LIMIT = 1_000_000
+# A GTG round scans budget x K prefixes and holds (budget + 1) x K float64
+# marginals: 10^7 cells is 80 MB.
+_GTG_CELL_LIMIT = 10_000_000
 
 
 def permutation_budget(client_count: int, eps2: float) -> int:
     """R = max(K, ceil(eps2 * K!)) sampled permutations.
 
     Computed in exact integer arithmetic (K! overflows floats well before
-    K reaches realistic federation sizes). Budgets beyond the practical
-    scan limit are rejected rather than silently hanging; one of 100 digits
-    or more is rejected from its log10, taken with ``math.lgamma``, without
-    computing K! (from about 70 clients at eps2 = 0.05).
+    K reaches realistic federation sizes). A budget whose R x K (the scan's
+    prefix evaluations and its marginals' cells) exceeds 10^7 is rejected
+    rather than left to hang or exhaust memory. One of 100 digits or more is
+    rejected from its log10, taken with ``math.lgamma``, without computing
+    K! (from about 70 clients at eps2 = 0.05).
     """
     digits = math.lgamma(client_count + 1) / math.log(10) + math.log10(eps2) if eps2 > 0 else 0.0
     if digits < 100:
         num, den = float(eps2).as_integer_ratio()
         budget = max(client_count, -(-num * math.factorial(client_count) // den))
-        if budget <= _PERMUTATION_SCAN_LIMIT:
+        if budget * client_count <= _GTG_CELL_LIMIT:
             return budget
         shown = str(budget)
     else:
         shown = f"about 10^{digits:.0f}"
     raise ConfigError(
-        f"GTG budget ceil(eps2*K!) = {shown} permutations is infeasible "
-        f"(limit {_PERMUTATION_SCAN_LIMIT}); lower valuation.eps2"
+        f"GTG budget ceil(eps2*K!) = {shown} permutations is infeasible: budget x K "
+        f"(K = {client_count}) exceeds {_GTG_CELL_LIMIT}; lower valuation.eps2"
     )
 
 
@@ -194,9 +197,15 @@ class CsvSchema:
 SYNTHETIC_CLASSES = 2
 
 
+# The synthetic draw holds n x d float64 features: 10^8 of them is 800 MB.
+_SYNTHETIC_CELL_LIMIT = 100_000_000
+
+
 def check_synthetic_shape(n: int, d: int) -> None:
     if n < 10 or d < 2:
         raise ConfigError(f"need n >= 10 and d >= 2, got n={n}, d={d}")
+    if n * d > _SYNTHETIC_CELL_LIMIT:
+        raise ConfigError(f"n x d = {n * d} synthetic features exceeds {_SYNTHETIC_CELL_LIMIT}")
 
 
 def check_target_class(target_class: int, class_count: int) -> None:

@@ -17,18 +17,20 @@ time, to given rows of one array. :func:`fold_split`, the one owner of a
 fold's layout, lays out the rows from the labels and draws each synthetic
 row's features straight into their place, so a fold never holds its draw in
 its own order (:func:`fold_dataset` is that draw in its own order).
+
+:func:`read_csv` is the one reader of the program's CSV files, data and
+scores alike, and ``atomic.write_csv`` their one writer.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, make_dirs
+from .atomic import write_csv
 from .config import (
     SYNTHETIC_CLASSES,
     CsvSchema,
@@ -147,29 +149,34 @@ def normalize_minmax(column: np.ndarray) -> np.ndarray:
     return (column - lo) / (hi - lo)
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of the CSV file ``path`` and each later row with its line
+    (its last physical line). A file that cannot be read, decoded or parsed,
+    that holds no row below its header, or that holds a row whose cells do
+    not match the header's is a ``DataError``, naming a row as ``file:line``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # such as a field past csv's size limit
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
+    (_, header), *body = rows
     if not body:
-        raise DataError(f"{path}: no data rows")
-    for i, row in enumerate(body):
+        raise DataError(f"{path}: no rows below the header")
+    for line, row in body:
         if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+            raise DataError(f"{path}:{line}: {len(row)} cells, expected {len(header)}")
     return header, body
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Load a header-first CSV into a normalized Dataset."""
-    header, body = _read_rows(path)
+    """Load a header-first CSV into a normalized Dataset; an empty cell or a
+    non-finite number is a ``DataError`` naming its ``file:line``."""
+    header, rows = read_csv(path)
     col_index = {name: j for j, name in enumerate(header)}
     for role, name in (("label", schema.label), ("sensitive", schema.sensitive)):
         if name not in col_index:
@@ -179,12 +186,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise SchemaError(f"{path}: schema declares no feature columns")
 
     def cell(row_i: int, name: str) -> str:
-        value = body[row_i][col_index[name]].strip()
+        line, row = rows[row_i]
+        value = row[col_index[name]].strip()
         if value == "":
-            raise DataError(f"{path}: empty cell at row {row_i + 2}, column {name!r}")
+            raise DataError(f"{path}:{line}: empty cell in column {name!r}")
         return value
 
-    n = len(body)
+    n = len(rows)
     blocks: list[np.ndarray] = []
     for name in feature_names:
         raw = [cell(i, name) for i in range(n)]
@@ -199,10 +207,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             blocks.append(onehot)
             continue
         if not np.all(np.isfinite(numeric)):
-            bad = int(np.flatnonzero(~np.isfinite(numeric))[0])
-            raise DataError(
-                f"{path}: non-finite value at row {bad + 2}, column {name!r}"
-            )
+            line = rows[int(np.flatnonzero(~np.isfinite(numeric))[0])][0]
+            raise DataError(f"{path}:{line}: non-finite value in column {name!r}")
         blocks.append(normalize_minmax(numeric)[:, None])
     features = np.hstack(blocks)
 
@@ -218,16 +224,15 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Canonical cache format: columns f0..f{d-1}, s, y."""
-    path = Path(path)
-    make_dirs(path.parent)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(ds.feature_dim)] + ["s", "y"])
+
+    def rows():
         for i in range(len(ds)):
             row = [repr(float(v)) for v in ds.features[i]]
             row.append("1" if ds.sensitive[i] else "0")
             row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+            yield row
+
+    write_csv(path, [f"f{j}" for j in range(ds.feature_dim)] + ["s", "y"], rows())
 
 
 def split_rows(

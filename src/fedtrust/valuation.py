@@ -55,19 +55,18 @@ positions in the sorted client ids.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, make_dirs
+from .atomic import write_csv
 from .config import EXACT_CLIENT_LIMIT, Scheme, ValuationConfig, permutation_budget
+from .data import read_csv
 from .errors import ConfigError, DataError, InputError, MetricUndefinedError
 from .federation import RoundRecord, fedavg
 from .metrics import EvalContext, Metric, adversarial_predictions, evaluate
@@ -75,8 +74,6 @@ from .nn import ModelParams, predict_batch
 from .seeding import rng_streams
 
 logger = logging.getLogger(__name__)
-
-_SUFFIX_ENUM_LIMIT = 1_000_000
 
 Coalition = tuple[int, ...]
 # A scheme core's utility game: the utilities, in order, of a list of
@@ -329,7 +326,9 @@ def gtg_permutations(clients: Sequence[int], round_idx: int, vcfg: ValuationConf
     lead whose quota covers its whole stratum gets the suffixes by
     lexicographic enumeration (this is what makes eps2 = 1 reproduce the
     exact permutation set); otherwise suffixes are independent seeded
-    shuffles keyed by (perm_seed, round, r). The latest sample is kept, so
+    shuffles keyed by (perm_seed, round, r). A quota is at most R / K + 1,
+    and ``permutation_budget`` keeps R x K within 10^7, so only K <= 9
+    enumerates, at most 8! = 40,320 suffixes. The latest sample is kept, so
     a round's four metrics share one draw; ``clients`` must be hashable.
     """
     k = len(clients)
@@ -342,11 +341,7 @@ def gtg_permutations(clients: Sequence[int], round_idx: int, vcfg: ValuationConf
     order = np.empty((budget, k), dtype=position)
     order[:, 0] = leads
     order[:, 1:] = rests[leads]
-    enumerated = {
-        i
-        for i in range(k)
-        if len(range(i, budget, k)) >= stratum and stratum <= _SUFFIX_ENUM_LIMIT
-    }
+    enumerated = {i for i in range(k) if len(range(i, budget, k)) >= stratum}
     if enumerated:
         suffixes = np.array(list(permutations(range(k - 1))), dtype=position)
         for i in enumerated:
@@ -560,61 +555,35 @@ TOTALS_HEADER = ["scheme", "metric", "client", "value"]
 
 
 def write_scores_csv(table: ScoreTable, path) -> None:
-    path = Path(path)
-    make_dirs(path.parent)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_HEADER)
-        for key in sorted(table.entries):
-            scheme, metric, client, round_idx = key
-            writer.writerow([scheme, metric, client, round_idx, repr(table.entries[key])])
+    rows = ([*key, repr(table.entries[key])] for key in sorted(table.entries))
+    write_csv(path, SCORES_HEADER, rows)
 
 
 def write_totals_csv(table: ScoreTable, path) -> None:
     totals = accumulate(table)
-    path = Path(path)
-    make_dirs(path.parent)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOTALS_HEADER)
-        for key in sorted(totals):
-            scheme, metric, client = key
-            writer.writerow([scheme, metric, client, repr(totals[key])])
+    write_csv(path, TOTALS_HEADER, ([*key, repr(totals[key])] for key in sorted(totals)))
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """The rows of a scores file; a row that is not one new, finite score of
-    a known scheme and metric, a client from 0 and a round from 1, or that
-    ``csv`` cannot parse, is a ``DataError`` naming its line."""
+    """The rows of a scores file, read by ``data.read_csv``; a row that is
+    not one new, finite score of a known scheme and metric, a client from 0
+    and a round from 1 is a ``DataError`` naming its line."""
+    header, rows = read_csv(path)
+    if header != SCORES_HEADER:
+        raise DataError(f"{path}: unexpected header {header}")
     table = ScoreTable()
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != SCORES_HEADER:
-                raise DataError(f"{path}: unexpected header {header}")
-            for row in reader:
-                line = f"{path}:{reader.line_num}"
-                if len(row) != 5:
-                    raise DataError(f"{line}: malformed row {row}")
-                try:
-                    key = (Scheme(row[0]).value, Metric(row[1]).value, int(row[2]), int(row[3]))
-                    score = float(row[4])
-                except ValueError as exc:
-                    raise DataError(f"{line}: {exc}") from exc
-                if key[2] < 0 or key[3] < 1:
-                    raise DataError(f"{line}: no client {key[2]} or no round {key[3]}")
-                if not math.isfinite(score):
-                    raise DataError(f"{line}: non-finite score {row[4]!r}")
-                if key in table.entries:
-                    raise DataError(f"{line}: a second score for {'/'.join(row[:4])}")
-                table.entries[key] = score
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:  # such as a field past csv's size limit
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if not table.entries:
-        raise DataError(f"{path}: no score rows")
+    for line_num, row in rows:
+        line = f"{path}:{line_num}"
+        try:
+            key = (Scheme(row[0]).value, Metric(row[1]).value, int(row[2]), int(row[3]))
+            score = float(row[4])
+        except ValueError as exc:
+            raise DataError(f"{line}: {exc}") from exc
+        if key[2] < 0 or key[3] < 1:
+            raise DataError(f"{line}: no client {key[2]} or no round {key[3]}")
+        if not math.isfinite(score):
+            raise DataError(f"{line}: non-finite score {row[4]!r}")
+        if key in table.entries:
+            raise DataError(f"{line}: a second score for {'/'.join(row[:4])}")
+        table.entries[key] = score
     return table

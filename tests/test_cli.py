@@ -117,6 +117,16 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot read {data_path}")
 
+    def test_csv_row_error_names_its_physical_line(self, tmp_path, capsys):
+        # the first data row spans lines 2-3, so the second is line 4
+        data_path = tmp_path / "input.csv"
+        data_path.write_text('a,c,s,y\n1,"two\nlines",yes,0\n,x,no,1\n')
+        extra = f"data.source = csv\ndata.csv_path = {data_path}\n"
+        config = write_smoke_config(tmp_path, tmp_path / "out", extra)
+        assert main(["run", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {data_path}:4: empty cell in column 'a'"]
+
     def test_bad_test_fraction_fails_before_any_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_smoke_config(tmp_path, out_dir, "data.test_fraction = 2\n")
@@ -145,6 +155,7 @@ class TestRun:
             ("data.n = 5\n", "need n >= 10 and d >= 2, got n=5, d=3"),
             ("data.d = 1\n", "need n >= 10 and d >= 2, got n=80, d=1"),
             ("metrics.target_class = 2\n", "target_class 2 is not a class of the 2-class dataset"),
+            ("data.n = 1000000000000\n", "n x d = 3000000000000 synthetic features exceeds"),
         ],
     )
     def test_synthetic_settings_that_fail_every_fold_fail_before_any_fold(self, tmp_path, capsys, extra, message):
@@ -153,6 +164,7 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         err = capsys.readouterr().err
         assert message in err and "every fold failed" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_dir.exists()
 
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):

@@ -150,6 +150,11 @@ class TestParser:
             ("partition.clients = 13\nvaluation.schemes = exact_shapley", "exact_shapley .* 13 exceeds 12"),
             ("partition.clients = 11\nvaluation.schemes = gtg", "GTG budget .* lower valuation.eps2"),
             ("partition.clients = 2000\nvaluation.schemes = gtg", r"= about 10\^5734 permutations"),
+            # under 10^6 permutations, but (budget + 1) x K float64 marginals of 1.43 GB
+            (
+                "partition.clients = 180\nvaluation.eps2 = 5e-324\nvaluation.schemes = gtg",
+                r"= 992559 permutations .*budget x K \(K = 180\) exceeds 10000000",
+            ),
         ],
     )
     def test_a_scheme_that_cannot_run_fails_at_parse(self, lines, message):
@@ -173,6 +178,7 @@ class TestParser:
             "partition.clients = 12\nvaluation.schemes = exact_shapley,loo",
             "partition.clients = 13\nvaluation.schemes = loo",
             "partition.clients = 11\nvaluation.eps2 = 0.0001\nvaluation.schemes = gtg",
+            "partition.clients = 10\nvaluation.schemes = gtg",
         ],
     )
     def test_schemes_within_their_limits_parse(self, lines):
@@ -190,6 +196,7 @@ class TestParser:
             ("data.n = 9", r"need n >= 10 and d >= 2, got n=9, d=8"),
             ("data.d = 1", r"need n >= 10 and d >= 2, got n=2000, d=1"),
             ("metrics.target_class = 2", r"metrics.target_class 2 is not a class of the 2-class dataset"),
+            ("data.n = 12500001", r"n x d = 100000008 synthetic features exceeds 100000000"),
         ],
     )
     def test_synthetic_settings_that_fail_every_fold_fail_at_parse(self, line, message):
@@ -198,6 +205,7 @@ class TestParser:
 
     def test_synthetic_bounds_hold_at_their_edge_and_not_for_a_csv(self):
         parse_config_text("data.n = 10\ndata.d = 2\nmetrics.target_class = 1\n")
+        parse_config_text("data.n = 12500000\ndata.d = 8\n")  # 10^8 features, 800 MB
         # a CSV's shape and classes are checked once it is read
         cfg = parse_config_text("data.source = csv\ndata.csv_path = in.csv\ndata.n = 5\nmetrics.target_class = 4\n")
         assert (cfg.synthetic_n, cfg.target_class) == (5, 4)

@@ -89,12 +89,12 @@ class TestCsv:
 
     def test_empty_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "a,s,y\n1,yes,0\n,no,1\n")
-        with pytest.raises(DataError, match=r"row 3.*'a'"):
+        with pytest.raises(DataError, match=r"data\.csv:3: empty cell in column 'a'"):
             load_csv(path, CsvSchema("y", "s", "yes"))
 
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "a,s,y\n1,yes\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match=r"data\.csv:2: 2 cells, expected 3"):
             load_csv(path, CsvSchema("y", "s", "yes"))
 
     def test_string_labels_map_to_sorted_indices(self, tmp_path):

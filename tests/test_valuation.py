@@ -147,7 +147,7 @@ class TestGtgCore:
     )
     def test_budget_matches_fraction_arithmetic(self, eps2, k):
         want = max(k, math.ceil(Fraction(eps2) * math.factorial(k)))
-        if want > config._PERMUTATION_SCAN_LIMIT:
+        if want * k > config._GTG_CELL_LIMIT:
             with pytest.raises(ConfigError, match=f"= {want} permutations"):
                 permutation_budget(k, eps2)
         else:

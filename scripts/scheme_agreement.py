@@ -38,12 +38,11 @@ def one_seed(seed: int, eps2: float):
     records = run_training(init, parts, TrainingConfig(rounds=10, seed=seed))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
 
-    cache = CoalitionCache()
+    cache = CoalitionCache(ctx)
     table = score_rounds(
         records,
         [Scheme.EXACT, Scheme.GTG],
         [Metric.PERF],
-        ctx,
         ValuationConfig(eps2=eps2, perm_seed=seed),
         cache,
     )

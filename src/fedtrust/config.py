@@ -9,10 +9,10 @@ clients, 10 rounds, 5 folds, Dirichlet alpha=0.5, sigma=0.1, PGD
 Every settings type (the data's :class:`PartitionSpec` and :class:`CsvSchema`,
 the layers' :class:`AttackSpec`, :class:`TrainingConfig`, :class:`FairnessSpec`,
 :class:`NoiseSpec`, :class:`Scheme` and :class:`ValuationConfig`) and every
-bound that no fold can run past (the synthetic draw's and the schemes' client
-limits) is defined here and imported by its layer. So this module imports only
-``errors`` and ``seeding``, and parsing rejects a config that would fail every
-fold before any fold runs.
+bound that no fold can run past (the synthetic draw's, the model's size and
+the schemes' client limits) is defined here and imported by its layer. So
+this module imports only ``errors`` and ``seeding``, and parsing rejects a
+config that would fail every fold before any fold runs.
 """
 
 from __future__ import annotations
@@ -208,6 +208,21 @@ def check_synthetic_shape(n: int, d: int) -> None:
         raise ConfigError(f"n x d = {n * d} synthetic features exceeds {_SYNTHETIC_CELL_LIMIT}")
 
 
+# A model's parameter count P sizes every float64 vector training and
+# scoring hold of it (the weights, each client's update, the optimizer's
+# moments): 10^6 parameters is 8 MB per vector.
+_PARAMETER_LIMIT = 1_000_000
+
+
+def check_model_size(layer_sizes: tuple[int, ...]) -> None:
+    params = sum(a * b + b for a, b in zip(layer_sizes, layer_sizes[1:]))
+    if params > _PARAMETER_LIMIT:
+        raise ConfigError(
+            f"a {'-'.join(map(str, layer_sizes))} model has P = {params} parameters, "
+            f"more than {_PARAMETER_LIMIT}"
+        )
+
+
 def check_target_class(target_class: int, class_count: int) -> None:
     if target_class >= class_count:
         raise ConfigError(
@@ -267,6 +282,10 @@ class ExperimentConfig:
         if self.folds < 1:
             raise ConfigError("folds must be at least 1")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError(f"model.hidden sizes must be positive, got {self.hidden_sizes}")
+        if not self.output_dir:
+            raise ConfigError("experiment.output_dir is empty; name the run's directory")
         object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
         object.__setattr__(self, "partition_mode", PartitionMode(self.partition_mode))
         if not self.schemes:
@@ -285,6 +304,8 @@ class ExperimentConfig:
         if self.data_source == "synthetic":
             check_synthetic_shape(self.synthetic_n, self.synthetic_d)
             check_target_class(self.target_class, SYNTHETIC_CLASSES)
+            out_dim = 1 if self.output_activation == "sigmoid" else SYNTHETIC_CLASSES
+            check_model_size((self.synthetic_d, *self.hidden_sizes, out_dim))
         # every round scores all the clients, so a scheme that cannot run on
         # them fails here, before any fold trains
         if Scheme.EXACT in self.schemes and self.clients > EXACT_CLIENT_LIMIT:
@@ -299,8 +320,6 @@ class ExperimentConfig:
             raise ConfigError("data.group_imbalance must lie in [0, 1)")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("data.test_fraction must lie in (0, 1)")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError(f"model.hidden sizes must be positive, got {self.hidden_sizes}")
 
     def training_config(self, seed: int) -> TrainingConfig:
         return TrainingConfig(

@@ -32,7 +32,7 @@ from pathlib import Path
 from . import nn
 from .analysis import AnalysisReport, build_report, remove_report, write_report
 from .atomic import atomic_open, make_dirs, output_errors
-from .config import ExperimentConfig, check_target_class
+from .config import ExperimentConfig, check_model_size, check_target_class
 from .data import Dataset, fold_split, load_csv
 from .errors import ConfigError, DataError, FedTrustError, InputError, OutputError
 from .federation import RunWriter, run_training
@@ -58,10 +58,9 @@ def _architecture(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> 
         out_dim = 1
     else:
         out_dim = class_count
-    return nn.Architecture(
-        (feature_dim, *cfg.hidden_sizes, out_dim),
-        nn.OutputActivation(cfg.output_activation),
-    )
+    sizes = (feature_dim, *cfg.hidden_sizes, out_dim)
+    check_model_size(sizes)
+    return nn.Architecture(sizes, nn.OutputActivation(cfg.output_activation))
 
 
 def run_fold(
@@ -90,8 +89,8 @@ def run_fold(
         attack=cfg.attack_spec(),
     )
     vcfg = cfg.valuation_config(perm_seed=derive_seed(fold_seed, "perm"))
-    cache = CoalitionCache()
-    table = score_rounds(records, cfg.schemes, tuple(Metric), ctx, vcfg, cache)
+    cache = CoalitionCache(ctx)
+    table = score_rounds(records, cfg.schemes, tuple(Metric), vcfg, cache)
     write_scores_csv(table, fold_dir / "scores.csv")
     write_totals_csv(table, fold_dir / "scores_total.csv")
     with atomic_open(fold_dir / "valuation_meta.json") as fh:

@@ -57,7 +57,8 @@ class ClientUpdate:
             raise ConfigError("sample_count must be at least 1")
 
 
-@dataclass(frozen=True)
+# Hashed by identity: a coalition cache keys its memo by the record object.
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
     round: int
     global_before: ModelParams

@@ -10,9 +10,10 @@ adversarial attack success rate on the correctly classified test samples.
 
 :func:`evaluate` and :func:`adversarial_predictions` are the functions here
 that run a model. The caller of :func:`evaluate` passes the model's clean
-predictions on the test set: the valuation stage aggregates each (round,
-coalition) once, runs one clean forward pass on the aggregate and hands
-that prediction to every metric it evaluates there. ``rel`` adds one
+predictions on the test set: the valuation stage, a fold's
+``CoalitionCache`` built on the fold's context, aggregates each (round
+record, coalition) once, runs one clean forward pass on the aggregate and
+hands that prediction to every metric it evaluates there. ``rel`` adds one
 forward pass on the noisy test inputs, which depend only on the noise spec
 and the test set, so :class:`EvalContext` builds them once, that is once
 per fold, from one seeded stream per test sample

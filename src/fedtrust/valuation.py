@@ -13,13 +13,14 @@ Three schemes over a shared coalition-utility function:
 
 The utility of a coalition is the metric value of the model obtained by
 FedAvg-aggregating only that coalition's updates onto the previous global
-model; the empty coalition is the previous global model itself. A
-:class:`CoalitionCache` aggregates each (round, coalition) once and shares
-its clean test predictions across the four metrics; utilities are memoized
-per (round, coalition, metric) and computed only when a scheme asks, so
-evaluation counts are the honest cost measure of a scheme. Each round
-wrapper records the (round, coalition, metric) keys its scheme asked for in
-the cache's ``requested[scheme]``.
+model; the empty coalition is the previous global model itself. A fold's
+:class:`CoalitionCache`, built on the fold's evaluation context, aggregates
+each (round record, coalition) once and shares its clean test predictions
+across the four metrics; utilities are memoized per (record, coalition,
+metric) and computed only when a scheme asks, so evaluation counts are the
+honest cost measure of a scheme. Each round wrapper records the (round,
+coalition, metric) keys its scheme asked for in the cache's
+``requested[scheme]``.
 
 Each scheme core asks its utility game for a list of coalitions at a
 time and gets their utilities back in order: exact Shapley asks for all its
@@ -40,7 +41,7 @@ The scheme cores carry coalitions as int bitmasks over the round's sorted
 client ids; everywhere else a coalition is the sorted tuple of its ids. The
 utility game maps each mask to its tuple through the cache's table of the
 round's coalitions (one dict, built on first use, so GTG's K may be too
-large for a 2^K list). The memo holds one dict per (round, metric), keyed
+large for a 2^K list). The memo holds one dict per (record, metric), keyed
 by that tuple, so an entry shares its key with the table. The cache looks
 a subset up as given, so a repeated request costs one dict lookup; a subset
 the memo does not know is sorted and checked before it is looked up again
@@ -85,18 +86,19 @@ UtilityFn = Callable[[Sequence[int]], list[float]]
 class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
-    A fold has one record per round, so a round number names its record.
-    A coalition is the sorted tuple of its client ids. :meth:`compute` is
-    the one place that computes utilities: it aggregates each (round,
-    coalition) once and runs it forward on the clean test inputs once; the
-    aggregate and its predictions, narrowed to
-    ``np.min_scalar_type(class_count - 1)``, are kept for the latest round
-    only and shared by every metric, beside that round's table from
-    bitmask to coalition (see :meth:`coalitions`). The memo is one dict
-    per (round, metric) from coalition to utility, keyed by the table's
-    tuples. On ``res`` :meth:`compute` attacks a list's new coalitions
-    together, in PGD groups. :meth:`utility` reads the memo and computes
-    only a coalition it does not know, through :meth:`compute`.
+    The cache is built on the fold's evaluation context, ``ctx``, and every
+    utility it computes is evaluated there. A coalition is the sorted tuple
+    of its client ids. :meth:`compute` is the one place that computes
+    utilities: it aggregates each (record, coalition) once and runs it
+    forward on the clean test inputs once; the aggregate and its
+    predictions, narrowed to ``np.min_scalar_type(class_count - 1)``, are
+    kept for the latest record only and shared by every metric, beside that
+    record's table from bitmask to coalition (see :meth:`coalitions`). The
+    memo is one dict per (record, metric) from coalition to utility, keyed
+    by the table's tuples; a record is keyed by identity. On ``res``
+    :meth:`compute` attacks a list's new coalitions together, in PGD
+    groups. :meth:`utility` reads the memo and computes only a coalition it
+    does not know, through :meth:`compute`.
 
     ``evaluations`` counts the utilities computed, ``reads`` the utilities
     that :meth:`utility` returned (a fallback's read of the empty coalition
@@ -108,9 +110,10 @@ class CoalitionCache:
     for; the fallback's read of the empty coalition is not a request.
     """
 
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, Metric], dict[Coalition, float]] = {}
-        self._round: int | None = None
+    def __init__(self, ctx: EvalContext) -> None:
+        self.ctx = ctx
+        self._memo: dict[tuple[RoundRecord, Metric], dict[Coalition, float]] = {}
+        self._record: RoundRecord | None = None
         self._coalitions: dict[int, Coalition] = {}
         self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
         self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
@@ -123,23 +126,21 @@ class CoalitionCache:
         return self.reads - self.evaluations
 
     def coalitions(self, record: RoundRecord) -> dict[int, Coalition]:
-        """The table from bitmask to coalition of ``record``'s round, which
-        :func:`_utility_fn` fills; a new round starts an empty one, so the
-        round's metrics and schemes share one tuple per coalition."""
-        if record.round != self._round:
-            self._round = record.round
+        """The table from bitmask to coalition of ``record``, which
+        :func:`_utility_fn` fills; a different record starts an empty one,
+        so the record's metrics and schemes share one tuple per coalition."""
+        if record is not self._record:
+            self._record = record
             self._coalitions = {}
             self._aggregates = {}
         return self._coalitions
 
-    def utility(
-        self, record: RoundRecord, subset: Iterable[int], metric: Metric, ctx: EvalContext
-    ) -> float:
+    def utility(self, record: RoundRecord, subset: Iterable[int], metric: Metric) -> float:
         # A GTG round of 8 clients makes about 16k requests per metric, so a
         # subset is first looked up as given: a repeated request for a sorted
         # tuple costs one dict lookup. Only a subset the memo does not know
         # is sorted and checked.
-        memo = self._memo.get((record.round, metric))
+        memo = self._memo.get((record, metric))
         try:
             value = None if memo is None else memo.get(subset)
         except TypeError:  # an unhashable subset, such as a list
@@ -150,22 +151,22 @@ class CoalitionCache:
             if unknown:
                 raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
             members = tuple(sorted(map(int, ids)))
-            memo = self.compute(record, [members], metric, ctx)
+            memo = self.compute(record, [members], metric)
             value = memo[members]
         self.reads += 1
         return value
 
     def compute(
-        self, record: RoundRecord, coalitions: Iterable[Coalition], metric: Metric, ctx: EvalContext
+        self, record: RoundRecord, coalitions: Iterable[Coalition], metric: Metric
     ) -> dict[Coalition, float]:
         """Compute and memoize the ``metric`` utilities of ``coalitions``
-        (sorted tuples of the round's client ids) that the memo does not
+        (sorted tuples of the record's client ids) that the memo does not
         hold, each once, in list order: on ``res`` their aggregates are
         attacked together (``metrics.adversarial_predictions``). The empty
         coalition is evaluated first, so that a fallback reads it. Returns
-        the memo of the round and ``metric``."""
-        self.coalitions(record)  # a new round drops the previous round's aggregates
-        memo = self._memo.setdefault((record.round, metric), {})
+        the memo of the record and ``metric``."""
+        self.coalitions(record)  # a different record drops the previous one's aggregates
+        memo = self._memo.setdefault((record, metric), {})
         new = [c for c in dict.fromkeys(coalitions) if c not in memo]
         aggregates = []
         for members in new:
@@ -174,7 +175,7 @@ class CoalitionCache:
                 model = fedavg(record.global_before, [record.update_for(k) for k in members])
                 # metrics only compare predicted classes, so one byte per
                 # test row holds them up to 256 classes
-                clean = predict_batch(model, ctx.test.features).astype(
+                clean = predict_batch(model, self.ctx.test.features).astype(
                     np.min_scalar_type(model.architecture.class_count - 1)
                 )
                 aggregate = self._aggregates[members] = (model, clean)
@@ -182,12 +183,12 @@ class CoalitionCache:
         adversarial: list[np.ndarray | None] = [None] * len(new)
         if metric is Metric.RES:
             adversarial = adversarial_predictions(
-                [model for model, _ in aggregates], [clean for _, clean in aggregates], ctx
+                [model for model, _ in aggregates], [clean for _, clean in aggregates], self.ctx
             )
         rows = sorted(zip(new, aggregates, adversarial), key=lambda row: bool(row[0]))
         for members, (model, clean), predictions in rows:
             try:
-                value = evaluate(model, metric, ctx, clean, predictions)
+                value = evaluate(model, metric, self.ctx, clean, predictions)
             except MetricUndefinedError as exc:
                 # Substituting the empty-coalition utility rather than dropping
                 # the coalition keeps the marginals around it unbiased.
@@ -199,18 +200,14 @@ class CoalitionCache:
                     exc,
                 )
                 self.undefined += 1
-                value = self.utility(record, (), metric, ctx) if members else 0.0
+                value = self.utility(record, (), metric) if members else 0.0
             self.evaluations += 1
             memo[members] = value
         return memo
 
 
 def coalition_utility(
-    record: RoundRecord,
-    subset: Iterable[int],
-    metric: Metric,
-    ctx: EvalContext,
-    cache: CoalitionCache,
+    record: RoundRecord, subset: Iterable[int], metric: Metric, cache: CoalitionCache
 ) -> float:
     """Metric value of the coalition's aggregate on the round's base model.
 
@@ -221,7 +218,7 @@ def coalition_utility(
     """
     if metric.__class__ is not Metric:
         metric = Metric(metric)
-    return cache.utility(record, subset, metric, ctx)
+    return cache.utility(record, subset, metric)
 
 
 def _coalition_of(clients: Sequence[int], mask: int) -> Coalition:
@@ -230,11 +227,7 @@ def _coalition_of(clients: Sequence[int], mask: int) -> Coalition:
 
 
 def _utility_fn(
-    record: RoundRecord,
-    metric: Metric,
-    ctx: EvalContext,
-    cache: CoalitionCache,
-    scheme: Scheme,
+    record: RoundRecord, metric: Metric, cache: CoalitionCache, scheme: Scheme
 ) -> UtilityFn:
     """The round's utility game over lists of bitmasks, recording each
     request as ``scheme``'s.
@@ -260,8 +253,8 @@ def _utility_fn(
                 seen.add(mask)
                 requested.add((record.round, coalition, metric))
             members.append(coalition)
-        cache.compute(record, members, metric, ctx)
-        return [coalition_utility(record, m, metric, ctx, cache) for m in members]
+        cache.compute(record, members, metric)
+        return [coalition_utility(record, m, metric, cache) for m in members]
 
     return u
 
@@ -401,45 +394,27 @@ def gtg_shapley_values(
 
 
 def exact_shapley_round(
-    record: RoundRecord,
-    metric: Metric,
-    ctx: EvalContext,
-    cache: CoalitionCache,
+    record: RoundRecord, metric: Metric, cache: CoalitionCache
 ) -> dict[int, float]:
     if len(record.updates) > EXACT_CLIENT_LIMIT:
         raise ConfigError(
             f"exact Shapley enumerates 2^K utilities; K={len(record.updates)} "
             f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
         )
-    return exact_shapley_values(
-        record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.EXACT)
-    )
+    return exact_shapley_values(record.client_ids, _utility_fn(record, metric, cache, Scheme.EXACT))
 
 
 def gtg_shapley_round(
-    record: RoundRecord,
-    metric: Metric,
-    ctx: EvalContext,
-    vcfg: ValuationConfig,
-    cache: CoalitionCache,
+    record: RoundRecord, metric: Metric, vcfg: ValuationConfig, cache: CoalitionCache
 ) -> dict[int, float]:
-    return gtg_shapley_values(
-        record.client_ids,
-        _utility_fn(record, metric, ctx, cache, Scheme.GTG),
-        record.round,
-        vcfg,
-    )
+    u = _utility_fn(record, metric, cache, Scheme.GTG)
+    return gtg_shapley_values(record.client_ids, u, record.round, vcfg)
 
 
-def loo_round(
-    record: RoundRecord,
-    metric: Metric,
-    ctx: EvalContext,
-    cache: CoalitionCache,
-) -> dict[int, float]:
+def loo_round(record: RoundRecord, metric: Metric, cache: CoalitionCache) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
-    return loo_values(record.client_ids, _utility_fn(record, metric, ctx, cache, Scheme.LOO))
+    return loo_values(record.client_ids, _utility_fn(record, metric, cache, Scheme.LOO))
 
 
 # --- score bookkeeping ---
@@ -529,7 +504,6 @@ def score_rounds(
     records: Sequence[RoundRecord],
     schemes: Sequence[Scheme],
     metrics: Sequence[Metric],
-    ctx: EvalContext,
     vcfg: ValuationConfig,
     cache: CoalitionCache,
 ) -> ScoreTable:
@@ -539,11 +513,11 @@ def score_rounds(
         for metric in metrics:
             for scheme in map(Scheme, schemes):
                 if scheme is Scheme.EXACT:
-                    scores = exact_shapley_round(record, metric, ctx, cache)
+                    scores = exact_shapley_round(record, metric, cache)
                 elif scheme is Scheme.GTG:
-                    scores = gtg_shapley_round(record, metric, ctx, vcfg, cache)
+                    scores = gtg_shapley_round(record, metric, vcfg, cache)
                 else:
-                    scores = loo_round(record, metric, ctx, cache)
+                    scores = loo_round(record, metric, cache)
                 table.add_round_scores(scheme, metric, record.round, scores)
     return table
 

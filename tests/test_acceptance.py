@@ -170,12 +170,12 @@ def _rel_err(a, b):
 def test_criterion_3_shapley_axioms():
     with criterion(3, "exact-scheme efficiency and symmetry within 1e-12"):
         records, ctx = trained_setup(seed=3, n=400, rounds=4)
-        cache = CoalitionCache()
+        cache = CoalitionCache(ctx)
         for record in records:
             for metric in Metric:
-                sv = exact_shapley_round(record, metric, ctx, cache)
-                v_full = coalition_utility(record, record.client_ids, metric, ctx, cache)
-                v_empty = coalition_utility(record, (), metric, ctx, cache)
+                sv = exact_shapley_round(record, metric, cache)
+                v_full = coalition_utility(record, record.client_ids, metric, cache)
+                v_empty = coalition_utility(record, (), metric, cache)
                 assert abs(sum(sv.values()) - (v_full - v_empty)) < 1e-12
         # duplicated clients: bitwise-identical updates and sample counts
         from fedtrust.federation import fedavg
@@ -190,7 +190,7 @@ def test_criterion_3_shapley_axioms():
             base.round, base.global_before, updates, fedavg(base.global_before, updates)
         )
         for metric in Metric:
-            sv = exact_shapley_round(record, metric, ctx, CoalitionCache())
+            sv = exact_shapley_round(record, metric, CoalitionCache(ctx))
             assert abs(sv[1] - sv[2]) < 1e-12
 
 
@@ -199,11 +199,11 @@ def test_criterion_4_gtg_oracle_equivalence():
         start = time.perf_counter()
         records, ctx = trained_setup(seed=4, n=600, rounds=10)
         vcfg = ValuationConfig(eps1=0.0, eps2=1.0, eps3=0.0, perm_seed=7)
-        cache = CoalitionCache()
+        cache = CoalitionCache(ctx)
         for record in records[1:]:
             for metric in Metric:
-                sv = exact_shapley_round(record, metric, ctx, cache)
-                gtg = gtg_shapley_round(record, metric, ctx, vcfg, cache)
+                sv = exact_shapley_round(record, metric, cache)
+                gtg = gtg_shapley_round(record, metric, vcfg, cache)
                 for client in sv:
                     assert abs(sv[client] - gtg[client]) < 1e-12
         assert time.perf_counter() - start < 600.0
@@ -214,15 +214,14 @@ def test_criterion_5_gtg_truncation_efficiency():
         phis = []
         for seed in range(5):
             records, ctx = trained_setup(seed=100 + seed, n=800, rounds=10)
-            cache_exact, cache_gtg = CoalitionCache(), CoalitionCache()
+            cache_exact, cache_gtg = CoalitionCache(ctx), CoalitionCache(ctx)
             exact_table = score_rounds(
-                records, [Scheme.EXACT], [Metric.PERF], ctx, ValuationConfig(), cache_exact
+                records, [Scheme.EXACT], [Metric.PERF], ValuationConfig(), cache_exact
             )
             gtg_table = score_rounds(
                 records,
                 [Scheme.GTG],
                 [Metric.PERF],
-                ctx,
                 ValuationConfig(perm_seed=seed),
                 cache_gtg,
             )

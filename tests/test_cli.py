@@ -156,6 +156,9 @@ class TestRun:
             ("data.d = 1\n", "need n >= 10 and d >= 2, got n=80, d=1"),
             ("metrics.target_class = 2\n", "target_class 2 is not a class of the 2-class dataset"),
             ("data.n = 1000000000000\n", "n x d = 3000000000000 synthetic features exceeds"),
+            ("model.hidden = 100000000\n", "a 3-100000000-1 model has P = 500000001 parameters"),
+            # n x d = 8 x 10^7 is within its bound; the model is not
+            ("data.d = 1000000\n", "a 1000000-16-1 model has P = 16000033 parameters"),
         ],
     )
     def test_synthetic_settings_that_fail_every_fold_fail_before_any_fold(self, tmp_path, capsys, extra, message):
@@ -166,6 +169,17 @@ class TestRun:
         assert message in err and "every fold failed" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_dir.exists()
+
+    def test_empty_output_dir_leaves_the_working_directory_untouched(self, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "report.json").write_text("{}\n")
+        config = write_smoke_config(tmp_path, "", "")
+        monkeypatch.chdir(work)
+        assert main(["run", str(config)]) == 2
+        assert "experiment.output_dir is empty" in capsys.readouterr().err
+        assert [p.name for p in work.iterdir()] == ["report.json"]
+        assert (work / "report.json").read_text() == "{}\n"
 
     def test_target_class_outside_the_dataset_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -178,8 +192,9 @@ class TestRun:
         [
             (3, "experiment.folds = 3\n", "sigmoid output needs a binary dataset"),
             (2, "metrics.target_class = 5\n", "target_class 5 is not a class of the 2-class dataset"),
+            (2, "model.hidden = 1000000\n", "a 2-1000000-1 model has P = 4000001 parameters"),
         ],
-        ids=["sigmoid_on_three_classes", "target_class_past_the_classes"],
+        ids=["sigmoid_on_three_classes", "target_class_past_the_classes", "model_past_the_parameter_limit"],
     )
     def test_csv_the_model_cannot_serve_fails_before_any_fold(self, tmp_path, capsys, classes, extra, message):
         data_path = tmp_path / "input.csv"

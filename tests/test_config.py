@@ -111,6 +111,7 @@ class TestParser:
             ("model.hidden = 16,0", "model.hidden"),
             ("partition.clients = 1", "two clients"),
             ("partition.alpha = 0", "dirichlet_alpha"),
+            ("experiment.output_dir =  ", r"<config>: experiment\.output_dir is empty"),
         ],
     )
     def test_range_checks_that_need_no_data_fail_at_parse(self, line, message):
@@ -197,6 +198,9 @@ class TestParser:
             ("data.d = 1", r"need n >= 10 and d >= 2, got n=2000, d=1"),
             ("metrics.target_class = 2", r"metrics.target_class 2 is not a class of the 2-class dataset"),
             ("data.n = 12500001", r"n x d = 100000008 synthetic features exceeds 100000000"),
+            # P = 7 x 111112 + 111112 + 111112 + 1, one hidden unit past the limit
+            ("data.d = 7\nmodel.hidden = 111112", r"a 7-111112-1 model has P = 1000009 parameters, more than 1000000"),
+            ("model.output = softmax\nmodel.hidden = 100000,2", r"a 8-100000-2-2 model has P = 1100008 parameters"),
         ],
     )
     def test_synthetic_settings_that_fail_every_fold_fail_at_parse(self, line, message):
@@ -206,17 +210,33 @@ class TestParser:
     def test_synthetic_bounds_hold_at_their_edge_and_not_for_a_csv(self):
         parse_config_text("data.n = 10\ndata.d = 2\nmetrics.target_class = 1\n")
         parse_config_text("data.n = 12500000\ndata.d = 8\n")  # 10^8 features, 800 MB
-        # a CSV's shape and classes are checked once it is read
-        cfg = parse_config_text("data.source = csv\ndata.csv_path = in.csv\ndata.n = 5\nmetrics.target_class = 4\n")
-        assert (cfg.synthetic_n, cfg.target_class) == (5, 4)
+        parse_config_text("data.d = 7\nmodel.hidden = 111111\n")  # P = 10^6 parameters
+        # a CSV's shape, classes and model are checked once it is read
+        cfg = parse_config_text(
+            "data.source = csv\ndata.csv_path = in.csv\ndata.n = 5\nmetrics.target_class = 4\nmodel.hidden = 100000000\n"
+        )
+        assert (cfg.synthetic_n, cfg.target_class, cfg.hidden_sizes) == (5, 4, (100000000,))
 
     def test_synthetic_bounds_are_defined_once(self):
         from fedtrust import data, experiment
 
         assert data.check_synthetic_shape is config.check_synthetic_shape
         assert experiment.check_target_class is config.check_target_class
+        assert experiment.check_model_size is config.check_model_size
         with pytest.raises(ConfigError, match=r"need n >= 10 and d >= 2, got n=9, d=8"):
             data.generate_synthetic(9, 8, 0.3, seed=0)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "configs").glob("*.txt")) + sorted((ROOT / "perfbench" / "workloads").glob("*.txt")),
+        ids=lambda path: f"{path.parent.name}/{path.name}",
+    )
+    def test_every_shipped_config_and_benchmark_workload_parses(self, path, tmp_path):
+        # a workload runs with the keys perfbench/run.py appends to it
+        text = path.read_text(encoding="utf-8")
+        if path.parent.name == "workloads":
+            text += f"\nexperiment.master_seed = 3\nexperiment.output_dir = {tmp_path / 'out'}\n"
+        parse_config_text(text, origin=str(path))
 
     def test_truncation_rule_accepts_only_prefix_distance(self):
         cfg = parse_config_text("valuation.truncation_rule = prefix_distance\n")

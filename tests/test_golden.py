@@ -13,12 +13,18 @@ training checkpoints are pinned by one digest over every round_<t>/* file:
 a last-bit change in training can leave every prediction, and so every
 score byte, as it was. A change that alters any of these bytes fails here;
 if the change is intended, update the digests and say why in CHANGES.md.
+
+The digests were pinned under numpy's bundled OpenBLAS running its
+``SkylakeX`` kernel; the checkpoint digests of some configs differ under
+other kernels, so a failure names the kernel this process runs.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedtrust.config import parse_config_file
@@ -164,6 +170,24 @@ GOLDEN = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, or "unknown" when the
+    library or its ``scipy_openblas_get_corename64_`` is missing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def kernel_note() -> str:
+    return f"digests pinned under OpenBLAS kernel SkylakeX; this process runs {blas_kernel()}"
+
+
 def golden_config(name: str):
     base, keys = VARIANTS.get(name, (name, {}))
     return dataclasses.replace(parse_config_file(CONFIGS / f"{base}.txt"), **keys)
@@ -190,7 +214,7 @@ def test_scores_digests(name, tmp_path):
         tuple(digest(tmp_path / f"fold_{f}" / file) for file in FOLD_FILES)
         for f in range(cfg.folds)
     ]
-    assert folds == GOLDEN[name]["folds"]
+    assert folds == GOLDEN[name]["folds"], kernel_note()
     checkpoints = [checkpoint_digest(tmp_path / f"fold_{f}") for f in range(cfg.folds)]
-    assert checkpoints == GOLDEN[name]["checkpoints"]
-    assert tuple(digest(tmp_path / file) for file in RUN_FILES) == GOLDEN[name]["run"]
+    assert checkpoints == GOLDEN[name]["checkpoints"], kernel_note()
+    assert tuple(digest(tmp_path / file) for file in RUN_FILES) == GOLDEN[name]["run"], kernel_note()

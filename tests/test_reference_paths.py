@@ -611,12 +611,12 @@ def test_coalition_utility_matches_per_metric_reference(monkeypatch):
         return fedavg(base, updates)
 
     monkeypatch.setattr(valuation, "fedavg", counting_fedavg)
-    cache = CoalitionCache()
+    cache = CoalitionCache(ctx)
     coalitions = all_coalitions(records[0].client_ids)
     for record in records:
         for metric in Metric:
             for ids in coalitions:
-                got = coalition_utility(record, ids, metric, ctx, cache)
+                got = coalition_utility(record, ids, metric, cache)
                 assert got == ref_coalition_utility(record, ids, metric, ctx)
     # one aggregate per (round, coalition), shared by the four metrics
     assert len(fedavg_calls) == len(records) * len(coalitions)
@@ -639,11 +639,11 @@ def fallback_round():
 @pytest.mark.parametrize("metric", list(Metric))
 def test_undefined_metric_fallback_matches_reference(metric):
     record, ctx = fallback_round()
-    cache = CoalitionCache()
+    cache = CoalitionCache(ctx)
     for ids in [(0,), (0, 1), (), (1,)]:
-        got = coalition_utility(record, ids, metric, ctx, cache)
+        got = coalition_utility(record, ids, metric, cache)
         assert got == ref_coalition_utility(record, ids, metric, ctx)
-        assert coalition_utility(record, ids, metric, ctx, CoalitionCache()) == got
+        assert coalition_utility(record, ids, metric, CoalitionCache(ctx)) == got
     # fair is undefined on a one-sided test set for every coalition; res only
     # where the aggregate gets nothing right
     expected = {Metric.FAIR: 4, Metric.RES: 1}.get(metric, 0)
@@ -779,9 +779,9 @@ def score_fold(records, ctx, schemes, grouped, monkeypatch):
                     compute(self, record, [members], *args)
 
             patch.setattr(CoalitionCache, "compute", one_at_a_time)
-        cache = CoalitionCache()
+        cache = CoalitionCache(ctx)
         vcfg = valuation.ValuationConfig(eps1=0.0)
-        table = valuation.score_rounds(records, schemes, list(Metric), ctx, vcfg, cache)
+        table = valuation.score_rounds(records, schemes, list(Metric), vcfg, cache)
     counts = (cache.evaluations, cache.hits, cache.undefined, cache.requested)
     return table.entries, counts, groups
 
@@ -928,8 +928,8 @@ def test_gtg_round_with_undefined_fallbacks_matches_reference(metric, monkeypatc
         return coalition_utility(record, subset, metric, *args)
 
     monkeypatch.setattr(valuation, "coalition_utility", counting_utility)
-    cache = CoalitionCache()
-    got = valuation.gtg_shapley_round(record, metric, ctx, vcfg, cache)
+    cache = CoalitionCache(ctx)
+    got = valuation.gtg_shapley_round(record, metric, vcfg, cache)
     memo, ref_requests = {}, []
 
     def ref_u(ids):
@@ -941,8 +941,8 @@ def test_gtg_round_with_undefined_fallbacks_matches_reference(metric, monkeypatc
     assert got == ref_gtg_values(record.client_ids, ref_u, record.round, vcfg)
     assert Counter(got_requests) == Counter(ref_requests)
     # the counts of the permutation-major scan through a cache of its own
-    ref_cache = CoalitionCache()
-    ref_gtg_values(record.client_ids, lambda ids: ref_cache.utility(record, ids, metric, ctx), record.round, vcfg)
+    ref_cache = CoalitionCache(ctx)
+    ref_gtg_values(record.client_ids, lambda ids: ref_cache.utility(record, ids, metric), record.round, vcfg)
     counts = (cache.evaluations, cache.hits, cache.undefined)
     assert counts == (ref_cache.evaluations, ref_cache.hits, ref_cache.undefined)
     assert cache.undefined == {Metric.FAIR: 4, Metric.RES: 1}.get(metric, 0)

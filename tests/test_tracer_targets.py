@@ -78,9 +78,9 @@ def test_requests_entering_coalition_utility(monkeypatch):
         valuation, "coalition_utility", tracer.counted_utility(valuation.coalition_utility)
     )
     records, ctx = eight_client_rounds()
-    cache = valuation.CoalitionCache()
+    cache = valuation.CoalitionCache(ctx)
     vcfg = valuation.ValuationConfig(eps1=0.0, eps2=0.05, eps3=0.0)
-    valuation.score_rounds(records, ["gtg", "loo"], list(Metric), ctx, vcfg, cache)
+    valuation.score_rounds(records, ["gtg", "loo"], list(Metric), vcfg, cache)
     requests = tracer.counts["valuation.utility_requests"]
     assert requests == 2 * 4 * (2 + 8 * 2017 + 9) == 129176
     assert requests == cache.hits + cache.evaluations

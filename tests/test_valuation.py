@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from fedtrust import config, valuation
 from fedtrust.attacks import AttackSpec
 from fedtrust.data import generate_synthetic, partition, PartitionMode, PartitionSpec, train_test_split
 from fedtrust.errors import ConfigError, InputError
-from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, run_training
+from fedtrust.federation import ClientUpdate, RoundRecord, TrainingConfig, fedavg, run_training
 from fedtrust.metrics import EvalContext, FairnessSpec, Metric, NoiseSpec, adversarial_predictions, evaluate
 from fedtrust.nn import Architecture, ModelParams, OutputActivation, init_params, predict_batch
 from fedtrust.seeding import rng_streams
@@ -225,7 +226,7 @@ class TestCoalitionUtility:
         record = records[1]
         from fedtrust.metrics import perf
 
-        value = coalition_utility(record, (), Metric.PERF, ctx, CoalitionCache())
+        value = coalition_utility(record, (), Metric.PERF, CoalitionCache(ctx))
         assert value == perf(predict_batch(record.global_before, ctx.test.features), ctx.test)
 
     def test_full_subset_is_new_global(self):
@@ -233,14 +234,14 @@ class TestCoalitionUtility:
         record = records[1]
         from fedtrust.metrics import perf
 
-        value = coalition_utility(record, record.client_ids, Metric.PERF, ctx, CoalitionCache())
+        value = coalition_utility(record, record.client_ids, Metric.PERF, CoalitionCache(ctx))
         assert value == perf(predict_batch(record.global_after, ctx.test.features), ctx.test)
 
     def test_cache_hit_is_bit_identical(self):
         records, ctx = trained_records()
-        cache = CoalitionCache()
-        first = coalition_utility(records[0], (0, 2), Metric.REL, ctx, cache)
-        again = coalition_utility(records[0], (0, 2), Metric.REL, ctx, cache)
+        cache = CoalitionCache(ctx)
+        first = coalition_utility(records[0], (0, 2), Metric.REL, cache)
+        again = coalition_utility(records[0], (0, 2), Metric.REL, cache)
         assert first == again
         assert cache.evaluations == 1 and cache.hits == 1
 
@@ -252,26 +253,26 @@ class TestCoalitionUtility:
     def test_any_form_of_a_subset_is_its_sorted_tuple(self, subset):
         records, ctx = trained_records()
         record = records[1]
-        expected = coalition_utility(record, (0, 2), Metric.REL, ctx, CoalitionCache())
-        cache = CoalitionCache()
-        assert coalition_utility(record, subset, Metric.REL, ctx, cache) == expected
+        expected = coalition_utility(record, (0, 2), Metric.REL, CoalitionCache(ctx))
+        cache = CoalitionCache(ctx)
+        assert coalition_utility(record, subset, Metric.REL, cache) == expected
         assert (cache.evaluations, cache.hits) == (1, 0)
         # once memoized, every request is a hit and computes nothing
         for ids in (subset, subset, (0, 2)):
-            assert coalition_utility(record, ids, Metric.REL, ctx, cache) == expected
+            assert coalition_utility(record, ids, Metric.REL, cache) == expected
         assert (cache.evaluations, cache.hits) == (1, 3)
         # a warm memo still checks what it does not know
         for unknown in ((0, 9), [9, 2], (2, 0, 9)):
             with pytest.raises(InputError, match=r"unknown clients \[9\] in round 2"):
-                coalition_utility(record, unknown, Metric.REL, ctx, cache)
+                coalition_utility(record, unknown, Metric.REL, cache)
         assert (cache.evaluations, cache.hits) == (1, 3)
-        loo_round(record, Metric.REL, ctx, cache)
+        loo_round(record, Metric.REL, cache)
         assert all(type(ids) is tuple for _, ids, _ in cache.requested["loo"])
 
     def test_unknown_client_rejected(self):
         records, ctx = trained_records()
         with pytest.raises(InputError):
-            coalition_utility(records[0], (0, 9), Metric.PERF, ctx, CoalitionCache())
+            coalition_utility(records[0], (0, 9), Metric.PERF, CoalitionCache(ctx))
 
     @staticmethod
     def wrong_client_round():
@@ -300,12 +301,12 @@ class TestCoalitionUtility:
         record, ctx, always_zero = self.wrong_client_round()
         test = ctx.test
         with caplog.at_level(logging.WARNING, logger="fedtrust.valuation"):
-            value = coalition_utility(record, (0,), Metric.RES, ctx, CoalitionCache())
+            value = coalition_utility(record, (0,), Metric.RES, CoalitionCache(ctx))
         assert value == evaluate(always_zero, Metric.RES, ctx, predict_batch(always_zero, test.features))
         assert any("undefined" in message for message in caplog.messages)
         # the fallback's read of the empty coalition is computed, not requested
-        cache = CoalitionCache()
-        loo_round(record, Metric.RES, ctx, cache)
+        cache = CoalitionCache(ctx)
+        loo_round(record, Metric.RES, cache)
         assert cache.requested == {"loo": {(1, ids, Metric.RES) for ids in [(0, 1), (0,), (1,)]}}
         assert cache.evaluations == 4 and cache.undefined >= 1
 
@@ -321,13 +322,41 @@ class TestCoalitionUtility:
             return adversarial_predictions(models, cleans, ctx)
 
         monkeypatch.setattr(valuation, "adversarial_predictions", counting)
-        cache = CoalitionCache()
-        u = valuation._utility_fn(record, Metric.RES, ctx, cache, Scheme.LOO)
+        cache = CoalitionCache(ctx)
+        u = valuation._utility_fn(record, Metric.RES, cache, Scheme.LOO)
         singleton, empty = u([0b01, 0b00])
         assert singleton == empty
         assert attacked == [2]
         assert (cache.evaluations, cache.undefined, cache.reads, cache.hits) == (2, 1, 3, 1)
         assert cache.requested == {"loo": {(1, (0,), Metric.RES), (1, (), Metric.RES)}}
+
+
+class TestOneFoldCache:
+    def test_one_cache_keeps_two_runs_of_a_round_apart(self):
+        # round 2 of two training runs shares its round number; one cache
+        # scores both records, each as a fresh cache scores it
+        first, ctx = trained_records(seed=0)
+        second, _ = trained_records(seed=1)
+        cache = CoalitionCache(ctx)
+        fresh = []
+        for records in (first, second):
+            want = exact_shapley_round(records[1], Metric.PERF, CoalitionCache(ctx))
+            assert exact_shapley_round(records[1], Metric.PERF, cache) == want
+            fresh.append(want)
+        assert fresh[0] != fresh[1]
+        assert cache.evaluations == 2 * 2**4
+
+    def test_caches_on_contexts_that_differ_in_sigma_give_their_own_rel(self):
+        records, ctx = trained_records()
+        record = records[1]
+        model = fedavg(record.global_before, [record.update_for(0), record.update_for(1)])
+        values = []
+        for sigma in (0.05, 2.0):
+            noisy = dataclasses.replace(ctx, noise=NoiseSpec(sigma, 5))
+            want = evaluate(model, Metric.REL, noisy, predict_batch(model, noisy.test.features))
+            assert coalition_utility(record, (0, 1), Metric.REL, CoalitionCache(noisy)) == want
+            values.append(want)
+        assert values[0] != values[1]
 
 
 class TestRoundWrappers:
@@ -336,25 +365,24 @@ class TestRoundWrappers:
         params = init_params(arch, 0)
         updates = tuple(ClientUpdate(i, params, 1) for i in range(13))
         record = RoundRecord(1, params, updates, params)
-        ctx = None  # never reached
         with pytest.raises(ConfigError, match="gtg"):
-            exact_shapley_round(record, Metric.PERF, ctx, CoalitionCache())
+            exact_shapley_round(record, Metric.PERF, CoalitionCache(None))  # ctx never read
 
     def test_gtg_round_one_needs_no_prev(self):
         records, ctx = trained_records()
         scores = gtg_shapley_round(
-            records[0], Metric.PERF, ctx, ValuationConfig(), CoalitionCache()
+            records[0], Metric.PERF, ValuationConfig(), CoalitionCache(ctx)
         )
         assert set(scores) == {0, 1, 2, 3}
 
     def test_exact_efficiency_on_real_round(self):
         records, ctx = trained_records()
-        cache = CoalitionCache()
+        cache = CoalitionCache(ctx)
         for record in records[1:]:
             for metric in Metric:
-                sv = exact_shapley_round(record, metric, ctx, cache)
-                v_full = coalition_utility(record, record.client_ids, metric, ctx, cache)
-                v_empty = coalition_utility(record, (), metric, ctx, cache)
+                sv = exact_shapley_round(record, metric, cache)
+                v_full = coalition_utility(record, record.client_ids, metric, cache)
+                v_empty = coalition_utility(record, (), metric, cache)
                 assert abs(sum(sv.values()) - (v_full - v_empty)) < 1e-12
 
     def test_identical_updates_get_identical_scores_and_zero_loo(self):
@@ -364,15 +392,15 @@ class TestRoundWrappers:
         updates = tuple(ClientUpdate(i, clone, 20) for i in range(4))
         record = RoundRecord(1, base.global_before, updates, clone)
         for metric in (Metric.PERF, Metric.FAIR):
-            sv = exact_shapley_round(record, metric, ctx, CoalitionCache())
+            sv = exact_shapley_round(record, metric, CoalitionCache(ctx))
             assert max(sv.values()) - min(sv.values()) < 1e-12
-            loo = loo_round(record, metric, ctx, CoalitionCache())
+            loo = loo_round(record, metric, CoalitionCache(ctx))
             assert all(abs(v) < 1e-12 for v in loo.values())
 
     def test_gtg_requests_fewer_coalitions_than_exact_under_shared_cache(self):
         records, ctx = trained_records(rounds=3)
-        cache = CoalitionCache()
-        score_rounds(records, list(Scheme), list(Metric), ctx, ValuationConfig(), cache)
+        cache = CoalitionCache(ctx)
+        score_rounds(records, list(Scheme), list(Metric), ValuationConfig(), cache)
         requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
         assert requested["exact_shapley"] == 3 * 16 * 4
         assert requested["loo"] == 3 * 5 * 4
@@ -392,7 +420,7 @@ class TestRoundWrappers:
 
         monkeypatch.setattr(valuation, "rng_streams", counting_rng_streams)
         gtg_permutations.cache_clear()
-        score_rounds(records, [Scheme.GTG], list(Metric), ctx, vcfg, CoalitionCache())
+        score_rounds(records, [Scheme.GTG], list(Metric), vcfg, CoalitionCache(ctx))
         # each round's four metrics share one sample of `budget` shuffles
         budget = permutation_budget(4, vcfg.eps2)
         assert streams == [("perm", t, r) for t in (1, 2, 3) for r in range(budget)]
@@ -401,16 +429,16 @@ class TestRoundWrappers:
         records, ctx = trained_records(rounds=2)
         vcfg = ValuationConfig()
         with_cache = score_rounds(
-            records, list(Scheme), list(Metric), ctx, vcfg, CoalitionCache()
+            records, list(Scheme), list(Metric), vcfg, CoalitionCache(ctx)
         )
         # a fresh cache per wrapper call shares nothing between calls
         without_cache = ScoreTable()
         for record in records:
             for metric in Metric:
                 rounds = {
-                    Scheme.EXACT: exact_shapley_round(record, metric, ctx, CoalitionCache()),
-                    Scheme.GTG: gtg_shapley_round(record, metric, ctx, vcfg, CoalitionCache()),
-                    Scheme.LOO: loo_round(record, metric, ctx, CoalitionCache()),
+                    Scheme.EXACT: exact_shapley_round(record, metric, CoalitionCache(ctx)),
+                    Scheme.GTG: gtg_shapley_round(record, metric, vcfg, CoalitionCache(ctx)),
+                    Scheme.LOO: loo_round(record, metric, CoalitionCache(ctx)),
                 }
                 for scheme, scores in rounds.items():
                     without_cache.add_round_scores(scheme, metric, record.round, scores)
@@ -423,12 +451,12 @@ class TestCompactRoundState:
         test = generate_synthetic(2_000, 3, 0.2, seed=1)
         ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, 5), AttackSpec(0.1, 0.02, 5))
         vcfg = ValuationConfig(eps1=0.0, eps3=0.0)
-        cache = CoalitionCache()
+        cache = CoalitionCache(ctx)
         gtg_permutations.cache_clear()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            score_rounds(records[1:], [Scheme.GTG], [Metric.PERF], ctx, vcfg, cache)
+            score_rounds(records[1:], [Scheme.GTG], [Metric.PERF], vcfg, cache)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -491,7 +519,7 @@ class TestAccumulate:
     def test_matches_independent_resummation_over_ten_rounds(self):
         records, ctx = trained_records(rounds=10)
         table = score_rounds(
-            records, [Scheme.LOO], [Metric.PERF], ctx, ValuationConfig(), CoalitionCache()
+            records, [Scheme.LOO], [Metric.PERF], ValuationConfig(), CoalitionCache(ctx)
         )
         totals = accumulate(table)
         for client in table.clients():
@@ -536,7 +564,7 @@ class TestScoresCsv:
     def test_round_trip(self, tmp_path):
         records, ctx = trained_records(rounds=2)
         table = score_rounds(
-            records, list(Scheme), list(Metric), ctx, ValuationConfig(), CoalitionCache()
+            records, list(Scheme), list(Metric), ValuationConfig(), CoalitionCache(ctx)
         )
         path = tmp_path / "scores.csv"
         write_scores_csv(table, path)

@@ -3,10 +3,10 @@
 
 For each seed, trains a 4-client federation, scores every round with both
 schemes on the accuracy metric, and reports the rank correlation of the
-accumulated scores together with how many distinct coalition utilities
-each scheme requested from the cache the two share. Shows the
-cost/fidelity trade-off of the truncation thresholds on a desk-scale
-problem.
+accumulated scores together with how many distinct coalitions each
+scheme requested per round, summed over the rounds, from the cache the two
+share (which holds one round at a time). Shows the cost/fidelity
+trade-off of the truncation thresholds on a desk-scale problem.
 
 Usage: python scripts/scheme_agreement.py [n_seeds] [eps2]
 """
@@ -48,8 +48,7 @@ def one_seed(seed: int, eps2: float):
     )
     vectors = score_vectors(table)
     result = spearman_flagged(vectors[("gtg", "perf")], vectors[("exact_shapley", "perf")])
-    requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
-    return result, requested["gtg"], requested["exact_shapley"]
+    return result, cache
 
 
 def main():
@@ -58,9 +57,9 @@ def main():
     print(f"seed  phi(gtg, exact)  evals gtg/exact   (eps2={eps2})")
     phis = []
     for seed in range(n_seeds):
-        result, gtg_evals, exact_evals = one_seed(seed, eps2)
+        result, cache = one_seed(seed, eps2)
         phi_text = "--  (degenerate)" if result.degenerate else f"{result.phi:+.3f}"
-        print(f"{seed:4d}  {phi_text:16s} {gtg_evals:5d} / {exact_evals}")
+        print(f"{seed:4d}  {phi_text:16s} {cache.requested['gtg']:5d} / {cache.requested['exact_shapley']}")
         phis.append(result.phi)
     print(f"median phi = {np.median(phis):+.3f}")
 

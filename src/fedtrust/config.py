@@ -192,6 +192,12 @@ class CsvSchema:
     sensitive: str
     positive_sensitive_value: str
 
+    def __post_init__(self) -> None:
+        # one column in both roles would make the sensitive flag a function
+        # of the label, so fair would measure the label itself
+        if self.label == self.sensitive:
+            raise ConfigError(f"data.label_column and data.sensitive_column both name {self.label!r}")
+
 
 # The synthetic generator draws a binary label.
 SYNTHETIC_CLASSES = 2
@@ -300,6 +306,8 @@ class ExperimentConfig:
         NoiseSpec(self.sigma, 0)
         FairnessSpec(self.target_class)
         PartitionSpec(self.partition_mode, self.clients, self.dirichlet_alpha)
+        if self.data_source == "csv":
+            self.csv_schema()
         # a CSV's shape and classes are known only once it is read
         if self.data_source == "synthetic":
             check_synthetic_shape(self.synthetic_n, self.synthetic_d)

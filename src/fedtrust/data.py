@@ -175,9 +175,14 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a header-first CSV into a normalized Dataset; an empty cell or a
-    non-finite number is a ``DataError`` naming its ``file:line``."""
+    non-finite number is a ``DataError`` naming its ``file:line``, and a
+    header that names a column twice or lacks a declared one a
+    ``SchemaError``."""
     header, rows = read_csv(path)
     col_index = {name: j for j, name in enumerate(header)}
+    if len(col_index) < len(header):
+        repeated = next(name for j, name in enumerate(header) if col_index[name] != j)
+        raise SchemaError(f"{path}: header names column {repeated!r} more than once")
     for role, name in (("label", schema.label), ("sensitive", schema.sensitive)):
         if name not in col_index:
             raise SchemaError(f"{path}: declared {role} column {name!r} not in header")

@@ -100,9 +100,7 @@ def run_fold(
                 "cache_hits": cache.hits,
                 "distinct_coalitions": cache.evaluations,
                 "metric_undefined_fallbacks": cache.undefined,
-                "requested_coalitions": {
-                    s.value: len(cache.requested.get(s.value, ())) for s in cfg.schemes
-                },
+                "requested_coalitions": {s.value: cache.requested.get(s.value, 0) for s in cfg.schemes},
                 "schemes": [s.value for s in cfg.schemes],
             },
             fh,

@@ -57,7 +57,7 @@ class ClientUpdate:
             raise ConfigError("sample_count must be at least 1")
 
 
-# Hashed by identity: a coalition cache keys its memo by the record object.
+# Compared by identity: a coalition cache tells records apart by the object.
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
     round: int

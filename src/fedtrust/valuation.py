@@ -14,13 +14,13 @@ Three schemes over a shared coalition-utility function:
 The utility of a coalition is the metric value of the model obtained by
 FedAvg-aggregating only that coalition's updates onto the previous global
 model; the empty coalition is the previous global model itself. A fold's
-:class:`CoalitionCache`, built on the fold's evaluation context, aggregates
-each (round record, coalition) once and shares its clean test predictions
-across the four metrics; utilities are memoized per (record, coalition,
-metric) and computed only when a scheme asks, so evaluation counts are the
-honest cost measure of a scheme. Each round wrapper records the (round,
-coalition, metric) keys its scheme asked for in the cache's
-``requested[scheme]``.
+:class:`CoalitionCache`, built on the fold's evaluation context, holds one
+round record's state at a time: it aggregates each coalition once and
+shares its clean test predictions across the four metrics; utilities are
+memoized per (coalition, metric) and computed only when a scheme asks, so
+evaluation counts are the honest cost measure of a scheme. The cache's
+``requested[scheme]`` counts the distinct coalitions each scheme asked for
+per record and metric.
 
 Each scheme core asks its utility game for a list of coalitions at a
 time and gets their utilities back in order: exact Shapley asks for all its
@@ -41,11 +41,12 @@ The scheme cores carry coalitions as int bitmasks over the round's sorted
 client ids; everywhere else a coalition is the sorted tuple of its ids. The
 utility game maps each mask to its tuple through the cache's table of the
 round's coalitions (one dict, built on first use, so GTG's K may be too
-large for a 2^K list). The memo holds one dict per (record, metric), keyed
-by that tuple, so an entry shares its key with the table. The cache looks
-a subset up as given, so a repeated request costs one dict lookup; a subset
-the memo does not know is sorted and checked before it is looked up again
-or computed.
+large for a 2^K list). The memo holds one dict per metric, keyed by that
+tuple, so an entry shares its key with the table. All of it belongs to the
+current record and resets when a different record arrives. The cache looks
+a subset up as given, so a repeated request costs one identity check and
+one dict lookup; a subset the memo does not know is sorted and checked
+before it is looked up again or computed.
 
 A GTG round asks for every coalition on each metric, so the round's state
 is held compactly: a coalition's clean predictions as the narrowest
@@ -87,62 +88,90 @@ class CoalitionCache:
     """Memo of coalition utilities for one fold, with the counts of its cost.
 
     The cache is built on the fold's evaluation context, ``ctx``, and every
-    utility it computes is evaluated there. A coalition is the sorted tuple
-    of its client ids. :meth:`compute` is the one place that computes
-    utilities: it aggregates each (record, coalition) once and runs it
-    forward on the clean test inputs once; the aggregate and its
-    predictions, narrowed to ``np.min_scalar_type(class_count - 1)``, are
-    kept for the latest record only and shared by every metric, beside that
-    record's table from bitmask to coalition (see :meth:`coalitions`). The
-    memo is one dict per (record, metric) from coalition to utility, keyed
-    by the table's tuples; a record is keyed by identity. On ``res``
-    :meth:`compute` attacks a list's new coalitions together, in PGD
-    groups. :meth:`utility` reads the memo and computes only a coalition it
-    does not know, through :meth:`compute`.
+    utility it computes is evaluated there. It holds the state of one round
+    record, the one it was last asked about (told apart by identity): the
+    table from bitmask to coalition (the sorted tuple of its client ids),
+    each coalition's aggregate and clean predictions (narrowed to
+    ``np.min_scalar_type(class_count - 1)``, shared by every metric), the
+    memo (one dict per metric, keyed by the table's tuples) and the masks
+    each (scheme, metric) requested. A different record resets all of it,
+    in :meth:`_reset`. :meth:`compute` is the one place that computes
+    utilities; :meth:`utility` reads the memo and computes only a coalition
+    it does not know, through :meth:`compute`.
 
     ``evaluations`` counts the utilities computed, ``reads`` the utilities
     that :meth:`utility` returned (a fallback's read of the empty coalition
     too) and ``undefined`` the computed utilities that fell back to the
     empty coalition. ``hits`` is ``reads - evaluations``: once every
     computed utility has been read, as the utility game reads each list it
-    computes, it counts the reads that needed no computing. ``requested[scheme]`` holds the
-    (round, coalition, metric) keys the round wrappers of that scheme asked
-    for; the fallback's read of the empty coalition is not a request.
+    computes, it counts the reads that needed no computing.
+    ``requested[scheme]`` counts the distinct coalitions that scheme's games
+    asked for per record and metric, over the fold (:meth:`requests` names
+    the current record's); the fallback's read is not a request.
     """
 
     def __init__(self, ctx: EvalContext) -> None:
         self.ctx = ctx
-        self._memo: dict[tuple[RoundRecord, Metric], dict[Coalition, float]] = {}
-        self._record: RoundRecord | None = None
-        self._coalitions: dict[int, Coalition] = {}
-        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
-        self.requested: dict[str, set[tuple[int, Coalition, Metric]]] = {}
+        self.requested: dict[str, int] = {}
         self.evaluations = 0
         self.reads = 0
         self.undefined = 0
+        self._reset(None)
+
+    def _reset(self, record: RoundRecord | None) -> None:
+        self._record = record
+        self._coalitions: dict[int, Coalition] = {}
+        self._aggregates: dict[Coalition, tuple[ModelParams, np.ndarray]] = {}
+        self._memo: dict[Metric, dict[Coalition, float]] = {metric: {} for metric in Metric}
+        self._requests: dict[tuple[str, Metric], set[int]] = {}
 
     @property
     def hits(self) -> int:
         return self.reads - self.evaluations
 
-    def coalitions(self, record: RoundRecord) -> dict[int, Coalition]:
-        """The table from bitmask to coalition of ``record``, which
-        :func:`_utility_fn` fills; a different record starts an empty one,
-        so the record's metrics and schemes share one tuple per coalition."""
-        if record is not self._record:
-            self._record = record
-            self._coalitions = {}
-            self._aggregates = {}
-        return self._coalitions
+    def requests(self, scheme: Scheme, metric: Metric) -> set[Coalition]:
+        """The coalitions the games of ``scheme`` asked for on ``metric`` of
+        the current record."""
+        masks = self._requests.get((Scheme(scheme).value, Metric(metric)), ())
+        return {self._coalitions[mask] for mask in masks}
+
+    def game(self, record: RoundRecord, metric: Metric, scheme: Scheme) -> UtilityFn:
+        """``record``'s utility game on ``metric`` over lists of bitmasks,
+        counting each request as ``scheme``'s. Each mask maps to its tuple
+        through the record's table; the list's new coalitions are computed
+        together (:meth:`compute`), and then each tuple of the list enters
+        :func:`coalition_utility`, which reads it."""
+        metric, name = Metric(metric), Scheme(scheme).value
+        ids = sorted(record.client_ids)
+
+        def u(masks: Sequence[int]) -> list[float]:
+            if record is not self._record:
+                self._reset(record)
+            coalitions = self._coalitions
+            requests = self._requests.setdefault((name, metric), set())
+            before = len(requests)
+            requests.update(masks)
+            self.requested[name] = self.requested.get(name, 0) + len(requests) - before
+            members = []
+            for mask in masks:
+                coalition = coalitions.get(mask)
+                if coalition is None:
+                    coalition = coalitions[mask] = _coalition_of(ids, mask)
+                members.append(coalition)
+            self.compute(record, members, metric)
+            return [coalition_utility(record, m, metric, self) for m in members]
+
+        return u
 
     def utility(self, record: RoundRecord, subset: Iterable[int], metric: Metric) -> float:
         # A GTG round of 8 clients makes about 16k requests per metric, so a
         # subset is first looked up as given: a repeated request for a sorted
-        # tuple costs one dict lookup. Only a subset the memo does not know
-        # is sorted and checked.
-        memo = self._memo.get((record, metric))
+        # tuple costs one identity check and one dict lookup. Only a subset
+        # the memo does not know is sorted and checked.
+        if record is not self._record:
+            self._reset(record)
         try:
-            value = None if memo is None else memo.get(subset)
+            value = self._memo[metric].get(subset)
         except TypeError:  # an unhashable subset, such as a list
             value = None
         if value is None:
@@ -151,8 +180,7 @@ class CoalitionCache:
             if unknown:
                 raise InputError(f"unknown clients {sorted(unknown)} in round {record.round}")
             members = tuple(sorted(map(int, ids)))
-            memo = self.compute(record, [members], metric)
-            value = memo[members]
+            value = self.compute(record, [members], metric)[members]
         self.reads += 1
         return value
 
@@ -165,8 +193,9 @@ class CoalitionCache:
         attacked together (``metrics.adversarial_predictions``). The empty
         coalition is evaluated first, so that a fallback reads it. Returns
         the memo of the record and ``metric``."""
-        self.coalitions(record)  # a different record drops the previous one's aggregates
-        memo = self._memo.setdefault((record, metric), {})
+        if record is not self._record:
+            self._reset(record)
+        memo = self._memo[metric]
         new = [c for c in dict.fromkeys(coalitions) if c not in memo]
         aggregates = []
         for members in new:
@@ -224,39 +253,6 @@ def coalition_utility(
 def _coalition_of(clients: Sequence[int], mask: int) -> Coalition:
     """The coalition of bitmask ``mask`` over the sorted ``clients``."""
     return tuple(c for i, c in enumerate(clients) if mask >> i & 1)
-
-
-def _utility_fn(
-    record: RoundRecord, metric: Metric, cache: CoalitionCache, scheme: Scheme
-) -> UtilityFn:
-    """The round's utility game over lists of bitmasks, recording each
-    request as ``scheme``'s.
-
-    Each mask maps to its sorted tuple of client ids through the cache's
-    table of the round's coalitions. The cache computes the list's new
-    coalitions together (:meth:`CoalitionCache.compute`), and then each
-    tuple of the list enters :func:`coalition_utility`, which reads it.
-    """
-    metric = Metric(metric)
-    ids = sorted(record.client_ids)
-    coalitions = cache.coalitions(record)
-    requested = cache.requested.setdefault(scheme.value, set())
-    seen: set[int] = set()
-
-    def u(masks: Sequence[int]) -> list[float]:
-        members = []
-        for mask in masks:
-            coalition = coalitions.get(mask)
-            if coalition is None:
-                coalition = coalitions[mask] = _coalition_of(ids, mask)
-            if mask not in seen:
-                seen.add(mask)
-                requested.add((record.round, coalition, metric))
-            members.append(coalition)
-        cache.compute(record, members, metric)
-        return [coalition_utility(record, m, metric, cache) for m in members]
-
-    return u
 
 
 # --- scheme cores over an abstract utility function ---
@@ -401,20 +397,20 @@ def exact_shapley_round(
             f"exact Shapley enumerates 2^K utilities; K={len(record.updates)} "
             f"exceeds {EXACT_CLIENT_LIMIT}, use the gtg scheme"
         )
-    return exact_shapley_values(record.client_ids, _utility_fn(record, metric, cache, Scheme.EXACT))
+    return exact_shapley_values(record.client_ids, cache.game(record, metric, Scheme.EXACT))
 
 
 def gtg_shapley_round(
     record: RoundRecord, metric: Metric, vcfg: ValuationConfig, cache: CoalitionCache
 ) -> dict[int, float]:
-    u = _utility_fn(record, metric, cache, Scheme.GTG)
+    u = cache.game(record, metric, Scheme.GTG)
     return gtg_shapley_values(record.client_ids, u, record.round, vcfg)
 
 
 def loo_round(record: RoundRecord, metric: Metric, cache: CoalitionCache) -> dict[int, float]:
     if len(record.updates) < 2:
         raise ConfigError("leave-one-out needs at least two clients")
-    return loo_values(record.client_ids, _utility_fn(record, metric, cache, Scheme.LOO))
+    return loo_values(record.client_ids, cache.game(record, metric, Scheme.LOO))
 
 
 # --- score bookkeeping ---

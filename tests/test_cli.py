@@ -127,6 +127,18 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {data_path}:4: empty cell in column 'a'"]
 
+    def test_csv_header_naming_a_column_twice_fails_before_any_fold(self, tmp_path, capsys):
+        data_path = tmp_path / "input.csv"
+        rows = [f"{i % 7},{i % 5},{i % 2},{i % 2}" for i in range(300)]
+        data_path.write_text("\n".join(["a,a,s,y", *rows]) + "\n")
+        out_dir = tmp_path / "out"
+        extra = f"data.source = csv\ndata.csv_path = {data_path}\n"
+        config = write_smoke_config(tmp_path, out_dir, extra)
+        assert main(["run", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {data_path}: header names column 'a' more than once"]
+        assert not out_dir.exists()
+
     def test_bad_test_fraction_fails_before_any_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_smoke_config(tmp_path, out_dir, "data.test_fraction = 2\n")

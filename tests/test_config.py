@@ -112,6 +112,11 @@ class TestParser:
             ("partition.clients = 1", "two clients"),
             ("partition.alpha = 0", "dirichlet_alpha"),
             ("experiment.output_dir =  ", r"<config>: experiment\.output_dir is empty"),
+            # the CSV itself is read only when a run starts
+            (
+                "data.source = csv\ndata.csv_path = in.csv\ndata.label_column = s",
+                "data.label_column and data.sensitive_column both name 's'",
+            ),
         ],
     )
     def test_range_checks_that_need_no_data_fail_at_parse(self, line, message):

@@ -97,6 +97,23 @@ class TestCsv:
         with pytest.raises(DataError, match=r"data\.csv:2: 2 cells, expected 3"):
             load_csv(path, CsvSchema("y", "s", "yes"))
 
+    def test_repeated_feature_column_rejected(self, tmp_path):
+        # read by name, the second 'a' would load twice and the first never
+        path = self.write(tmp_path, "a,a,y,s\n0.1,0.9,0,1\n0.2,0.8,1,0\n0.3,0.7,0,1\n")
+        with pytest.raises(SchemaError, match=r"data\.csv: header names column 'a' more than once"):
+            load_csv(path, CsvSchema("y", "s", "1"))
+
+    def test_repeated_label_column_rejected(self, tmp_path):
+        # read by name, the labels would come from the last 'y'
+        path = self.write(tmp_path, "a,y,y,s\n0.1,0,1,1\n0.2,1,0,0\n0.3,0,1,1\n")
+        with pytest.raises(SchemaError, match=r"data\.csv: header names column 'y' more than once"):
+            load_csv(path, CsvSchema("y", "s", "1"))
+
+    def test_label_column_that_is_also_sensitive_rejected(self):
+        # the sensitive flag would be label == "1", so fair would score the label
+        with pytest.raises(ConfigError, match="both name 'y'"):
+            CsvSchema("y", "y", "1")
+
     def test_string_labels_map_to_sorted_indices(self, tmp_path):
         path = self.write(tmp_path, "a,s,y\n1,yes,>50K\n2,no,<=50K\n3,no,>50K\n")
         ds = load_csv(path, CsvSchema("y", "s", "yes"))

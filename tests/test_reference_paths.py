@@ -782,7 +782,9 @@ def score_fold(records, ctx, schemes, grouped, monkeypatch):
         cache = CoalitionCache(ctx)
         vcfg = valuation.ValuationConfig(eps1=0.0)
         table = valuation.score_rounds(records, schemes, list(Metric), vcfg, cache)
-    counts = (cache.evaluations, cache.hits, cache.undefined, cache.requested)
+    # the last round's requested coalitions, per scheme and metric
+    requests = {(s, m): cache.requests(s, m) for s in schemes for m in Metric}
+    counts = (cache.evaluations, cache.hits, cache.undefined, cache.requested, requests)
     return table.entries, counts, groups
 
 

@@ -3,7 +3,8 @@
 A script does not run its ``main`` at import, so importing one checks every
 ``fedtrust`` name it uses without doing its work; one seed of
 ``scheme_agreement`` then checks the methods it calls, a run of it with no
-``PYTHONPATH`` that it finds the checkout's package, a run of
+``PYTHONPATH`` that it finds the checkout's package, ``microbench`` runs
+every layer on canned shapes with no timing asserted, a run of
 ``memory_stages`` on the smoke config checks what it prints, and canned result
 lines check how ``bench_pairs`` assembles a BENCH file, a run that fails
 how it keeps the other pairs, a run that fails a check how it keeps that
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -31,17 +33,21 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["scheme_agreement", "bench_pairs", "memory_stages"])
+@pytest.mark.parametrize("name", ["scheme_agreement", "bench_pairs", "memory_stages", "microbench"])
 def test_script_imports(name):
     assert callable(load(name).main)
 
 
 def test_scheme_agreement_one_seed():
-    result, gtg_requested, exact_requested = load("scheme_agreement").one_seed(0, 0.05)
+    result, cache = load("scheme_agreement").one_seed(0, 0.05)
     assert not result.degenerate
     assert result.phi == pytest.approx(1.0)
     # distinct coalitions requested: exact asks for all 2^4 in each of 10 rounds
-    assert (gtg_requested, exact_requested) == (105, 160)
+    assert cache.requested == {"gtg": 105, "exact_shapley": 160}
+    # the cache holds the last round: GTG asked for some of its coalitions
+    every = {ids for size in range(5) for ids in combinations(range(4), size)}
+    assert cache.requests("exact_shapley", "perf") == every
+    assert {(), (0, 1, 2, 3)} < cache.requests("gtg", "perf") < every
 
 
 def test_scheme_agreement_runs_from_a_checkout(tmp_path):
@@ -55,6 +61,25 @@ def test_scheme_agreement_runs_from_a_checkout(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "median phi = +1.000"
+
+
+def test_microbench_runs_every_layer_on_canned_shapes(monkeypatch):
+    microbench = load("microbench")
+    from fedtrust.config import parse_config_text
+
+    cfg = parse_config_text((SCRIPTS.parent / "configs" / "smoke.txt").read_text())
+    layers = microbench.build_layers(cfg)
+    utilities = [f"coalition_utility_{m}" for m in ("perf", "fair", "rel", "res")]
+    kernels = ["forward", "input_gradient", "pgd", "noise_matrix", "fedavg", "training_step", "certified_rows"]
+    assert list(layers) == kernels + utilities
+    # one call per repeat, two repeats: the smallest run that has quartiles
+    monkeypatch.setattr(microbench, "REPEATS", 2)
+    monkeypatch.setattr(microbench, "REPEAT_S", 0.0)
+    figures = microbench.measure(layers)
+    assert list(figures) == list(layers)
+    for figure in figures.values():
+        assert figure["calls"] == 2
+        assert figure["q1_s"] <= figure["median_s"] <= figure["q3_s"]
 
 
 def test_memory_stages_prints_a_peak_per_stage_of_the_smoke_fold():

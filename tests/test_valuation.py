@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import logging
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations as all_combinations
 from itertools import permutations as all_perms
 
 import numpy as np
@@ -267,7 +269,9 @@ class TestCoalitionUtility:
                 coalition_utility(record, unknown, Metric.REL, cache)
         assert (cache.evaluations, cache.hits) == (1, 3)
         loo_round(record, Metric.REL, cache)
-        assert all(type(ids) is tuple for _, ids, _ in cache.requested["loo"])
+        requested = cache.requests(Scheme.LOO, Metric.REL)
+        assert requested == {(0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)}
+        assert all(type(ids) is tuple for ids in requested)
 
     def test_unknown_client_rejected(self):
         records, ctx = trained_records()
@@ -307,7 +311,8 @@ class TestCoalitionUtility:
         # the fallback's read of the empty coalition is computed, not requested
         cache = CoalitionCache(ctx)
         loo_round(record, Metric.RES, cache)
-        assert cache.requested == {"loo": {(1, ids, Metric.RES) for ids in [(0, 1), (0,), (1,)]}}
+        assert cache.requested == {"loo": 3}
+        assert cache.requests(Scheme.LOO, Metric.RES) == {(0, 1), (0,), (1,)}
         assert cache.evaluations == 4 and cache.undefined >= 1
 
     def test_fallback_in_a_res_list_attacks_the_empty_coalition_once(self, monkeypatch):
@@ -323,12 +328,13 @@ class TestCoalitionUtility:
 
         monkeypatch.setattr(valuation, "adversarial_predictions", counting)
         cache = CoalitionCache(ctx)
-        u = valuation._utility_fn(record, Metric.RES, cache, Scheme.LOO)
+        u = cache.game(record, Metric.RES, Scheme.LOO)
         singleton, empty = u([0b01, 0b00])
         assert singleton == empty
         assert attacked == [2]
         assert (cache.evaluations, cache.undefined, cache.reads, cache.hits) == (2, 1, 3, 1)
-        assert cache.requested == {"loo": {(1, (0,), Metric.RES), (1, (), Metric.RES)}}
+        assert cache.requested == {"loo": 2}
+        assert cache.requests(Scheme.LOO, Metric.RES) == {(0,), ()}
 
 
 class TestOneFoldCache:
@@ -345,6 +351,21 @@ class TestOneFoldCache:
             fresh.append(want)
         assert fresh[0] != fresh[1]
         assert cache.evaluations == 2 * 2**4
+
+    def test_two_records_of_one_round_count_their_requests_apart(self):
+        first, ctx = trained_records(seed=0)
+        second, _ = trained_records(seed=1)
+        cache = CoalitionCache(ctx)
+        every = {ids for size in range(5) for ids in all_combinations(range(4), size)}
+        for records in (first, second):
+            exact_shapley_round(records[1], Metric.PERF, cache)
+            assert cache.requests(Scheme.EXACT, Metric.PERF) == every
+        assert cache.requested == {"exact_shapley": 2 * 2**4}
+        # the cache holds the latest record only: returning to the first
+        # computes and counts its coalitions again
+        exact_shapley_round(first[1], Metric.PERF, cache)
+        assert cache.evaluations == 3 * 2**4
+        assert cache.requested == {"exact_shapley": 3 * 2**4}
 
     def test_caches_on_contexts_that_differ_in_sigma_give_their_own_rel(self):
         records, ctx = trained_records()
@@ -401,12 +422,19 @@ class TestRoundWrappers:
         records, ctx = trained_records(rounds=3)
         cache = CoalitionCache(ctx)
         score_rounds(records, list(Scheme), list(Metric), ValuationConfig(), cache)
-        requested = {scheme: len(keys) for scheme, keys in cache.requested.items()}
+        requested = cache.requested
         assert requested["exact_shapley"] == 3 * 16 * 4
         assert requested["loo"] == 3 * 5 * 4
         assert requested["gtg"] < requested["exact_shapley"]
         # the shared cache computes each requested utility once
         assert cache.evaluations == requested["exact_shapley"]
+        # the cache holds the last round: on each metric exact Shapley asked
+        # for every coalition of it, GTG for some of them, LOO for five
+        every = {ids for size in range(5) for ids in all_combinations(range(4), size)}
+        for metric in Metric:
+            assert cache.requests(Scheme.EXACT, metric) == every
+            assert {(), (0, 1, 2, 3)} <= cache.requests(Scheme.GTG, metric) <= every
+            assert cache.requests(Scheme.LOO, metric) == {ids for ids in every if len(ids) >= 3}
 
     def test_gtg_draws_one_permutation_sample_per_round(self, monkeypatch):
         records, ctx = trained_records(rounds=3)
@@ -465,6 +493,32 @@ class TestCompactRoundState:
         # aggregate, the memo, the scan's arrays and one forward pass's
         # temporaries bring that to 2.3 (9.8 with int64 predictions)
         assert (peak - start) / (cache.evaluations * len(test)) < 3
+
+    def test_scoring_memory_grows_with_rounds_by_the_score_table_only(self):
+        # 8 clients, GTG over 8 permutations and LOO, on perf and fair: each
+        # round adds 2 * 2 * 8 scores to the table and nothing to the cache,
+        # which drops a round's state when the next record arrives
+        records, ctx = trained_records(k=8, rounds=12, n=400)
+        vcfg = ValuationConfig(eps1=0.0, eps2=5e-324, eps3=0.0)
+        peaks = []
+        for rounds in (2, 12):
+            cache = CoalitionCache(ctx)
+            gtg_permutations.cache_clear()
+            gc.collect()  # a full collection also empties the free lists
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                schemes, metrics = [Scheme.GTG, Scheme.LOO], [Metric.PERF, Metric.FAIR]
+                score_rounds(records[:rounds], schemes, metrics, vcfg, cache)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        # a score holds about 130 bytes (its key tuple, its float and its
+        # dict slot), up to twice that while the table's dict resizes; a
+        # cache that kept every round's memo and request keys grew by about
+        # 40 kB per round here
+        per_round = (peaks[1] - peaks[0]) / 10
+        assert per_round < 2 * 2 * 8 * 400
 
     # every eps2 > 0 makes the budget infeasible from 181 clients; at 170
     # the smallest eps2 gives the floor budget of K permutations

@@ -7,10 +7,11 @@ Runs fold 0 of CONFIG in this process, writing its files to a temporary
 directory in place of the config's output directory, and prints one JSON
 line: the process's peak resident set size (``ru_maxrss``, in MB of 10^6
 bytes as the benchmark reports ``peak_rss_mb``) right after
-``data.fold_split``, after ``run_training`` and after
-``score_rounds``. The peak never falls, so the first figure that exceeds
-the one before it names the stage that raised it. The program is
-imported from this checkout's ``src/``.
+``data.fold_split`` and after ``score_rounds``. A fold streams its rounds
+(``score_rounds`` pulls each round from the ``run_training`` generator), so
+the second figure covers training and scoring together. The peak never
+falls, so a second figure above the first says that the rounds raised
+it. The program is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the names run_fold calls, in the order it calls them
-STAGES = ("fold_split", "run_training", "score_rounds")
+# the names run_fold calls, in the order they return; score_rounds returns
+# once it has drawn, and so trained, every round
+STAGES = ("fold_split", "score_rounds")
 
 
 def peak_mb() -> float:

@@ -70,7 +70,9 @@ def workload_config() -> ExperimentConfig:
 def fold_zero(cfg: ExperimentConfig):
     """Fold 0 of a synthetic ``cfg`` as ``experiment.run_fold`` runs it:
     the clients' parts and training config passed to ``run_training``, and
-    the round records and cache passed to ``score_rounds``."""
+    the round records and cache passed to ``score_rounds``. The records
+    come from a generator, so they are drawn into a list first: the fold
+    then trains every round before it scores one."""
     seen = {}
     run_training, score_rounds = experiment.run_training, experiment.score_rounds
 
@@ -79,6 +81,7 @@ def fold_zero(cfg: ExperimentConfig):
         return run_training(init, parts, tcfg, **kwargs)
 
     def scoring(records, schemes, metrics, vcfg, cache):
+        records = list(records)
         seen.update(records=records, cache=cache)
         return score_rounds(records, schemes, metrics, vcfg, cache)
 

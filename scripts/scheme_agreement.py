@@ -35,7 +35,7 @@ def one_seed(seed: int, eps2: float):
     clients = client_rows(data.labels[train_rows], data.class_count, spec)
     *parts, test = gather(data, [*(train_rows[rows] for rows in clients), test_rows])
     init = init_params(Architecture((8, 16, 1), OutputActivation.SIGMOID), seed)
-    records = run_training(init, parts, TrainingConfig(rounds=10, seed=seed))
+    records = list(run_training(init, parts, TrainingConfig(rounds=10, seed=seed)))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
 
     cache = CoalitionCache(ctx)

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _MODULE_EXPORTS = {
-    "analysis": ("AnalysisReport", "build_report", "rmse", "spearman"),
+    "analysis": ("AnalysisReport", "build_report", "rmse"),
     "config": (
         "AttackSpec",
         "ExperimentConfig",

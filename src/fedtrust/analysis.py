@@ -58,11 +58,6 @@ def spearman_flagged(a: Sequence[float], b: Sequence[float]) -> SpearmanResult:
     return SpearmanResult(phi, False)
 
 
-def spearman(a: Sequence[float], b: Sequence[float]) -> float:
-    """Rank correlation in [-1, 1]; 0.0 when either vector is constant."""
-    return spearman_flagged(a, b).phi
-
-
 def rmse(a: Sequence[float], b: Sequence[float]) -> float:
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)

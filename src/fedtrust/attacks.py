@@ -24,10 +24,10 @@ The log clamp of the loss is applied on step 0 only: from step 1 on every
 row still under attack is classified correctly, so the clamp cannot fire.
 A row that flips is written out on that step and marked inactive; inactive
 rows leave the working arrays only once they are at least half of them.
-``np.errstate`` (the sigmoid's exp overflow) is entered once around the
-step loop. Every iterate equals that of the plain loop (an input-gradient
-pass, a clipped step and a prediction pass per step, one model at a time),
-bit for bit.
+``np.errstate`` (the sigmoid's exp overflow, and the inf - inf of a model
+near overflow) is entered once around the step loop. Every iterate equals
+that of the plain loop (an input-gradient pass, a clipped step and a
+prediction pass per step, one model at a time), bit for bit.
 
 :func:`certified_rows` says, before any attack, which rows PGD cannot flip:
 it bounds each row's true-class margin from below over a box that holds
@@ -92,7 +92,7 @@ def pgd_batch(
     upper = np.minimum(x0 + spec.epsilon, spec.clip_max)
     active = np.ones(rows.size, dtype=bool)
     inactive = 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         hidden, probs = group.forward(x)
         for step in range(spec.steps):
             # After step 0 every active row is classified correctly, so its
@@ -131,6 +131,10 @@ def pgd_batch(
     return x_adv
 
 
+# A model near overflow can make the bound or the tolerance inf or nan on
+# the way; such a row is not certified (see the end), so the pass runs with
+# those warnings silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def certified_rows(
     model: ModelParams, inputs: np.ndarray, labels: np.ndarray, spec: AttackSpec
 ) -> np.ndarray:
@@ -148,7 +152,8 @@ def certified_rows(
     the identity where ``l >= 0``, zero where ``u <= 0`` and otherwise the
     chord ``u (z - l) / (u - l)`` above or the line ``[u > -l] z`` below,
     whichever the sign of the margin's coefficient needs. A row is certified
-    when that bound exceeds the tolerance (see ``CERTIFY_TOLERANCE``).
+    when that bound is finite and exceeds the tolerance (see
+    ``CERTIFY_TOLERANCE``), which must be finite too.
     """
     x0, y = labeled_rows(model, inputs, labels)
     arch = model.architecture
@@ -240,7 +245,10 @@ def certified_rows(
     magnitude = np.full(arch.input_dim, 2.0 * scale)
     for (_, b), abs_w in zip(layers, abs_weights):
         magnitude = magnitude @ abs_w + np.abs(b)
+    # inf or nan compares false, so a tolerance that is not finite
+    # certifies no row
     certified = margin > CERTIFY_TOLERANCE * (1.0 + 2.0 * magnitude.max())
+    certified &= np.isfinite(margin)
     if x0.min() < spec.clip_min or x0.max() > spec.clip_max:
         certified &= ((x0 >= spec.clip_min) & (x0 <= spec.clip_max)).all(axis=1)
     return certified

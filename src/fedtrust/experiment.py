@@ -1,7 +1,11 @@
 """End-to-end experiment driver: folds of train -> score -> accumulate.
 
 Each fold is an independent repetition with seeds derived from
-(master_seed, fold) and writes its own run directory:
+(master_seed, fold). A fold streams its rounds: ``run_training`` hands each
+round's record to ``score_rounds`` once the round is checkpointed, and the
+next round is trained only after that record is scored, so a fold holds one
+round's models and coalition state at a time. Each fold writes its own run
+directory:
 
     <output_dir>/fold_<f>/round_<t>/...   training checkpoints
     <output_dir>/fold_<f>/scores.csv      per-round scores, all schemes
@@ -18,7 +22,8 @@ folds past this run's count, and the run's report files, and drops a stale
 failures.json, so neither ``analyze`` nor a reader of a failed rerun finds
 scores or a report an earlier run left. Each fold this run trains first
 drops all of its round_<t> checkpoints, so a fold that fails keeps only the
-rounds it reached; the checkpoints of folds past this run's count stay.
+rounds it reached: a round that fails in training or in scoring is the last
+one it keeps. The checkpoints of folds past this run's count stay.
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ def run_fold(
     cfg: ExperimentConfig, fold: int, fold_dir, source: Dataset | None = None
 ) -> ScoreTable:
     """Run one repetition and persist every stage into ``fold_dir``: the
-    fold's data (``data.fold_split``), training, scoring, then the score
-    files. A CSV ``source`` stays with the caller, shared by every fold.
+    fold's data (``data.fold_split``), then training and scoring a round at
+    a time (``run_training`` feeds ``score_rounds``), then the score files.
+    A CSV ``source`` stays with the caller, shared by every fold.
     """
     fold_dir = Path(fold_dir)
     for stale in fold_dir.glob("round_*"):
@@ -78,10 +84,6 @@ def run_fold(
     fold_seed = cfg.fold_seed(fold)
     parts, test = fold_split(cfg, fold_seed, source)
     arch = _architecture(cfg, test.feature_dim, test.class_count)
-    init = nn.init_params(arch, derive_seed(fold_seed, "init"))
-    tcfg = cfg.training_config(seed=derive_seed(fold_seed, "train"))
-    records = run_training(init, parts, tcfg, writer=RunWriter(fold_dir))
-
     ctx = EvalContext(
         test=test,
         fairness=FairnessSpec(cfg.target_class),
@@ -90,7 +92,11 @@ def run_fold(
     )
     vcfg = cfg.valuation_config(perm_seed=derive_seed(fold_seed, "perm"))
     cache = CoalitionCache(ctx)
-    table = score_rounds(records, cfg.schemes, tuple(Metric), vcfg, cache)
+    tcfg = cfg.training_config(seed=derive_seed(fold_seed, "train"))
+    rounds = run_training(
+        nn.init_params(arch, derive_seed(fold_seed, "init")), parts, tcfg, writer=RunWriter(fold_dir)
+    )
+    table = score_rounds(rounds, cfg.schemes, tuple(Metric), vcfg, cache)
     write_scores_csv(table, fold_dir / "scores.csv")
     write_totals_csv(table, fold_dir / "scores_total.csv")
     with atomic_open(fold_dir / "valuation_meta.json") as fh:

@@ -2,8 +2,11 @@
 
 Every round trains all clients from the previous global model, aggregates by
 sample-count-weighted parameter averaging, and (optionally) checkpoints the
-round's models and metadata; the valuation stage reads the in-memory round
-records, not these files:
+round's models and metadata. :func:`run_training` is the one round loop: it
+yields each round's record once the round is checkpointed, and trains the
+next round only when the next record is asked for, so a fold scores a
+round before it trains the next. The valuation stage reads the in-memory
+round records, not these files:
 
     <run_dir>/round_<t>/{global_before.txt, global_after.txt,
                          client_<k>.txt, meta.json}
@@ -33,7 +36,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -250,14 +253,17 @@ def run_training(
     parts: Sequence[Dataset],
     cfg: TrainingConfig,
     writer: RunWriter | None = None,
-) -> list[RoundRecord]:
-    """Run rounds 1..T of FedAvg, checkpointing each round as it completes."""
-    records: list[RoundRecord] = []
+) -> Iterator[RoundRecord]:
+    """Rounds 1..T of FedAvg, one record at a time: round t is trained,
+    checkpointed by ``writer`` and yielded, and round t + 1 is trained only
+    when the next record is asked for. A consumer that keeps no earlier
+    record holds one round's models; one that stops early trains no further
+    round. ``list(run_training(...))`` gives every round's record."""
     current = init
+    del init  # kept by round 1's record only, so it goes with that record
     for t in range(1, cfg.rounds + 1):
         record = run_round(current, parts, cfg, t)
         if writer is not None:
             writer.write_round(record, cfg)
-        records.append(record)
+        yield record
         current = record.global_after
-    return records

@@ -28,9 +28,10 @@ together.
 The passes themselves (``ModelGroup.forward``, :func:`loss_and_param_grads`)
 do not enter ``np.errstate``. A sigmoid output's ``exp`` overflows to inf
 for logits below about -709 (1 / (1 + inf) is then the correct probability
-0.0), so their callers silence that overflow once:
-:func:`predict_batch` and :func:`input_gradient_batch` per call, PGD around
-its step loop and local training around its epochs.
+0.0), and a model whose finite parameters are near overflow can meet
+inf - inf (nan) in a matmul, so their callers silence overflow and invalid
+values once: :func:`predict_batch` and :func:`input_gradient_batch` per
+call, PGD around its step loop and local training around its epochs.
 
 Parameter layout: for each layer l, the weight matrix W_l (fan_in x fan_out,
 row-major) followed by the bias vector b_l. Keeping parameters flat makes
@@ -349,7 +350,7 @@ def predict_batch(params: ModelParams | ModelGroup, inputs: np.ndarray) -> np.nd
     predict their own rows.
     """
     inputs = input_rows(params, inputs)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _, probs = as_group(params, inputs.shape[0]).forward(inputs)
     return predicted_classes(params.architecture.output_activation, probs)
 
@@ -465,7 +466,7 @@ def input_gradient_batch(
     """
     inputs, labels = labeled_rows(params, inputs, labels)
     group = as_group(params, inputs.shape[0])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         hidden, probs = group.forward(inputs)
     return group.input_gradient(hidden, probs, labels)
 

@@ -497,13 +497,19 @@ def score_vectors(table: ScoreTable) -> dict[tuple[str, str], np.ndarray]:
 
 
 def score_rounds(
-    records: Sequence[RoundRecord],
+    records: Iterable[RoundRecord],
     schemes: Sequence[Scheme],
     metrics: Sequence[Metric],
     vcfg: ValuationConfig,
     cache: CoalitionCache,
 ) -> ScoreTable:
-    """Score every round (including the excluded round 1) for all schemes."""
+    """Score every round (including the excluded round 1) for all schemes.
+
+    ``records`` is read once, in order, and each record is scored on every
+    metric and scheme before the next is taken, so a ``run_training``
+    generator trains round t + 1 only after round t is scored. No scheme
+    reads an earlier round, so only the score table grows with the rounds.
+    """
     table = ScoreTable()
     for record in records:
         for metric in metrics:

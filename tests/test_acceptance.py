@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtrust.analysis import build_report, per_round_variance, rmse, spearman
+from fedtrust.analysis import build_report, per_round_variance, rmse, spearman_flagged
 from fedtrust.attacks import AttackSpec, pgd_batch
 from fedtrust.cli import main
 from fedtrust.config import ExperimentConfig
@@ -73,7 +73,7 @@ def trained_setup(seed, n=600, rounds=10, alpha=0.5, imbalance=0.3, attack=None)
         train, PartitionSpec(PartitionMode.DIRICHLET, 4, alpha, seed=seed)
     )
     init = init_params(Architecture((8, 16, 1), OutputActivation.SIGMOID), seed)
-    records = run_training(init, parts, TrainingConfig(rounds=rounds, seed=seed))
+    records = list(run_training(init, parts, TrainingConfig(rounds=rounds, seed=seed)))
     ctx = EvalContext(
         test, FairnessSpec(1), NoiseSpec(0.1, seed), attack or AttackSpec()
     )
@@ -227,10 +227,10 @@ def test_criterion_5_gtg_truncation_efficiency():
             )
             assert cache_gtg.evaluations < cache_exact.evaluations
             phis.append(
-                spearman(
+                spearman_flagged(
                     score_vectors(gtg_table)[("gtg", "perf")],
                     score_vectors(exact_table)[("exact_shapley", "perf")],
-                )
+                ).phi
             )
         assert np.median(phis) >= 0.8
 
@@ -323,9 +323,9 @@ def test_criterion_9_byte_identical_reruns(default_run, tmp_path):
 def test_criterion_10_analysis_unit_oracles():
     with criterion(10, "spearman/rmse/variance/report example oracles"):
         # spearman
-        assert spearman([1, 2, 3], [1, 2, 100]) == pytest.approx(1.0, abs=1e-15)
-        assert spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-15)
-        assert spearman([1, 2, 2, 4], [1, 3, 3, 4]) == pytest.approx(1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 3], [1, 2, 100]).phi == pytest.approx(1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 3], [3, 2, 1]).phi == pytest.approx(-1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 2, 4], [1, 3, 3, 4]).phi == pytest.approx(1.0, abs=1e-15)
         # rmse
         assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
         assert rmse([0, 0], [3, 4]) == pytest.approx(np.sqrt(12.5), abs=1e-12)

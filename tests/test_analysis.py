@@ -12,7 +12,6 @@ from fedtrust.analysis import (
     build_report,
     per_round_variance,
     rmse,
-    spearman,
     spearman_flagged,
     write_report,
 )
@@ -31,14 +30,14 @@ def finite_vectors(n):
 class TestSpearman:
     def test_monotone_vectors_correlate_fully(self):
         # ranks are what matters: [1,2,100] orders like [1,2,3]
-        assert spearman([1, 2, 3], [1, 2, 100]) == pytest.approx(1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 3], [1, 2, 100]).phi == pytest.approx(1.0, abs=1e-15)
 
     def test_exact_reversal(self):
-        assert spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 3], [3, 2, 1]).phi == pytest.approx(-1.0, abs=1e-15)
 
     def test_ties_use_average_ranks(self):
         # hand oracle: both vectors rank as [1, 2.5, 2.5, 4]
-        assert spearman([1, 2, 2, 4], [1, 3, 3, 4]) == pytest.approx(1.0, abs=1e-15)
+        assert spearman_flagged([1, 2, 2, 4], [1, 3, 3, 4]).phi == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_vector_flagged_zero(self):
         result = spearman_flagged([1.0, 1.0, 1.0], [1, 2, 3])
@@ -48,9 +47,9 @@ class TestSpearman:
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            spearman([1, 2], [1, 2, 3])
+            spearman_flagged([1, 2], [1, 2, 3])
         with pytest.raises(InputError):
-            spearman([1], [1])
+            spearman_flagged([1], [1])
 
     @settings(max_examples=60, deadline=None)
     @given(a=finite_vectors(6), b=finite_vectors(6))
@@ -59,12 +58,13 @@ class TestSpearman:
             assert spearman_flagged(a, b).degenerate
             return
         want = scipy_stats.spearmanr(a, b).statistic
-        assert spearman(a, b) == pytest.approx(want, abs=1e-12)
+        assert spearman_flagged(a, b).phi == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(a=finite_vectors(5), b=finite_vectors(5))
     def test_symmetry(self, a, b):
-        assert spearman(a, b) == pytest.approx(spearman(b, a), abs=1e-12)
+        want = spearman_flagged(b, a).phi
+        assert spearman_flagged(a, b).phi == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -76,7 +76,8 @@ class TestSpearman:
         # integer grids keep distinct values distinct under the transforms
         transformed = [scale * x + 1.0 for x in a]
         cubed = [x**3 for x in b]
-        assert spearman(transformed, cubed) == pytest.approx(spearman(a, b), abs=1e-9)
+        want = spearman_flagged(a, b).phi
+        assert spearman_flagged(transformed, cubed).phi == pytest.approx(want, abs=1e-9)
 
 
 class TestRmse:

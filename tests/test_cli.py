@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import json
 import os
 import pathlib
@@ -243,6 +244,15 @@ class TestRun:
         failures = json.loads((out_dir / "failures.json").read_text())
         assert [f["fold"] for f in failures] == [0, 1]
         assert all("diverged" in f["error"] for f in failures)
+
+    def test_huge_but_finite_model_is_scored_without_a_warning(self, tmp_path):
+        # SGD at a learning rate of 1e155 leaves weights near 1e153: every
+        # parameter is finite, but a forward pass or a certified bound can
+        # overflow; a RuntimeWarning fails this test (see pyproject.toml)
+        out_dir = tmp_path / "out"
+        extra = "training.optimizer = sgd\ntraining.learning_rate = 1e155\n"
+        assert main(["run", str(write_smoke_config(tmp_path, out_dir, extra))]) == 0
+        assert len(read_scores_csv(out_dir / "fold_0" / "scores.csv").entries) == 3 * 4 * 2 * 2
 
     def test_csv_source_run(self, tmp_path, capsys):
         data_path = tmp_path / "input.csv"
@@ -591,6 +601,78 @@ class TestExperimentMachinery:
             assert base is not None and len(base) == cfg.synthetic_n, name
             assert not base.flags.writeable, name
             assert all(a.base is base and np.shares_memory(a, base) for a in arrays), name
+
+    def test_fold_memory_grows_with_rounds_by_the_score_table_only(self, tmp_path, monkeypatch):
+        # 2 clients, LOO on the four metrics: a round adds 4 * 2 scores to
+        # the table, and its record three new models of 5,001 parameters
+        # (40 kB each), which the fold drops once it has scored the round
+        from fedtrust import federation
+
+        real_run_round = federation.run_round
+
+        def collected_run_round(*args):
+            # a round's meta.json leaves a reference cycle of json's
+            # encoder (about 3 kB) that only a full collection frees;
+            # collecting first makes each peak count live memory only
+            gc.collect()
+            return real_run_round(*args)
+
+        monkeypatch.setattr(federation, "run_round", collected_run_round)
+        cfg = ExperimentConfig(
+            synthetic_n=80,
+            synthetic_d=3,
+            partition_mode="iid",
+            clients=2,
+            hidden_sizes=(1000,),
+            attack_steps=2,
+            schemes=(Scheme.LOO,),
+            folds=1,
+            output_dir=str(tmp_path),
+        )
+        peaks = []
+        for rounds in (2, 12):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run_fold(dataclasses.replace(cfg, rounds=rounds), 0, tmp_path / f"fold_{rounds}")
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        # a score holds about 130 bytes, up to twice that while the table's
+        # dict resizes; a fold that kept every round's record grew by about
+        # 120 kB per round here (0.7 kB once it streams)
+        per_round = (peaks[1] - peaks[0]) / 10
+        assert per_round < 4 * 2 * 400
+
+    def test_fold_that_fails_in_scoring_keeps_the_rounds_it_reached(self, tmp_path, monkeypatch):
+        from fedtrust import valuation
+        from fedtrust.errors import NumericError
+
+        real_loo_round = valuation.loo_round
+
+        def failing_in_round_3(record, metric, cache):
+            if record.round == 3:
+                raise NumericError("synthetic scoring failure")
+            return real_loo_round(record, metric, cache)
+
+        monkeypatch.setattr(valuation, "loo_round", failing_in_round_3)
+        cfg = ExperimentConfig(
+            synthetic_n=80,
+            synthetic_d=3,
+            partition_mode="iid",
+            clients=2,
+            rounds=5,
+            attack_steps=2,
+            schemes=(Scheme.LOO,),
+            folds=1,
+            output_dir=str(tmp_path),
+        )
+        with pytest.raises(NumericError, match="synthetic scoring failure"):
+            run_fold(cfg, 0, tmp_path / "fold_0")
+        # round 3 was trained and checkpointed before it was scored; rounds
+        # 4 and 5 were never trained, and no score file was written
+        kept = sorted(p.name for p in (tmp_path / "fold_0").iterdir())
+        assert kept == ["round_1", "round_2", "round_3"]
 
     def test_failed_rerun_keeps_no_earlier_report_or_checkpoints(self, tmp_path, capsys):
         out_dir = tmp_path / "diverged"

@@ -202,7 +202,7 @@ class TestRounds:
     def test_training_chains_and_counts(self):
         init, parts = small_setup()
         cfg = TrainingConfig(rounds=4, seed=6)
-        records = run_training(init, parts, cfg)
+        records = list(run_training(init, parts, cfg))
         assert [r.round for r in records] == [1, 2, 3, 4]
         for prev, cur in zip(records, records[1:]):
             assert np.array_equal(prev.global_after.values, cur.global_before.values)
@@ -220,7 +220,7 @@ class TestRounds:
             parts = partition(train, PartitionSpec(PartitionMode.IID, 3, seed=seed))
             init = init_params(Architecture((3, 8, 2)), seed)
             cfg = TrainingConfig(rounds=5, local_epochs=1, seed=seed)
-            records = run_training(init, parts, cfg)
+            records = list(run_training(init, parts, cfg))
             final = predict_batch(records[-1].global_after, test.features)
             wins.append(perf(final, test) - perf(predict_batch(init, test.features), test))
         assert np.mean(wins) > 0
@@ -229,7 +229,7 @@ class TestRounds:
         init, parts = small_setup(k=3)
         cfg = TrainingConfig(rounds=2, seed=7)
         writer = RunWriter(tmp_path / "run")
-        records = run_training(init, parts, cfg, writer=writer)
+        records = list(run_training(init, parts, cfg, writer=writer))
         for t in (1, 2):
             round_dir = tmp_path / "run" / f"round_{t}"
             assert (round_dir / "global_before.txt").exists()

@@ -24,7 +24,6 @@ EXPORTED = {
     "AnalysisReport": "analysis",
     "build_report": "analysis",
     "rmse": "analysis",
-    "spearman": "analysis",
     "AttackSpec": "attacks",
     "ExperimentConfig": "config",
     "parse_config_file": "config",

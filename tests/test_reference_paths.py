@@ -443,7 +443,7 @@ def trained_setup(seed=2, rounds=3, arch=Architecture((8, 16, 1), OutputActivati
     train, test = train_test_split(data, 0.2, seed=seed)
     parts = partition(train, PartitionSpec(PartitionMode.DIRICHLET, clients, 0.5, seed=seed))
     init = init_params(arch, seed)
-    records = run_training(init, parts, TrainingConfig(rounds=rounds, learning_rate=0.01, seed=seed))
+    records = list(run_training(init, parts, TrainingConfig(rounds=rounds, learning_rate=0.01, seed=seed)))
     ctx = EvalContext(test, FairnessSpec(1), NoiseSpec(0.1, seed), AttackSpec())
     return records, ctx
 

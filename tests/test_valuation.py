@@ -215,7 +215,7 @@ def trained_records(k=4, rounds=3, n=240, seed=0):
     parts = partition(train, PartitionSpec(PartitionMode.IID, k, seed=seed))
     init = init_params(Architecture((3, 6, 2)), seed)
     cfg = TrainingConfig(rounds=rounds, local_epochs=1, seed=seed)
-    records = run_training(init, parts, cfg)
+    records = list(run_training(init, parts, cfg))
     ctx = EvalContext(
         test, FairnessSpec(1), NoiseSpec(0.1, 5), AttackSpec(0.1, 0.02, 5)
     )
